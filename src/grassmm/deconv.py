@@ -10,11 +10,24 @@ attaining the minimum is called the active sign; gradients and surrogate steps
 are taken on that branch. Circular convolution is computed as the direct
 O(N^2) sum; the Fourier identity is reserved for test oracles and the
 Lipschitz bound.
+
+The public functions taking a DeconvState are the reference: each validates
+its input and computes its quantity from scratch. The BlockProblem built by
+build_block_problem reads everything at an anchor (G, x) from one per-anchor
+context instead. The context computes the convolution u = a (*) x once; the
+cost, the active sign and the active-sign residual follow from u, and the two
+block gradients and the two Lipschitz bounds are filled in on first use. The
+results equal the reference functions bit for bit. Contexts are kept for the
+two most recent anchors whose arrays are read-only, matched by identity: the
+engine marks its iterates read-only, and an anchor with a writable array is
+recomputed on every call, so mutating it in place cannot leave a stale value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +39,7 @@ from .engine import (
     SurrogateOracle,
     run_block_mm,
 )
-from .grassmann import GrassmannPoint, random_point, riemannian_gradient
+from .grassmann import GrassmannPoint, _trusted, random_point, riemannian_gradient
 
 ZERO_GRAD_CUTOFF = 1e-14  # Riemannian gradient norms at or below this skip the kernel step
 _KERNEL_NORM_TOL = 1e-10
@@ -52,13 +65,29 @@ def _as_signal(v, name: str) -> np.ndarray:
     return arr
 
 
+# The unchecked kernels below take 1-d float arrays of equal length that the
+# caller has already validated; the public wrappers check outside input.
+
+
+def _conv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return x[_conv_index(a.size)] @ a
+
+
+def _corr(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return w @ v[_conv_index(v.size)]
+
+
+def _lipschitz(v: np.ndarray) -> float:
+    return float(2.0 * np.max(np.abs(np.fft.fft(v)) ** 2))
+
+
 def circular_convolution(a, x) -> np.ndarray:
     """Circular convolution out[i] = sum_k a[k] * x[(i - k) mod N], direct sum."""
     a = _as_signal(a, "a")
     x = _as_signal(x, "x")
     if a.size != x.size:
         raise ValueError(f"length mismatch: {a.size} vs {x.size}")
-    return x[_conv_index(a.size)] @ a
+    return _conv(a, x)
 
 
 def circular_correlation(v, w) -> np.ndarray:
@@ -67,7 +96,7 @@ def circular_correlation(v, w) -> np.ndarray:
     w = _as_signal(w, "w")
     if v.size != w.size:
         raise ValueError(f"length mismatch: {v.size} vs {w.size}")
-    return w @ v[_conv_index(v.size)]
+    return _corr(v, w)
 
 
 def soft_threshold(v, tau: float) -> np.ndarray:
@@ -78,8 +107,7 @@ def soft_threshold(v, tau: float) -> np.ndarray:
 
 def lipschitz_bound(v) -> float:
     """Curvature bound 2 * max |DFT(v)|^2 for w -> ||y - v (*) w||_2^2."""
-    v = _as_signal(v, "v")
-    return float(2.0 * np.max(np.abs(np.fft.fft(v)) ** 2))
+    return _lipschitz(_as_signal(v, "v"))
 
 
 @dataclass(frozen=True)
@@ -110,17 +138,21 @@ class DeconvState:
     def __post_init__(self):
         x = _as_signal(self.x, "x")
         object.__setattr__(self, "x", x)
-        if self.a.d != 1:
-            raise ValueError("kernel must be a point of Gr(N, 1)")
-        if self.a.n != x.size:
-            raise ValueError(f"kernel length {self.a.n} does not match code length {x.size}")
-        nrm = float(np.linalg.norm(self.a.basis[:, 0]))
-        if abs(nrm - 1.0) > _KERNEL_NORM_TOL:
-            raise ValueError(f"kernel norm deviates from 1 by {abs(nrm - 1.0):.3e}")
+        _check_kernel(self.a, x.size)
 
     @property
     def kernel(self) -> np.ndarray:
         return self.a.basis[:, 0]
+
+
+def _check_kernel(a: GrassmannPoint, n: int) -> None:
+    if a.d != 1:
+        raise ValueError("kernel must be a point of Gr(N, 1)")
+    if a.n != n:
+        raise ValueError(f"kernel length {a.n} does not match code length {n}")
+    nrm = float(np.linalg.norm(a.basis[:, 0]))
+    if abs(nrm - 1.0) > _KERNEL_NORM_TOL:
+        raise ValueError(f"kernel norm deviates from 1 by {abs(nrm - 1.0):.3e}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +174,7 @@ class SyntheticInstance:
 
 def active_sign(problem: DeconvProblem, state: DeconvState) -> float:
     """Sign s minimizing ||y - s * (a (*) x)||; +1 on ties."""
-    u = circular_convolution(state.kernel, state.x)
+    u = _conv(state.kernel, state.x)
     return 1.0 if float(problem.y @ u) >= 0.0 else -1.0
 
 
@@ -150,12 +182,12 @@ def working_state(problem: DeconvProblem, state: DeconvState) -> DeconvState:
     """The same state with the kernel representative flipped to its active sign."""
     if active_sign(problem, state) >= 0.0:
         return state
-    return DeconvState(a=GrassmannPoint(-state.a.basis), x=state.x)
+    return _trusted(DeconvState, a=_trusted(GrassmannPoint, basis=-state.a.basis), x=state.x)
 
 
 def deconv_cost(problem: DeconvProblem, state: DeconvState) -> float:
     """Sign-invariant cost: best-sign squared residual plus lambda * ||x||_1."""
-    u = circular_convolution(state.kernel, state.x)
+    u = _conv(state.kernel, state.x)
     r_plus = problem.y - u
     r_minus = problem.y + u
     data = min(float(r_plus @ r_plus), float(r_minus @ r_minus))
@@ -164,14 +196,14 @@ def deconv_cost(problem: DeconvProblem, state: DeconvState) -> float:
 
 def grad_x(problem: DeconvProblem, state: DeconvState) -> np.ndarray:
     """Gradient of ||y - a (*) x||^2 in x for the given kernel representative."""
-    r = problem.y - circular_convolution(state.kernel, state.x)
-    return -2.0 * circular_correlation(state.kernel, r)
+    r = problem.y - _conv(state.kernel, state.x)
+    return -2.0 * _corr(state.kernel, r)
 
 
 def grad_a(problem: DeconvProblem, state: DeconvState) -> np.ndarray:
     """Gradient of ||y - a (*) x||^2 in the kernel representative."""
-    r = problem.y - circular_convolution(state.kernel, state.x)
-    return -2.0 * circular_correlation(state.x, r)
+    r = problem.y - _conv(state.kernel, state.x)
+    return -2.0 * _corr(state.x, r)
 
 
 def prox_step_x(problem: DeconvProblem, state: DeconvState, step: float) -> np.ndarray:
@@ -190,13 +222,16 @@ def riemannian_step_a(problem: DeconvProblem, state: DeconvState, step: float) -
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    eg = grad_a(problem, state)[:, None]
-    rg = riemannian_gradient(state.a, eg)
+    return _geodesic_step(state.a, grad_a(problem, state), step)
+
+
+def _geodesic_step(a: GrassmannPoint, egrad: np.ndarray, step: float) -> GrassmannPoint:
+    rg = riemannian_gradient(a, egrad[:, None])
     if rg.norm() <= ZERO_GRAD_CUTOFF:
-        return state.a
+        return a
     h = -step * rg.delta[:, 0]
     hn = float(np.linalg.norm(h))
-    new = state.kernel * np.cos(hn) + (h / hn) * np.sin(hn)
+    new = a.basis[:, 0] * np.cos(hn) + (h / hn) * np.sin(hn)
     return GrassmannPoint(new[:, None])
 
 
@@ -298,6 +333,69 @@ def lasso_warm_start(problem: DeconvProblem, init: DeconvState, max_iter: int = 
     return DeconvState(a=init.a, x=x)
 
 
+class _Anchor:
+    """The deconvolution quantities at one anchor (G, x), each computed once.
+
+    `ws_a` is the active-sign representative of G, `kernel` its vector,
+    `resid` = y - kernel (*) x and `base` = ||resid||^2. The gradients and
+    Lipschitz bounds are computed on first use.
+    """
+
+    def __init__(self, problem: DeconvProblem, g: GrassmannPoint, x: np.ndarray, prev: Optional[_Anchor]):
+        if x.shape != problem.y.shape:
+            raise ValueError(f"code has shape {x.shape}, expected {problem.y.shape}")
+        _check_kernel(g, x.size)
+        self.g = g
+        self.x = x
+        self.lam = problem.lam
+        y = problem.y
+        u = _conv(g.basis[:, 0], x)
+        # y + u is y - (-a) (*) x bit for bit: negating a negates every product.
+        r_plus = y - u
+        r_minus = y + u
+        d_plus = float(r_plus @ r_plus)
+        d_minus = float(r_minus @ r_minus)
+        self.penalty = problem.lam * float(np.sum(np.abs(x)))
+        self.cost = min(d_plus, d_minus) + self.penalty
+        if float(y @ u) >= 0.0:
+            self.ws_a, self.resid, self.base = g, r_plus, d_plus
+        else:
+            self.ws_a = _trusted(GrassmannPoint, basis=-g.basis)
+            self.resid, self.base = r_minus, d_minus
+        self.kernel = self.ws_a.basis[:, 0]
+        if prev is not None and prev.g is g and "lip_a" in vars(prev):
+            # |DFT(a)| does not depend on the sign of a, so anchors on one G share it.
+            self.lip_a = prev.lip_a
+
+    @cached_property
+    def grad_a(self) -> np.ndarray:
+        """Gradient of ||y - a (*) x||^2 in the active kernel representative."""
+        grad = -2.0 * _corr(self.x, self.resid)
+        grad.setflags(write=False)
+        return grad
+
+    @cached_property
+    def grad_x(self) -> np.ndarray:
+        """Gradient of ||y - a (*) x||^2 in x for the active kernel representative."""
+        grad = -2.0 * _corr(self.kernel, self.resid)
+        grad.setflags(write=False)
+        return grad
+
+    @cached_property
+    def lip_a(self) -> float:
+        """Curvature bound of the data term in x: it depends on the kernel."""
+        return _lipschitz(self.kernel)
+
+    @cached_property
+    def lip_x(self) -> float:
+        """Curvature bound of the data term in the kernel: it depends on x."""
+        return _lipschitz(self.x)
+
+    def prox(self, step: float) -> np.ndarray:
+        """The code after one proximal gradient step of length `step`."""
+        return soft_threshold(self.x - step * self.grad_x, step * self.lam)
+
+
 def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> BlockProblem:
     """Wire the deconvolution cost and its two surrogates into a BlockProblem.
 
@@ -305,62 +403,60 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
     active-sign representative, with curvature L / step_scale where L is the
     Fourier bound from the current fixed block; step_scale = 1 makes them true
     majorants. The kernel surrogate is minimized by one geodesic gradient step
-    of length step_scale / L, the code surrogate by one proximal step.
+    of length step_scale / L, the code surrogate by one proximal step. Every
+    callable reads its anchor's quantities from one shared per-anchor context
+    (see the module docstring).
     """
     if step_scale <= 0.0:
         raise ValueError(f"step_scale must be positive, got {step_scale}")
     n = problem.n
-    y = problem.y
+    recent: list[_Anchor] = []  # newest last; anchors whose arrays are read-only
 
-    def state_of(g: GrassmannPoint, x: np.ndarray) -> DeconvState:
-        return DeconvState(a=g, x=np.asarray(x, dtype=float))
+    def at(g: GrassmannPoint, x) -> _Anchor:
+        for ctx in recent:
+            if ctx.g is g and ctx.x is x:
+                return ctx
+        x = np.asarray(x, dtype=float)
+        ctx = _Anchor(problem, g, x, recent[-1] if recent else None)
+        if not (g.basis.flags.writeable or x.flags.writeable):
+            recent.append(ctx)
+            del recent[:-2]
+        return ctx
 
     def cost(g: GrassmannPoint, x: np.ndarray) -> float:
-        return deconv_cost(problem, state_of(g, x))
+        return at(g, x).cost
 
     # --- kernel block -----------------------------------------------------
     def a_minimize(g: GrassmannPoint, x: np.ndarray) -> GrassmannPoint:
-        ws = working_state(problem, state_of(g, x))
-        lip = lipschitz_bound(ws.x)
-        if lip <= 0.0:
-            return ws.a
-        return riemannian_step_a(problem, ws, step_scale / lip)
+        ctx = at(g, x)
+        if ctx.lip_x <= 0.0:
+            return ctx.ws_a
+        return _geodesic_step(ctx.ws_a, ctx.grad_a, step_scale / ctx.lip_x)
 
     def a_evaluate(candidate: GrassmannPoint, g: GrassmannPoint, x: np.ndarray) -> float:
-        ws = working_state(problem, state_of(g, x))
-        anchor_vec = ws.kernel
-        lip = lipschitz_bound(ws.x)
-        curvature = lip / step_scale
-        resid = y - circular_convolution(anchor_vec, ws.x)
-        base = float(resid @ resid)
-        grad = -2.0 * circular_correlation(ws.x, resid)
-        penalty = problem.lam * float(np.sum(np.abs(ws.x)))
+        ctx = at(g, x)
+        curvature = ctx.lip_x / step_scale
 
         def quad(vec: np.ndarray) -> float:
-            diff = vec - anchor_vec
-            return base + float(grad @ diff) + 0.5 * curvature * float(diff @ diff)
+            diff = vec - ctx.kernel
+            return ctx.base + float(ctx.grad_a @ diff) + 0.5 * curvature * float(diff @ diff)
 
         b = candidate.basis[:, 0]
-        return min(quad(b), quad(-b)) + penalty
+        return min(quad(b), quad(-b)) + ctx.penalty
 
     # --- code block --------------------------------------------------------
     def x_minimize(g: GrassmannPoint, x: np.ndarray) -> np.ndarray:
-        ws = working_state(problem, state_of(g, x))
-        lip = lipschitz_bound(ws.kernel)
-        return prox_step_x(problem, ws, step_scale / lip)
+        ctx = at(g, x)
+        return ctx.prox(step_scale / ctx.lip_a)
 
     def x_evaluate(candidate: np.ndarray, g: GrassmannPoint, x: np.ndarray) -> float:
-        ws = working_state(problem, state_of(g, x))
+        ctx = at(g, x)
         candidate = np.asarray(candidate, dtype=float)
-        lip = lipschitz_bound(ws.kernel)
-        curvature = lip / step_scale
-        resid = y - circular_convolution(ws.kernel, ws.x)
-        base = float(resid @ resid)
-        grad = -2.0 * circular_correlation(ws.kernel, resid)
-        diff = candidate - ws.x
+        curvature = ctx.lip_a / step_scale
+        diff = candidate - ctx.x
         return (
-            base
-            + float(grad @ diff)
+            ctx.base
+            + float(ctx.grad_x @ diff)
             + 0.5 * curvature * float(diff @ diff)
             + problem.lam * float(np.sum(np.abs(candidate)))
         )
@@ -374,15 +470,14 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
 
     # --- diagnostics --------------------------------------------------------
     def g_grad(g: GrassmannPoint, x: np.ndarray) -> np.ndarray:
-        ws = working_state(problem, state_of(g, x))
-        return grad_a(problem, ws)[:, None]
+        return at(g, x).grad_a[:, None]
 
     def c_grad(g: GrassmannPoint, x: np.ndarray) -> np.ndarray:
         # Proximal-gradient residual, scaled to gradient units; zero exactly at
         # fixed points of the code update.
-        ws = working_state(problem, state_of(g, x))
-        lip = lipschitz_bound(ws.kernel)
-        return lip * (ws.x - prox_step_x(problem, ws, 1.0 / lip))
+        ctx = at(g, x)
+        lip = ctx.lip_a
+        return lip * (ctx.x - ctx.prox(1.0 / lip))
 
     return BlockProblem(
         cost=cost,

@@ -15,6 +15,7 @@ can refute an assumption on sampled evidence but never prove it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,6 +24,7 @@ import numpy as np
 from .grassmann import (
     GeodesicNotUnique,
     GrassmannPoint,
+    _trusted,
     aligned_geodesic_at,
     build_aligned_spec,
     canonical_distance,
@@ -59,6 +61,10 @@ class InfeasibleBlockError(RuntimeError):
     """A surrogate minimize returned a value outside its feasible set."""
 
 
+class NonFiniteCostError(ValueError):
+    """The cost at an iterate is NaN or infinite."""
+
+
 @dataclass(frozen=True)
 class SurrogateOracle:
     """Surrogate for one block, anchored at the current iterate pair.
@@ -84,6 +90,14 @@ class BlockProblem:
     the driver falls back to finite differences. grassmann_membership, when
     given, restricts the Grassmann feasible set; audit sampling rejects points
     outside it.
+
+    Contract with run_block_mm: cost must be a deterministic function of its
+    arguments. The engine calls it once per half-step, at each new iterate,
+    and reuses that value instead of evaluating the same iterate again. The
+    engine never mutates the iterates it passes in: they are its own arrays,
+    marked read-only (a copy of the initial values, then each value a
+    minimize returns), so a problem may cache per-anchor work for read-only
+    arguments, matched by identity.
     """
 
     cost: Callable[[GrassmannPoint, np.ndarray], float]
@@ -237,6 +251,13 @@ def _gradient_norms(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray) -> 
     return gn_g, gn_c
 
 
+def _finite_cost(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray, where: str, i: int) -> float:
+    f = float(problem.cost(g, c))
+    if not math.isfinite(f):
+        raise NonFiniteCostError(f"cost is {f} {where} (iteration {i})")
+    return f
+
+
 def _tie_suspected(dc_steps: list[float], converged: bool, dist_tol: float) -> bool:
     # Minimizer ties show up as sustained oscillation of the step lengths: the
     # iterate keeps hopping a non-vanishing distance without the trend dying out.
@@ -261,16 +282,20 @@ def run_block_mm(
     Stops as soon as the Grassmann step distance falls below dist_tol and the
     relative cost change falls below cost_tol in the same iteration; raises
     MonotonicityViolation if either half-update increases the cost by more
-    than MONOTONICITY_TOL, and InfeasibleBlockError (naming the block) if a
-    surrogate returns a value outside its feasible set.
+    than MONOTONICITY_TOL, InfeasibleBlockError (naming the block) if a
+    surrogate returns a value outside its feasible set, and NonFiniteCostError
+    if the cost at an iterate is NaN or infinite.
     """
     n, d, c_len = problem.dims
     if init_g.basis.shape != (n, d):
         raise ValueError(f"init_g has shape {init_g.basis.shape}, expected {(n, d)}")
-    c = np.asarray(problem.convex_constraint(np.asarray(init_c, dtype=float)), dtype=float)
+    c = np.array(problem.convex_constraint(np.asarray(init_c, dtype=float)), dtype=float)
     if c.shape != (c_len,):
         raise ValueError(f"init_c has shape {c.shape}, expected {(c_len,)}")
-    g = init_g
+    c.setflags(write=False)
+    g = _trusted(GrassmannPoint, basis=init_g.basis.copy())
+    g.basis.setflags(write=False)
+    f_curr = _finite_cost(problem, g, c, "at the initial iterate", 0)
 
     trace = IterationTrace()
     converged = False
@@ -280,14 +305,13 @@ def run_block_mm(
     audit_worsts: list[float] = []
 
     for i in range(config.max_iter):
-        f_curr = float(problem.cost(g, c))
-
         g_next = problem.grassmann_surrogate.minimize(g, c)
         if not isinstance(g_next, GrassmannPoint) or g_next.basis.shape != (n, d):
             raise InfeasibleBlockError("grassmann block update is not a point of Gr(n, d)")
         if problem.grassmann_membership is not None and not problem.grassmann_membership(g_next):
             raise InfeasibleBlockError("grassmann block update left the feasible set")
-        f_after_g = float(problem.cost(g_next, c))
+        g_next.basis.setflags(write=False)
+        f_after_g = _finite_cost(problem, g_next, c, "after the grassmann update", i)
         if f_after_g > f_curr + MONOTONICITY_TOL:
             raise MonotonicityViolation(
                 f"grassmann update increased the cost by {f_after_g - f_curr:.3e} "
@@ -303,7 +327,8 @@ def run_block_mm(
         if np.linalg.norm(c_proj - c_raw) > FEASIBILITY_TOL * (1.0 + np.linalg.norm(c_raw)):
             raise InfeasibleBlockError("convex block update is infeasible")
         c_next = c_proj
-        f_next = float(problem.cost(g_next, c_next))
+        c_next.setflags(write=False)
+        f_next = _finite_cost(problem, g_next, c_next, "after the convex update", i)
         if f_next > f_after_g + MONOTONICITY_TOL:
             raise MonotonicityViolation(
                 f"convex update increased the cost by {f_next - f_after_g:.3e} "
@@ -342,7 +367,7 @@ def run_block_mm(
         )
 
         rel_change = abs(f_curr - f_next) / max(1.0, abs(f_curr))
-        g, c = g_next, c_next
+        g, c, f_curr = g_next, c_next, f_next
         final_dc = dc
         iterations = i + 1
         if dc < config.dist_tol and rel_change < config.cost_tol:
@@ -361,7 +386,7 @@ def run_block_mm(
     report = ConvergenceReport(
         converged=converged,
         iterations=iterations,
-        final_cost=float(problem.cost(g, c)),
+        final_cost=f_curr,
         final_dc=final_dc,
         stationarity_score=stat_score,
         stationarity_directions=stat_dirs,

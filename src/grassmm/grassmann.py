@@ -31,6 +31,15 @@ class GeodesicNotUnique(ValueError):
     """The subspaces meet at an angle of pi/2, so no unique geodesic joins them."""
 
 
+def _trusted(cls, **fields):
+    """An instance of a frozen dataclass built from values this package computed
+    and knows to be valid, skipping the checks its public constructor runs."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class GrassmannPoint:
     """A D-dimensional subspace of R^N held as an orthonormal basis matrix."""
@@ -163,12 +172,17 @@ def random_unit_tangent(rng: np.random.Generator, x: GrassmannPoint) -> TangentV
 
 
 def tangent_project(x: GrassmannPoint, a) -> TangentVector:
-    """Project an ambient N x D matrix onto the tangent space at x."""
+    """Project an ambient N x D matrix onto the tangent space at x.
+
+    The result is tangent by construction, so it is not checked against the
+    absolute TANGENCY_TOL: for a large input the rounding left in X^T H scales
+    with the input and would fail that check spuriously.
+    """
     m = as_matrix(a)
     if m.shape != x.basis.shape:
         raise ValueError(f"expected shape {x.basis.shape}, got {m.shape}")
     delta = m - x.basis @ (x.basis.T @ m)
-    return TangentVector(base=x, delta=delta)
+    return _trusted(TangentVector, base=x, delta=delta)
 
 
 def riemannian_gradient(x: GrassmannPoint, euclidean_grad) -> TangentVector:
@@ -196,14 +210,15 @@ def principal_angles(x: GrassmannPoint, y: GrassmannPoint) -> PrincipalAngles:
     _check_same_space(x, y)
     x_bytes, y_bytes = x.basis.tobytes(), y.basis.tobytes()
     if x_bytes == y_bytes:
-        return PrincipalAngles(np.zeros(x.d))
+        return _trusted(PrincipalAngles, angles=np.zeros(x.d))
     a, b = (x, y) if x_bytes <= y_bytes else (y, x)
     w = a.basis.T @ b.basis
     cos_vals = np.clip(np.linalg.svd(w, compute_uv=False), 0.0, 1.0)
     sin_vals = np.sort(np.clip(np.linalg.svd(b.basis - a.basis @ w, compute_uv=False), 0.0, 1.0))
     theta = np.arctan2(sin_vals, cos_vals)
+    # Sorted and clamped to [0, pi/2] here, so the result is valid as built.
     theta = np.minimum(np.maximum.accumulate(theta), np.pi / 2)
-    return PrincipalAngles(theta)
+    return _trusted(PrincipalAngles, angles=theta)
 
 
 def canonical_distance(x: GrassmannPoint, y: GrassmannPoint) -> float:

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from grassmm import (
+    BlockProblem,
     DeconvProblem,
     DeconvState,
     SolverConfig,
+    SurrogateOracle,
     circular_convolution,
     circular_correlation,
     deconv_cost,
@@ -22,9 +26,11 @@ from grassmm import (
     random_point,
     recovery_score,
     riemannian_step_a,
+    run_block_mm,
     soft_threshold,
     solve_deconv,
 )
+from grassmm import deconv
 from grassmm.deconv import active_sign, build_block_problem, working_state
 from grassmm.grassmann import GrassmannPoint
 
@@ -439,3 +445,177 @@ def test_solver_step_scale_override_breaks_descent():
     init = default_init(p, 8)
     with pytest.raises(MonotonicityViolation):
         solve_deconv(p, init, SolverConfig(seed=0), step_scale=10.0)
+
+
+# --- per-anchor context vs the reference functions ----------------------------------
+
+
+def reference_block_problem(p):
+    """The deconv BlockProblem with every callable computed from scratch by the
+    public reference functions; build_block_problem must match it bit for bit."""
+
+    def ws(g, x):
+        return working_state(p, DeconvState(a=g, x=x))
+
+    def a_minimize(g, x):
+        s = ws(g, x)
+        lip = lipschitz_bound(s.x)
+        return s.a if lip <= 0.0 else riemannian_step_a(p, s, 1.0 / lip)
+
+    def a_evaluate(candidate, g, x):
+        s = ws(g, x)
+        r = p.y - circular_convolution(s.kernel, s.x)
+        grad, lip = grad_a(p, s), lipschitz_bound(s.x)
+
+        def quad(vec):
+            diff = vec - s.kernel
+            return float(r @ r) + float(grad @ diff) + 0.5 * lip * float(diff @ diff)
+
+        b = candidate.basis[:, 0]
+        return min(quad(b), quad(-b)) + p.lam * float(np.sum(np.abs(s.x)))
+
+    def x_minimize(g, x):
+        s = ws(g, x)
+        return prox_step_x(p, s, 1.0 / lipschitz_bound(s.kernel))
+
+    def x_evaluate(candidate, g, x):
+        s = ws(g, x)
+        r = p.y - circular_convolution(s.kernel, s.x)
+        diff = candidate - s.x
+        return (
+            float(r @ r)
+            + float(grad_x(p, s) @ diff)
+            + 0.5 * lipschitz_bound(s.kernel) * float(diff @ diff)
+            + p.lam * float(np.sum(np.abs(candidate)))
+        )
+
+    def c_grad(g, x):
+        s = ws(g, x)
+        lip = lipschitz_bound(s.kernel)
+        return lip * (s.x - prox_step_x(p, s, 1.0 / lip))
+
+    return BlockProblem(
+        cost=lambda g, x: deconv_cost(p, DeconvState(a=g, x=x)),
+        grassmann_surrogate=SurrogateOracle(evaluate=a_evaluate, minimize=a_minimize),
+        convex_surrogate=SurrogateOracle(evaluate=x_evaluate, minimize=x_minimize),
+        convex_constraint=lambda v: np.asarray(v, dtype=float),
+        dims=(p.n, 1, p.n),
+        grassmann_grad=lambda g, x: grad_a(p, ws(g, x))[:, None],
+        convex_grad=c_grad,
+    )
+
+
+def block_values(bp, g, x, a_candidate, x_candidate):
+    return {
+        "cost": bp.cost(g, x),
+        "g_step": bp.grassmann_surrogate.minimize(g, x).basis,
+        "c_step": bp.convex_surrogate.minimize(g, x),
+        "g_eval": bp.grassmann_surrogate.evaluate(a_candidate, g, x),
+        "c_eval": bp.convex_surrogate.evaluate(x_candidate, g, x),
+        "g_grad": bp.grassmann_grad(g, x),
+        "c_grad": bp.convex_grad(g, x),
+    }
+
+
+def read_only(state):
+    """Copies of the state's arrays marked read-only, as the engine marks its iterates."""
+    basis, x = state.a.basis.copy(), state.x.copy()
+    basis.setflags(write=False)
+    x.setflags(write=False)
+    return GrassmannPoint(basis), x
+
+
+@pytest.mark.parametrize("n", [16, 64, 257])
+def test_block_problem_equals_reference_functions_exactly(n):
+    signs = set()
+    for seed in range(5):
+        rng = np.random.default_rng(seed + 7000)
+        p = DeconvProblem(y=rng.standard_normal(n), lam=0.2)
+        fast, ref = build_block_problem(p), reference_block_problem(p)
+        a_candidate = random_point(seed + 8000, n, 1)
+        x_candidate = rng.standard_normal(n)
+        s = random_state(seed, n)
+        for state in (s, DeconvState(a=GrassmannPoint(-s.a.basis), x=s.x)):
+            signs.add(active_sign(p, state))
+            expected = block_values(ref, state.a, state.x, a_candidate, x_candidate)
+            # Writable arrays are recomputed on every call; read-only ones are
+            # cached, so the second pass reads the stored context.
+            for g, x in ((state.a, state.x), read_only(state), read_only(state)):
+                for _ in range(2):
+                    got = block_values(fast, g, x, a_candidate, x_candidate)
+                    for key, value in expected.items():
+                        assert_array_equal(got[key], value, err_msg=key)
+    assert signs == {1.0, -1.0}
+
+
+def test_block_problem_follows_in_place_mutation_of_writable_anchor():
+    p = DeconvProblem(y=np.random.default_rng(11).standard_normal(32), lam=0.2)
+    fast = build_block_problem(p)
+    s = random_state(11, 32)
+    basis, x = s.a.basis.copy(), s.x.copy()
+    g = GrassmannPoint(basis)
+
+    def assert_follows(before):
+        state = DeconvState(a=g, x=x)
+        assert fast.cost(g, x) == deconv_cost(p, state) != before
+        assert_array_equal(fast.grassmann_grad(g, x)[:, 0], grad_a(p, working_state(p, state)))
+
+    before = fast.cost(g, x)
+    x *= 2.0
+    assert_follows(before)
+    before = fast.cost(g, x)
+    basis[:] = np.roll(basis, 3, axis=0)
+    assert_follows(before)
+
+
+@pytest.mark.parametrize("seed", [2, 8])
+def test_solver_trace_equals_reference_problem_exactly(seed):
+    inst = generate_instance(seed, 64, 4 / 64, 8, 0.0)
+    p = DeconvProblem(y=inst.y, lam=0.1)
+    init = default_init(p, 8)
+    config = SolverConfig(seed=seed)
+    trace, report = solve_deconv(p, init, config)
+    ref_trace, ref_report = run_block_mm(reference_block_problem(p), init.a, init.x, config)
+    assert trace.records == ref_trace.records
+    assert report.final_cost == ref_report.final_cost
+    assert report.stationarity_score == ref_report.stationarity_score
+    assert_array_equal(report.final_g.basis, ref_report.final_g.basis)
+    assert_array_equal(report.final_c, ref_report.final_c)
+
+
+def test_work_per_iteration(monkeypatch):
+    # Between two consecutive kernel steps the engine evaluates the cost at the
+    # two new iterates, and the shared context needs two convolutions (one per
+    # new anchor) and three correlations (the code-step gradient and the two
+    # diagnostic gradients); the next kernel step reuses the last context.
+    counts = {"cost": 0, "conv": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_conv", "_corr"):
+        monkeypatch.setattr(deconv, name, counted(getattr(deconv, name), "conv"))
+    inst = generate_instance(2, 64, 0.0625, 8, 0.0)
+    p = DeconvProblem(y=inst.y, lam=0.1)
+    init = default_init(p, 8)
+    base = build_block_problem(p)
+    snapshots = []
+
+    def g_step(g, x):
+        snapshots.append(dict(counts))
+        return base.grassmann_surrogate.minimize(g, x)
+
+    problem = replace(
+        base,
+        cost=counted(base.cost, "cost"),
+        grassmann_surrogate=replace(base.grassmann_surrogate, minimize=g_step),
+    )
+    _, report = run_block_mm(problem, init.a, init.x, SolverConfig(seed=2))
+    assert report.iterations >= 20
+    for before, after in zip(snapshots, snapshots[1:]):
+        assert after["cost"] - before["cost"] <= 2
+        assert after["conv"] - before["conv"] <= 5

@@ -7,6 +7,7 @@ from grassmm import (
     GrassmannPoint,
     InfeasibleBlockError,
     MonotonicityViolation,
+    NonFiniteCostError,
     SolverConfig,
     SurrogateOracle,
     audit_derivative_match,
@@ -232,6 +233,44 @@ def test_constraint_projection_gap_is_infeasible():
     )
     with pytest.raises(InfeasibleBlockError, match="infeasible"):
         run_block_mm(prob, line(0.4), np.zeros(1), SolverConfig(seed=0))
+
+
+def test_non_finite_cost_raises_instead_of_iterating():
+    # Each kernel step halves the angle to the x-axis; the cost turns NaN at the
+    # kernel step of iteration 3. NaN passes every ">" descent check, so without
+    # the guard the run would go on to max_iter.
+    target = line(0.0)
+    steps = []
+
+    def cost(g, c):
+        return float("nan") if len(steps) > 3 else canonical_distance(g, target) ** 2
+
+    def halve(g, c):
+        steps.append(g)
+        return line(0.8 / 2 ** len(steps))
+
+    prob = BlockProblem(
+        cost=cost,
+        grassmann_surrogate=SurrogateOracle(evaluate=lambda cand, g, c: cost(cand, c), minimize=halve),
+        convex_surrogate=SurrogateOracle(evaluate=lambda cand, g, c: cost(g, cand), minimize=lambda g, c: c),
+        convex_constraint=identity_constraint,
+        dims=(2, 1, 1),
+    )
+    with pytest.raises(NonFiniteCostError, match=r"after the grassmann update \(iteration 3\)"):
+        run_block_mm(prob, line(0.8), np.zeros(1), SolverConfig(max_iter=50, seed=0))
+    assert issubclass(NonFiniteCostError, ValueError)  # the CLI maps ValueError to exit 1
+
+
+def test_large_data_scale_converges_without_tangency_error():
+    # At data scale 1e4 the Euclidean gradient is ~1e9, so rounding alone leaves
+    # X^T H entries far above the absolute TANGENCY_TOL after projection.
+    a = 1e4 * np.random.default_rng(0).standard_normal((10, 40))
+    prob = builtin_subspace_plus_mean(a, 2)
+    g0, c0 = subspace_plus_mean_init(a, 2, 0)
+    _, report = run_block_mm(prob, g0, c0, SolverConfig(seed=0))
+    _, _, best = subspace_optimum(a, 2)
+    assert report.converged
+    assert abs(report.final_cost - best) <= 1e-8 * best
 
 
 def test_tie_oscillation_is_flagged():
