@@ -28,6 +28,7 @@ from .deconv import (
 from .engine import (
     CONVEX_BLOCK,
     GRASSMANN_BLOCK,
+    InfeasibleBlockError,
     MonotonicityViolation,
     SolverConfig,
     audit_derivative_match,
@@ -39,6 +40,7 @@ from .engine import (
     run_block_mm,
     subspace_plus_mean_init,
 )
+from .linalg import NumericError
 
 VALID_KINDS = ("deconv", "subspace-mean")
 
@@ -449,7 +451,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MonotonicityViolation, InfeasibleBlockError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

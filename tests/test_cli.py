@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from grassmm import deconv
 from grassmm.cli import ConfigError, load_config, main
 
 
@@ -191,6 +193,34 @@ def test_run_exit_two_when_not_converged(tmp_path):
 def test_run_config_error_exit_one(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_run_solver_failure_exit_one_without_traceback(tmp_path, capsys):
+    # step_scale 4 makes the surrogates non-majorizing: seed 1 breaks descent
+    problem = {"N": 64, "sparsity": 0.0625, "kernel_support": 8, "lambda": 0.1}
+    config = write_config(tmp_path, deconv_payload(seeds=[1], problem=problem, step_scale=4))
+    assert main(["--out", str(tmp_path / "out"), "run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "increased the cost" in err
+    assert "Traceback" not in err
+
+
+def test_run_long_signal_uses_fft_path(tmp_path):
+    deconv._conv_index.cache_clear()
+    problem = {"N": 4096, "sparsity": 0.0625, "kernel_support": 8, "lambda": 0.1}
+    config = write_config(tmp_path, deconv_payload(problem=problem, solver={"max_iter": 20}))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(config)]) == 2
+    rows = np.loadtxt(out / "trace_0.csv", delimiter=",", skiprows=1, ndmin=2)
+    report = json.loads((out / "report.json").read_text())["runs"]["0"]
+    assert report["iterations"] == 20
+    assert rows.shape == (20, 6)
+    assert np.all(np.isfinite(rows))
+    chain = np.append(rows[:, 1:3].ravel(), report["final_f"])  # f_0, f_after_G_0, f_1, ...
+    assert np.all(np.diff(chain) <= 0.0)
+    # every length seen is >= _FFT_MIN_N, so no O(N^2) index may have been built
+    assert deconv._FFT_MIN_N <= 4096
+    assert deconv._conv_index.cache_info().currsize == 0
 
 
 # --- audit command ---------------------------------------------------------------

@@ -35,6 +35,21 @@ from grassmm.deconv import active_sign, build_block_problem, working_state
 from grassmm.grassmann import GrassmannPoint
 
 
+# Lengths on both sides of the direct-sum / FFT crossover deconv._FFT_MIN_N = 128.
+CROSSOVER_LENGTHS = (17, 127, 128, 257, 1024)
+
+
+def drawn_then_crossover_lengths(rng, count, high):
+    """count lengths drawn from [2, high) one per step, then CROSSOVER_LENGTHS.
+
+    The draws are lazy, so they interleave with the caller's own draws as a
+    plain draw-per-iteration loop would.
+    """
+    for _ in range(count):
+        yield int(rng.integers(2, high))
+    yield from CROSSOVER_LENGTHS
+
+
 def random_state(seed, n, sparsity=0.3):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) * (rng.random(n) < sparsity)
@@ -60,8 +75,7 @@ def test_convolution_small_case():
 
 def test_convolution_commutative_and_linear():
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        n = int(rng.integers(2, 40))
+    for n in drawn_then_crossover_lengths(rng, 100, 40):
         a, x, z = rng.standard_normal((3, n))
         t = float(rng.standard_normal())
         assert_allclose(circular_convolution(a, x), circular_convolution(x, a), atol=1e-10)
@@ -74,12 +88,11 @@ def test_convolution_commutative_and_linear():
 
 def test_convolution_matches_dft_oracle():
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        n = int(rng.integers(2, 64))
+    for n in drawn_then_crossover_lengths(rng, 20, 64):
         a, x = rng.standard_normal((2, n))
-        direct = circular_convolution(a, x)
+        got = circular_convolution(a, x)
         via_fft = np.fft.ifft(np.fft.fft(a) * np.fft.fft(x)).real
-        assert_allclose(direct, via_fft, atol=1e-8)
+        assert_allclose(got, via_fft, atol=1e-8)
 
 
 def test_convolution_length_mismatch():
@@ -90,10 +103,32 @@ def test_convolution_length_mismatch():
 def test_correlation_is_convolution_adjoint():
     # <a (*) x, r> == <x, corr(a, r)> defines the adjoint used by the gradients
     rng = np.random.default_rng(2)
-    a, x, r = rng.standard_normal((3, 17))
-    lhs = float(circular_convolution(a, x) @ r)
-    rhs = float(x @ circular_correlation(a, r))
-    assert_allclose(lhs, rhs, atol=1e-10)
+    for n in CROSSOVER_LENGTHS:
+        a, x, r = rng.standard_normal((3, n))
+        lhs = float(circular_convolution(a, x) @ r)
+        rhs = float(x @ circular_correlation(a, r))
+        assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def test_convolution_and_correlation_are_odd_exactly():
+    # the per-anchor context forms y - (-a) (*) x as y + a (*) x
+    rng = np.random.default_rng(3)
+    for n in (2, 64, *CROSSOVER_LENGTHS, 4096):
+        for _ in range(5):
+            a, x = rng.standard_normal((2, n))
+            assert_array_equal(circular_convolution(-a, x), -circular_convolution(a, x))
+            assert_array_equal(circular_correlation(-a, x), -circular_correlation(a, x))
+
+
+def test_direct_sum_below_fft_crossover():
+    # below the crossover, N=64 included, the outputs are the direct gather bit for bit
+    rng = np.random.default_rng(4)
+    for n in (17, 64, 127):
+        a, x = rng.standard_normal((2, n))
+        grid = np.arange(n)
+        idx = (grid[:, None] - grid[None, :]) % n
+        assert_array_equal(circular_convolution(a, x), x[idx] @ a)
+        assert_array_equal(circular_correlation(a, x), x @ a[idx])
 
 
 # --- cost and gradients --------------------------------------------------------
@@ -107,10 +142,11 @@ def test_cost_zero_code():
 
 
 def test_cost_at_truth_is_zero():
-    inst = generate_instance(5, 32, 0.1, 6, 0.0)
-    p = DeconvProblem(y=inst.y, lam=0.0)
-    s = DeconvState(a=GrassmannPoint(inst.true_a[:, None]), x=inst.true_x)
-    assert deconv_cost(p, s) == 0.0
+    for n in (32, *CROSSOVER_LENGTHS):
+        inst = generate_instance(5, n, 0.1, 6, 0.0)
+        p = DeconvProblem(y=inst.y, lam=0.0)
+        s = DeconvState(a=GrassmannPoint(inst.true_a[:, None]), x=inst.true_x)
+        assert deconv_cost(p, s) == 0.0
 
 
 def test_cost_zero_residual_with_l1():
@@ -124,12 +160,13 @@ def test_cost_zero_residual_with_l1():
 
 
 def test_cost_sign_homogeneity_exact():
-    for seed in range(20):
-        s = random_state(seed, 24)
-        y = np.random.default_rng(seed + 100).standard_normal(24)
-        p = DeconvProblem(y=y, lam=0.3)
-        flipped = DeconvState(a=GrassmannPoint(-s.a.basis), x=s.x)
-        assert deconv_cost(p, s) == deconv_cost(p, flipped)
+    for n in (24, *CROSSOVER_LENGTHS):
+        for seed in range(20):
+            s = random_state(seed, n)
+            y = np.random.default_rng(seed + 100).standard_normal(n)
+            p = DeconvProblem(y=y, lam=0.3)
+            flipped = DeconvState(a=GrassmannPoint(-s.a.basis), x=s.x)
+            assert deconv_cost(p, s) == deconv_cost(p, flipped)
 
 
 def test_grad_x_closed_forms():
@@ -345,6 +382,21 @@ def test_default_init_grabs_max_energy_window():
     init = default_init(DeconvProblem(y=y, lam=0.0), 4)
     assert_allclose(np.abs(init.kernel[:4]), np.abs(a[:4]), atol=1e-12)
     assert_allclose(init.x, 0.0, atol=0.0)
+
+    # the window pick equals the per-offset loop reference bit for bit
+    rng = np.random.default_rng(5)
+    for n in (9, 64, 300, 1024):
+        for window in (1, 3, 8, 9, 17, 129, 300):
+            if window > n:
+                continue
+            y = rng.standard_normal(n) * rng.random(n)
+            sq = y * y
+            energies = np.array([sq[(i + np.arange(window)) % n].sum() for i in range(n)])
+            start = int(np.argmax(energies))
+            raw = np.zeros(n)
+            raw[:window] = y[(start + np.arange(window)) % n]
+            init = default_init(DeconvProblem(y=y, lam=0.0), window)
+            assert_array_equal(init.kernel, raw / np.linalg.norm(raw))
 
 
 def test_default_init_zero_signal_falls_back_to_delta():
