@@ -16,6 +16,7 @@ import numpy as np
 
 from .deconv import (
     DeconvProblem,
+    DeconvState,
     build_block_problem,
     default_init,
     final_state,
@@ -209,21 +210,22 @@ def _solver_config(cfg: dict, seed: int) -> SolverConfig:
     return SolverConfig(seed=seed, **cfg["solver"])
 
 
-def _run_one(cfg: dict, seed: int):
-    """Solve one configured instance; returns (trace, report, extras)."""
-    pc = cfg["problem"]
-    if cfg["kind"] == "deconv":
+def _build(kind: str, pc: dict, seed: int, step_scale: float = 1.0):
+    """One seeded problem instance: (block problem, (g0, c0), extras).
+
+    extras hold the generated data: the synthetic "instance" and the
+    "problem" for deconv, the observation matrix "data" for subspace-mean.
+    """
+    if kind == "deconv":
         inst = generate_instance(seed, pc["N"], pc["sparsity"], pc["kernel_support"], pc["noise_sigma"])
         probe = default_init(DeconvProblem(y=inst.y, lam=0.0), pc["kernel_support"])
         lam = pc["lambda"] if pc["lambda"] is not None else heuristic_lambda(inst.y, probe.kernel)
         dp = DeconvProblem(y=inst.y, lam=lam)
-        trace, report = solve_deconv(dp, probe, _solver_config(cfg, seed), cfg["step_scale"])
-        return trace, report, {"instance": inst, "problem": dp}
+        block = build_block_problem(dp, step_scale)
+        return block, (probe.a, probe.x), {"instance": inst, "problem": dp}
     a = np.random.default_rng(seed).standard_normal((pc["N"], pc["M"]))
     block = builtin_subspace_plus_mean(a, pc["D"])
-    g0, c0 = subspace_plus_mean_init(a, pc["D"], seed)
-    trace, report = run_block_mm(block, g0, c0, _solver_config(cfg, seed))
-    return trace, report, {"data": a, "block": block}
+    return block, subspace_plus_mean_init(a, pc["D"], seed), {"data": a}
 
 
 def write_trace_csv(path: Path, trace) -> None:
@@ -249,7 +251,8 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
     runs = {}
     all_converged = True
     for seed in cfg["seeds"]:
-        trace, report, _ = _run_one(cfg, seed)
+        block, init, _ = _build(cfg["kind"], cfg["problem"], seed, cfg["step_scale"])
+        trace, report = run_block_mm(block, *init, _solver_config(cfg, seed))
         write_trace_csv(out_dir / f"trace_{seed}.csv", trace)
         runs[str(seed)] = {
             "converged": bool(report.converged),
@@ -273,28 +276,12 @@ def _audit_block_problem(cfg: dict, seed: int):
     auditing proceeds at the initial anchor alone — the audits, not the run,
     are the point of this command.
     """
-    pc = cfg["problem"]
-    if cfg["kind"] == "deconv":
-        inst = generate_instance(seed, pc["N"], pc["sparsity"], pc["kernel_support"], pc["noise_sigma"])
-        probe = default_init(DeconvProblem(y=inst.y, lam=0.0), pc["kernel_support"])
-        lam = pc["lambda"] if pc["lambda"] is not None else heuristic_lambda(inst.y, probe.kernel)
-        dp = DeconvProblem(y=inst.y, lam=lam)
-        block = build_block_problem(dp, cfg["step_scale"])
-        init_anchor = (probe.a, probe.x)
-        try:
-            _, report = solve_deconv(dp, probe, _solver_config(cfg, seed), cfg["step_scale"])
-        except MonotonicityViolation:
-            return block, [init_anchor]
-    else:
-        a = np.random.default_rng(seed).standard_normal((pc["N"], pc["M"]))
-        block = builtin_subspace_plus_mean(a, pc["D"])
-        g0, c0 = subspace_plus_mean_init(a, pc["D"], seed)
-        init_anchor = (g0, c0)
-        try:
-            _, report = run_block_mm(block, g0, c0, _solver_config(cfg, seed))
-        except MonotonicityViolation:
-            return block, [init_anchor]
-    return block, [init_anchor, (report.final_g, report.final_c)]
+    block, init, _ = _build(cfg["kind"], cfg["problem"], seed, cfg["step_scale"])
+    try:
+        _, report = run_block_mm(block, *init, _solver_config(cfg, seed))
+    except MonotonicityViolation:
+        return block, [init]
+    return block, [init, (report.final_g, report.final_c)]
 
 
 def _smooth_anchor(anchor: tuple, seed: int) -> tuple:
@@ -353,10 +340,10 @@ def cmd_audit(cfg: dict, out_dir: Path) -> int:
 
 
 def _demo_deconv(seed: int) -> list[str]:
-    inst = generate_instance(seed, 64, 0.05, 8, 0.0)
-    probe = default_init(DeconvProblem(y=inst.y, lam=0.0), 8)
-    lam = heuristic_lambda(inst.y, probe.kernel)
-    warm = lasso_warm_start(DeconvProblem(y=inst.y, lam=lam), probe)
+    pc = {"N": 64, "sparsity": 0.05, "kernel_support": 8, "noise_sigma": 0.0, "lambda": None}
+    _, (a0, x0), extras = _build("deconv", pc, seed)
+    inst = extras["instance"]
+    warm = lasso_warm_start(extras["problem"], DeconvState(a=a0, x=x0))
     dp = DeconvProblem(y=inst.y, lam=0.0)
     _, report = solve_deconv(dp, warm, SolverConfig(seed=seed))
     score = recovery_score(final_state(dp, report), inst)
@@ -372,10 +359,9 @@ def _demo_deconv(seed: int) -> list[str]:
 
 def _demo_subspace_mean(seed: int) -> list[str]:
     n, d, m = 10, 2, 40
-    a = np.random.default_rng(seed).standard_normal((n, m))
-    block = builtin_subspace_plus_mean(a, d)
-    g0, c0 = subspace_plus_mean_init(a, d, seed)
-    _, report = run_block_mm(block, g0, c0, SolverConfig(seed=seed))
+    block, init, extras = _build("subspace-mean", {"N": n, "D": d, "M": m}, seed)
+    _, report = run_block_mm(block, *init, SolverConfig(seed=seed))
+    a = extras["data"]
     centered = a - a.mean(axis=1, keepdims=True)
     tail = np.linalg.svd(centered, compute_uv=False)[d:]
     gap = abs(report.final_cost - float(np.sum(tail**2)))

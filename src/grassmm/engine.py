@@ -25,15 +25,15 @@ from .grassmann import (
     GeodesicNotUnique,
     GrassmannPoint,
     _trusted,
-    aligned_geodesic_at,
-    build_aligned_spec,
     canonical_distance,
     exp_map,
-    random_point_rng,
+    geodesic,
+    log_map,
+    random_point,
     random_unit_tangent,
     riemannian_gradient,
 )
-from .linalg import as_matrix, orthonormalize_gaussian, thin_svd
+from .linalg import as_matrix, random_orthonormal, thin_svd
 
 GRASSMANN_BLOCK = "grassmann"
 CONVEX_BLOCK = "convex"
@@ -470,7 +470,7 @@ def audit_majorization(
     for g, c in anchors:
         for _ in range(samples):
             if block == GRASSMANN_BLOCK:
-                candidate = random_point_rng(rng, n, d)
+                candidate = random_point(rng, n, d)
                 if problem.grassmann_membership is not None and not problem.grassmann_membership(
                     candidate
                 ):
@@ -571,9 +571,11 @@ def audit_quasiconvexity(
     Endpoint pairs are drawn inside the geodesic ball of the given radius
     around the anchor point (each endpoint via the exponential map along a
     random direction), filtered through the problem's membership predicate.
-    Pairs whose connecting geodesic is not unique are skipped and counted.
-    For each surviving pair the surrogate is evaluated on a uniform t-grid and
-    must not exceed max(endpoint values) by more than QUASICONVEXITY_TOL.
+    A pair is skipped and counted when an endpoint cannot be drawn inside the
+    feasible set, or when log_map raises GeodesicNotUnique because the two
+    subspaces meet near pi/2. For each other pair the surrogate is evaluated
+    on a uniform t-grid along geodesic(x, log_map(x, y)) and must not exceed
+    max(endpoint values) by more than QUASICONVEXITY_TOL.
     """
     oracle = problem.grassmann_surrogate
     g_anchor, c_anchor = anchor
@@ -600,11 +602,8 @@ def audit_quasiconvexity(
             skipped += 1
             continue
         try:
-            spec = build_aligned_spec(x, y)
+            path = geodesic(x, log_map(x, y))
         except GeodesicNotUnique:
-            skipped += 1
-            continue
-        if spec.theta.angles[-1] >= np.pi / 2 - 1e-9:
             skipped += 1
             continue
         end_vals = (
@@ -613,7 +612,7 @@ def audit_quasiconvexity(
         )
         cap = max(end_vals)
         for t in ts:
-            val = float(oracle.evaluate(aligned_geodesic_at(spec, t), g_anchor, c_anchor))
+            val = float(oracle.evaluate(path(t), g_anchor, c_anchor))
             worst = max(worst, val - cap)
         checked += 1
     return AuditResult(
@@ -643,7 +642,7 @@ def audit_homogeneity(
     for g, c in anchors:
         f0 = float(problem.cost(g, c))
         for _ in range(rotations):
-            r = orthonormalize_gaussian(rng, g.d, g.d)
+            r = random_orthonormal(rng, g.d, g.d)
             rotated = GrassmannPoint(g.basis @ r)
             worst = max(worst, abs(float(problem.cost(rotated, c)) - f0))
             checked += 1
@@ -714,5 +713,4 @@ def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:
 def subspace_plus_mean_init(a, d: int, seed: int) -> tuple[GrassmannPoint, np.ndarray]:
     """Default start: the column mean of A and a seeded random subspace."""
     a = as_matrix(a)
-    rng = np.random.default_rng(seed)
-    return random_point_rng(rng, a.shape[0], d), a.mean(axis=1)
+    return random_point(seed, a.shape[0], d), a.mean(axis=1)

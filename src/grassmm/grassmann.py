@@ -2,29 +2,24 @@
 
 A point is a subspace, represented by an orthonormal N x D basis matrix; two
 bases related by a right D x D rotation represent the same point. Tangent
-vectors at X are N x D matrices H with X.T @ H = 0. Distances, geodesics and
-alignments are all expressed through the principal angles between subspaces,
-which this module stores in ascending order.
+vectors at X are N x D matrices H with X.T @ H = 0. Distances and geodesics
+are expressed through the principal angles between subspaces, which this
+module stores in ascending order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .linalg import as_matrix, qr_orthonormalize, thin_svd
+from .linalg import as_matrix, qr_orthonormalize, random_orthonormal, thin_svd
 
 POINT_ORTHONORMALITY_TOL = 1e-9
 TANGENCY_TOL = 1e-9
-ALIGNMENT_DIAG_TOL = 1e-8
-SPEC_ORTHONORMALITY_TOL = 1e-8
 # Smallest singular value of X.T @ Y required for a unique connecting geodesic.
 UNIQUE_GEODESIC_CUTOFF = 1e-8
-# Principal angles at or below this count as zero when building aligned geodesics.
-ZERO_ANGLE_CUTOFF = 1e-8
-# Fixed seed for the deterministic orthonormal completion of zero-angle columns.
-_COMPLETION_SEED = 1618
 
 
 class GeodesicNotUnique(ValueError):
@@ -107,58 +102,19 @@ class PrincipalAngles:
         return float(np.linalg.norm(self.angles))
 
 
-@dataclass(frozen=True)
-class AlignedPair:
-    """Rotated representatives with diagonal cross-Gram: x_a.T @ y_a = diag(cos(theta))."""
-
-    x_a: GrassmannPoint
-    y_a: GrassmannPoint
-    theta: PrincipalAngles
-
-    def __post_init__(self):
-        m = self.x_a.basis.T @ self.y_a.basis
-        err = np.max(np.abs(m - np.diag(np.cos(self.theta.angles))))
-        if err > ALIGNMENT_DIAG_TOL:
-            raise ValueError(f"representatives are not aligned (max deviation {err:.3e})")
-
-
-@dataclass(frozen=True)
-class GeodesicSpec:
-    """Data for the aligned geodesic t -> x_a cos(theta t) + delta_a sin(theta t)."""
-
-    x_a: GrassmannPoint
-    delta_a: TangentVector
-    theta: PrincipalAngles
-
-    def __post_init__(self):
-        if not np.array_equal(self.delta_a.base.basis, self.x_a.basis):
-            raise ValueError("delta_a must be based at x_a")
-        d = self.delta_a.delta
-        err = np.max(np.abs(d.T @ d - np.eye(d.shape[1])))
-        if err > SPEC_ORTHONORMALITY_TOL:
-            raise ValueError(f"delta_a columns are not orthonormal (max deviation {err:.3e})")
-        if self.theta.angles.size != self.x_a.d:
-            raise ValueError("need one principal angle per basis column")
-
-
 def make_point(m) -> GrassmannPoint:
     """Orthonormalize the columns of a full-rank N x D matrix into a point."""
     return GrassmannPoint(qr_orthonormalize(m).q)
 
 
-def random_point(seed: int, n: int, d: int) -> GrassmannPoint:
-    """Seeded draw from the rotation-invariant distribution on Gr(n, d)."""
+def random_point(seed, n: int, d: int) -> GrassmannPoint:
+    """Draw from the rotation-invariant distribution on Gr(n, d).
+
+    seed is an int or a caller-owned np.random.Generator, which the draw advances.
+    """
     if d >= n:
         raise ValueError(f"Gr(N, D) requires D < N, got N={n}, D={d}")
-    g = np.random.default_rng(seed).standard_normal((n, d))
-    return make_point(g)
-
-
-def random_point_rng(rng: np.random.Generator, n: int, d: int) -> GrassmannPoint:
-    """Like random_point but driven by a caller-owned Generator."""
-    if d >= n:
-        raise ValueError(f"Gr(N, D) requires D < N, got N={n}, D={d}")
-    return make_point(rng.standard_normal((n, d)))
+    return GrassmannPoint(random_orthonormal(seed, n, d))
 
 
 def random_unit_tangent(rng: np.random.Generator, x: GrassmannPoint) -> TangentVector:
@@ -226,24 +182,6 @@ def canonical_distance(x: GrassmannPoint, y: GrassmannPoint) -> float:
     return principal_angles(x, y).norm()
 
 
-def align(x: GrassmannPoint, y: GrassmannPoint) -> AlignedPair:
-    """Rotate both bases so their cross-Gram matrix becomes diag(cos(theta))."""
-    _check_same_space(x, y)
-    f = thin_svd(x.basis.T @ y.basis)
-    xa = x.basis @ f.u
-    ya = y.basis @ f.v
-    # Per-column sine/cosine pairs give the angles without arccos noise near 0.
-    dots = np.clip(np.sum(xa * ya, axis=0), 0.0, 1.0)
-    sines = np.linalg.norm(ya - xa * dots, axis=0)
-    theta = np.arctan2(sines, dots)
-    theta = np.minimum(np.maximum.accumulate(theta), np.pi / 2)
-    return AlignedPair(
-        x_a=GrassmannPoint(xa),
-        y_a=GrassmannPoint(ya),
-        theta=PrincipalAngles(theta),
-    )
-
-
 def log_map(x: GrassmannPoint, y: GrassmannPoint) -> TangentVector:
     """Tangent vector H at x with exp_map(x, H, 1) equal to y.
 
@@ -267,8 +205,12 @@ def log_map(x: GrassmannPoint, y: GrassmannPoint) -> TangentVector:
     return TangentVector(base=x, delta=h)
 
 
-def exp_map(x: GrassmannPoint, h: TangentVector, t: float) -> GrassmannPoint:
-    """Point reached after time t along the geodesic from x with velocity h."""
+def geodesic(x: GrassmannPoint, h: TangentVector) -> Callable[[float], GrassmannPoint]:
+    """The geodesic t -> exp_map(x, h, t) from x with velocity h.
+
+    h is checked and factored once, so evaluating the returned function at
+    many t costs no further SVD.
+    """
     if not np.array_equal(h.base.basis, x.basis):
         raise ValueError("tangent vector is not based at the given point")
     f = thin_svd(h.delta)
@@ -276,55 +218,16 @@ def exp_map(x: GrassmannPoint, h: TangentVector, t: float) -> GrassmannPoint:
         raise ValueError(
             f"tangent singular values must not exceed pi/2, largest is {f.s[0]:.6f}"
         )
-    c = np.cos(f.s * t)
-    s = np.sin(f.s * t)
-    gamma = (x.basis @ f.v) * c @ f.v.T + (f.u * s) @ f.v.T
-    return GrassmannPoint(gamma)
+    xv = x.basis @ f.v
+
+    def at(t: float) -> GrassmannPoint:
+        c = np.cos(f.s * t)
+        s = np.sin(f.s * t)
+        return GrassmannPoint(xv * c @ f.v.T + (f.u * s) @ f.v.T)
+
+    return at
 
 
-def build_aligned_spec(x: GrassmannPoint, y: GrassmannPoint) -> GeodesicSpec:
-    """Aligned-geodesic data between x and y.
-
-    Columns with principal angle above ZERO_ANGLE_CUTOFF get the normalized
-    difference direction (y_a - x_a cos theta) / sin theta; zero-angle columns
-    are filled with a deterministic orthonormal completion inside the joint
-    orthogonal complement, so delta_a always has orthonormal columns.
-    """
-    pair = align(x, y)
-    th = pair.theta.angles
-    xa = pair.x_a.basis
-    ya = pair.y_a.basis
-    n, d = xa.shape
-    delta = np.zeros_like(xa)
-    moving = th > ZERO_ANGLE_CUTOFF
-    # (y_a - x_a cos theta) / sin theta, evaluated as the normalized projection
-    # residual so near-zero angles cannot amplify rounding error.
-    dots = np.sum(xa * ya, axis=0)
-    resid = ya - xa * dots
-    for j in np.flatnonzero(moving):
-        delta[:, j] = resid[:, j] / np.linalg.norm(resid[:, j])
-    frozen = np.flatnonzero(~moving)
-    if frozen.size:
-        span = np.concatenate([xa, delta[:, moving]], axis=1)
-        if frozen.size > n - span.shape[1]:
-            raise ValueError(
-                "cannot orthonormally complete zero-angle directions: "
-                f"{frozen.size} needed but only {n - span.shape[1]} dimensions free"
-            )
-        g = np.random.default_rng(_COMPLETION_SEED).standard_normal((n, frozen.size))
-        g = g - span @ (span.T @ g)
-        delta[:, frozen] = qr_orthonormalize(g).q
-    return GeodesicSpec(
-        x_a=pair.x_a,
-        delta_a=TangentVector(base=pair.x_a, delta=delta),
-        theta=pair.theta,
-    )
-
-
-def aligned_geodesic_at(spec: GeodesicSpec, t: float) -> GrassmannPoint:
-    """Evaluate the aligned geodesic at t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    th = spec.theta.angles
-    g = spec.x_a.basis * np.cos(th * t) + spec.delta_a.delta * np.sin(th * t)
-    return GrassmannPoint(g)
+def exp_map(x: GrassmannPoint, h: TangentVector, t: float) -> GrassmannPoint:
+    """Point reached after time t along the geodesic from x with velocity h."""
+    return geodesic(x, h)(t)

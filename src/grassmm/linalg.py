@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 
 
 class NumericError(RuntimeError):
@@ -71,11 +71,12 @@ def thin_svd(a) -> ThinSVD:
     return ThinSVD(u=u, s=s, v=v)
 
 
-def qr_orthonormalize(a, tols: Tolerances = DEFAULT_TOLERANCES) -> QRFactors:
+def qr_orthonormalize(a) -> QRFactors:
     """Reduced QR of a full-column-rank matrix, with diag(R) >= 0.
 
     Raises ValueError naming the offending column when the input is (numerically)
-    rank deficient relative to ``tols.rank_cutoff``.
+    rank deficient relative to ``DEFAULT_TOLERANCES.rank_cutoff``. The rank check
+    reads the singular values of the D x D factor R, which equal the input's.
     """
     m = as_matrix(a)
     n, d = m.shape
@@ -85,25 +86,20 @@ def qr_orthonormalize(a, tols: Tolerances = DEFAULT_TOLERANCES) -> QRFactors:
             f"(column {n} is necessarily dependent)"
         )
     q, r = np.linalg.qr(m)
-    diag = np.abs(np.diag(r))
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= tols.rank_cutoff * sv[0]:
-        bad = int(np.argmin(diag))
+    sv = np.linalg.svd(r, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] <= DEFAULT_TOLERANCES.rank_cutoff * sv[0]:
+        bad = int(np.argmin(np.abs(np.diag(r))))
         raise ValueError(f"matrix is rank deficient at column {bad}")
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return QRFactors(q=q * signs, r=r * signs[:, None])
 
 
-def random_orthonormal(seed: int, n: int, d: int) -> np.ndarray:
-    """Orthonormal n x d matrix from a seeded Gaussian draw; bit-reproducible."""
+def random_orthonormal(seed, n: int, d: int) -> np.ndarray:
+    """Orthonormal n x d matrix from a Gaussian draw; bit-reproducible.
+
+    seed is an int or a caller-owned np.random.Generator, which the draw advances.
+    """
     if d > n:
         raise ValueError(f"cannot draw {d} orthonormal columns in dimension {n}")
     g = np.random.default_rng(seed).standard_normal((n, d))
     return qr_orthonormalize(g).q
-
-
-def orthonormalize_gaussian(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """Like random_orthonormal but driven by a caller-owned Generator."""
-    if d > n:
-        raise ValueError(f"cannot draw {d} orthonormal columns in dimension {n}")
-    return qr_orthonormalize(rng.standard_normal((n, d))).q

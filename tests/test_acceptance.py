@@ -15,12 +15,10 @@ from grassmm import (
     SolverConfig,
     SurrogateOracle,
     TangentVector,
-    aligned_geodesic_at,
     audit_derivative_match,
     audit_homogeneity,
     audit_majorization,
     audit_tightness,
-    build_aligned_spec,
     builtin_subspace_plus_mean,
     canonical_distance,
     circular_convolution,
@@ -95,7 +93,7 @@ def audited_deconv():
 
 def test_geometry_suite_at_scale():
     start = time.perf_counter()
-    worst_roundtrip = worst_norm_gap = worst_route_gap = worst_triangle = 0.0
+    worst_roundtrip = worst_norm_gap = worst_triangle = 0.0
     for seed in range(200):
         x = random_point(seed, 8, 3)
         rng = np.random.default_rng(10_000 + seed)
@@ -109,11 +107,6 @@ def test_geometry_suite_at_scale():
         dist = canonical_distance(x, y)
         worst_norm_gap = max(worst_norm_gap, abs(np.linalg.norm(back.delta) - dist))
 
-        geo = build_aligned_spec(x, y)
-        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            gap = canonical_distance(aligned_geodesic_at(geo, t), exp_map(x, back, t))
-            worst_route_gap = max(worst_route_gap, gap)
-
         # metric axioms on (x, y) plus an unrelated third subspace
         assert canonical_distance(x, y) == canonical_distance(y, x)
         assert canonical_distance(x, x) == 0.0
@@ -124,12 +117,10 @@ def test_geometry_suite_at_scale():
     elapsed = time.perf_counter() - start
     assert worst_roundtrip <= 1e-8
     assert worst_norm_gap <= 1e-8
-    assert worst_route_gap <= 1e-7
     assert worst_triangle <= 1e-8
     assert elapsed < 10.0
     print(
-        f"geometry suite: PASS (200 pairs, roundtrip {worst_roundtrip:.2e}, "
-        f"routes {worst_route_gap:.2e}, {elapsed:.1f}s)"
+        f"geometry suite: PASS (200 pairs, roundtrip {worst_roundtrip:.2e}, {elapsed:.1f}s)"
     )
 
 

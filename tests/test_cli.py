@@ -247,6 +247,32 @@ def test_audit_passes_on_healthy_problem(tmp_path):
         assert entry["checked"] > 0
 
 
+def test_audit_deconv_summary_is_pinned(tmp_path):
+    # (passed, worst, threshold, checked, skipped) of each audit for this
+    # config; quasiconvexity's worst is rounding noise, so only its bound is held
+    expected = {
+        "tightness": (True, 0.0, 1e-9, 8, 0),
+        "majorization": (True, -4.440892098500626e-16, 1e-9, 80, 0),
+        "derivative_match": (True, 1.1102230246251565e-11, 1e-4, 40, 0),
+        "quasiconvexity": (True, None, 1e-8, 20, 0),
+        "homogeneity": (True, 0.0, 1e-9, 40, 0),
+    }
+    config = write_config(tmp_path, deconv_payload(seeds=[0, 1], solver={"audit_samples": 10}))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "audit", str(config)]) == 0
+    audit = json.loads((out / "audit.json").read_text())
+    assert audit["overall_pass"] is True
+    assert set(audit["audits"]) == set(expected)
+    for name, (passed, worst, threshold, checked, skipped) in expected.items():
+        entry = audit["audits"][name]
+        assert (entry["passed"], entry["threshold"]) == (passed, threshold)
+        assert (entry["checked"], entry["skipped"]) == (checked, skipped)
+        if worst is None:
+            assert entry["worst"] <= threshold
+        else:
+            assert entry["worst"] == pytest.approx(worst, abs=1e-9)
+
+
 def test_audit_flags_broken_curvature(tmp_path):
     # a 10x step override shrinks the surrogate curvature below the true one,
     # so the majorization audit must fail and the command must exit 3

@@ -3,23 +3,20 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from grassmm import (
-    AlignedPair,
     GeodesicNotUnique,
-    GeodesicSpec,
     GrassmannPoint,
     PrincipalAngles,
     TangentVector,
-    align,
-    aligned_geodesic_at,
-    build_aligned_spec,
     canonical_distance,
     exp_map,
+    geodesic,
     log_map,
     make_point,
     principal_angles,
     random_point,
     tangent_project,
     riemannian_gradient,
+    thin_svd,
 )
 from grassmm.grassmann import random_unit_tangent
 
@@ -81,6 +78,11 @@ def test_random_point_determinism_and_errors():
     assert_allclose(x1.basis.T @ x1.basis, np.eye(3), atol=1e-10)
     with pytest.raises(ValueError):
         random_point(9, 3, 3)
+    # a caller-owned Generator gives the same draw as its seed, and advances
+    for s in (0, 9, 123):
+        rng = np.random.default_rng(s)
+        assert_array_equal(random_point(rng, 8, 3).basis, random_point(s, 8, 3).basis)
+        assert not np.array_equal(random_point(rng, 8, 3).basis, random_point(s, 8, 3).basis)
 
 
 def test_tangent_project_examples():
@@ -115,7 +117,7 @@ def test_riemannian_gradient_examples():
     assert grad.norm() <= 1e-8
 
 
-# --- angles, alignment, distance --------------------------------------------
+# --- angles, distance -------------------------------------------------------
 
 
 def test_principal_angles_examples():
@@ -128,29 +130,17 @@ def test_principal_angles_examples():
     assert_allclose(principal_angles(e1, e2).angles, [np.pi / 2], atol=1e-12)
     assert_allclose(principal_angles(e1, planar_line(0.3)).angles, [0.3], atol=1e-10)
 
+    # mutually orthogonal planes in R^4 meet at pi/2 in every direction
+    a = make_point(np.eye(4)[:, :2])
+    b = make_point(np.eye(4)[:, 2:])
+    assert_allclose(principal_angles(a, b).angles, [np.pi / 2, np.pi / 2], atol=1e-12)
+
 
 def test_principal_angles_dimension_mismatch():
     with pytest.raises(ValueError):
         principal_angles(random_point(0, 6, 2), random_point(0, 6, 3))
     with pytest.raises(ValueError):
         principal_angles(random_point(0, 6, 2), random_point(0, 7, 2))
-
-
-def test_align_examples():
-    x = random_point(3, 5, 2)
-    pair = align(x, x)
-    assert_allclose(pair.x_a.basis.T @ pair.y_a.basis, np.eye(2), atol=1e-10)
-
-    y = random_point(4, 5, 2)
-    pair = align(x, y)
-    prod = pair.x_a.basis.T @ pair.y_a.basis
-    assert_allclose(prod, np.diag(np.diag(prod)), atol=1e-8)
-    assert np.all(np.diag(prod) >= -1e-12) and np.all(np.diag(prod) <= 1.0 + 1e-12)
-    assert_allclose(np.diag(prod), np.cos(pair.theta.angles), atol=1e-8)
-
-    a = make_point(np.eye(4)[:, :2])
-    b = make_point(np.eye(4)[:, 2:])
-    assert_allclose(align(a, b).x_a.basis.T @ align(a, b).y_a.basis, 0.0, atol=1e-12)
 
 
 def test_canonical_distance_examples():
@@ -182,14 +172,27 @@ def test_log_map_examples():
 def test_log_map_uniqueness_guard():
     with pytest.raises(GeodesicNotUnique):
         log_map(planar_line(0.0), planar_line(np.pi / 2))
+    with pytest.raises(GeodesicNotUnique):
+        log_map(make_point(np.eye(4)[:, :2]), make_point(np.eye(4)[:, 2:]))
 
 
 def test_exp_map_examples():
-    x = random_point(12, 8, 3)
-    y = random_point(13, 8, 3)
-    h = log_map(x, y)
-    assert canonical_distance(exp_map(x, h, 0.0), x) <= 1e-12
-    assert canonical_distance(exp_map(x, h, 1.0), y) <= 1e-8
+    for x, y in [
+        (random_point(12, 8, 3), random_point(13, 8, 3)),
+        (random_point(31, 6, 2), random_point(32, 6, 2)),
+    ]:
+        h = log_map(x, y)
+        assert canonical_distance(exp_map(x, h, 0.0), x) <= 1e-12
+        assert canonical_distance(exp_map(x, h, 1.0), y) <= 1e-8
+        for t in np.linspace(0.1, 0.9, 9):
+            b = exp_map(x, h, t).basis
+            assert_allclose(b.T @ b, np.eye(x.d), atol=1e-8)
+
+    # the self pair: zero velocity, and the geodesic stays at x
+    x = random_point(30, 6, 2)
+    path = geodesic(x, log_map(x, x))
+    for t in (0.0, 0.3, 1.0):
+        assert canonical_distance(path(t), x) <= 1e-8
 
     e1 = planar_line(0.0)
     h2 = TangentVector(e1, np.array([[0.0], [np.pi / 2]]))
@@ -203,6 +206,23 @@ def test_exp_map_base_mismatch():
     h = log_map(x, random_point(2, 6, 2))
     with pytest.raises(ValueError):
         exp_map(other, h, 1.0)
+    with pytest.raises(ValueError, match="not based"):
+        geodesic(other, h)
+    with pytest.raises(ValueError, match="must not exceed pi/2"):
+        geodesic(x, TangentVector(x, 2.0 * h.delta / np.linalg.norm(h.delta, 2)))
+
+
+def test_geodesic_is_exp_map_bit_for_bit():
+    # the reference keeps exp_map's arithmetic order, which solver traces depend on
+    for seed in range(10):
+        x = random_point(seed, 8, 3)
+        h = log_map(x, random_point(500 + seed, 8, 3))
+        f = thin_svd(h.delta)
+        path = geodesic(x, h)
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0, -0.4, 1.3):
+            ref = (x.basis @ f.v) * np.cos(f.s * t) @ f.v.T + (f.u * np.sin(f.s * t)) @ f.v.T
+            assert_array_equal(path(t).basis, ref)
+            assert_array_equal(exp_map(x, h, t).basis, ref)
 
 
 def test_exp_log_roundtrip_seeded():
@@ -220,63 +240,6 @@ def test_log_map_singular_values_are_angles():
     y = random_point(22, 8, 3)
     sv = np.sort(np.linalg.svd(log_map(x, y).delta, compute_uv=False))
     assert_allclose(sv, principal_angles(x, y).angles, atol=1e-8)
-
-
-# --- aligned geodesic route ---------------------------------------------------
-
-
-def test_build_aligned_spec_self_pair():
-    x = random_point(30, 6, 2)
-    spec = build_aligned_spec(x, x)
-    assert_allclose(spec.theta.angles, 0.0, atol=1e-8)
-    for t in (0.0, 0.3, 1.0):
-        assert canonical_distance(aligned_geodesic_at(spec, t), x) <= 1e-8
-
-
-def test_build_aligned_spec_planar():
-    spec = build_aligned_spec(planar_line(0.0), planar_line(0.3))
-    assert_allclose(np.abs(spec.delta_a.delta), [[0.0], [1.0]], atol=1e-12)
-    assert_allclose(spec.theta.angles, [0.3], atol=1e-10)
-
-
-def test_aligned_geodesic_hits_aligned_endpoints():
-    x = random_point(31, 6, 2)
-    y = random_point(32, 6, 2)
-    pair = align(x, y)
-    spec = build_aligned_spec(x, y)
-    assert np.max(np.abs(aligned_geodesic_at(spec, 0.0).basis - pair.x_a.basis)) <= 1e-12
-    assert np.max(np.abs(aligned_geodesic_at(spec, 1.0).basis - pair.y_a.basis)) <= 1e-8
-    for t in np.linspace(0.1, 0.9, 9):
-        gram = aligned_geodesic_at(spec, t).basis
-        assert_allclose(gram.T @ gram, np.eye(2), atol=1e-8)
-
-
-def test_aligned_geodesic_domain():
-    spec = build_aligned_spec(random_point(0, 5, 2), random_point(1, 5, 2))
-    with pytest.raises(ValueError):
-        aligned_geodesic_at(spec, -0.1)
-    with pytest.raises(ValueError):
-        aligned_geodesic_at(spec, 1.1)
-
-
-def test_geodesic_spec_validates_delta():
-    x = random_point(2, 5, 2)
-    spec = build_aligned_spec(x, random_point(3, 5, 2))
-    with pytest.raises(ValueError):
-        GeodesicSpec(spec.x_a, TangentVector(spec.x_a, 0.5 * spec.delta_a.delta), spec.theta)
-
-
-def test_two_geodesic_routes_agree():
-    # evaluating the geodesic via the tangent map or via aligned representatives
-    # must give the same subspace at every sampled time
-    for seed in range(10):
-        x = random_point(seed, 8, 3)
-        y = random_point(500 + seed, 8, 3)
-        h = log_map(x, y)
-        spec = build_aligned_spec(x, y)
-        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            gap = canonical_distance(exp_map(x, h, t), aligned_geodesic_at(spec, t))
-            assert gap <= 1e-7
 
 
 # --- metric properties ---------------------------------------------------------
@@ -332,10 +295,3 @@ def test_random_unit_tangent_is_unit_and_tangent():
         tv = random_unit_tangent(rng, x)
         assert abs(tv.norm() - 1.0) <= 1e-12
         assert np.max(np.abs(x.basis.T @ tv.delta)) <= 1e-9
-
-
-def test_aligned_pair_type_checks_diagonality():
-    x = random_point(5, 6, 2)
-    y = random_point(6, 6, 2)
-    with pytest.raises(ValueError):
-        AlignedPair(x, y, principal_angles(x, y))  # unaligned representatives

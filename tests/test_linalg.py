@@ -12,7 +12,6 @@ from grassmm import (
     random_orthonormal,
     thin_svd,
 )
-from grassmm.linalg import orthonormalize_gaussian
 
 
 def test_as_matrix_rejects_bad_inputs():
@@ -123,6 +122,10 @@ def test_qr_rank_deficiency_names_column():
     a = np.ones((4, 2))  # second column repeats the first
     with pytest.raises(ValueError, match="rank deficient at column 1"):
         qr_orthonormalize(a)
+    tall = np.random.default_rng(5).standard_normal((40, 3))
+    tall[:, 2] = tall[:, 0] + tall[:, 1]
+    with pytest.raises(ValueError, match="rank deficient at column 2"):
+        qr_orthonormalize(tall)
 
 
 def test_qr_rejects_wide_matrix():
@@ -143,12 +146,13 @@ def test_random_orthonormal_dimension_error():
         random_orthonormal(7, 3, 5)
 
 
-def test_orthonormalize_gaussian_consumes_generator():
+def test_random_orthonormal_consumes_generator():
     rng = np.random.default_rng(0)
-    a = orthonormalize_gaussian(rng, 5, 2)
-    b = orthonormalize_gaussian(rng, 5, 2)
+    a = random_orthonormal(rng, 5, 2)
+    b = random_orthonormal(rng, 5, 2)
     assert_allclose(a.T @ a, np.eye(2), atol=1e-10)
     assert not np.array_equal(a, b)
+    assert_array_equal(a, random_orthonormal(0, 5, 2))
 
 
 def test_factor_types_are_plain_records():
