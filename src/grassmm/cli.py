@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,14 +46,49 @@ from .linalg import NumericError
 
 VALID_KINDS = ("deconv", "subspace-mean")
 
-_TOP_KEYS = {"kind", "seeds", "out", "problem", "solver", "step_scale"}
-_SOLVER_KEYS = {"max_iter", "dist_tol", "cost_tol", "audit_every", "audit_samples"}
-_PROBLEM_KEYS = {
-    "deconv": {"N", "sparsity", "kernel_support", "noise_sigma", "lambda"},
-    "subspace-mean": {"N", "D", "M"},
-}
-
 TRACE_HEADER = "iter,f,f_after_G,dc_step,grad_norm_G,grad_norm_c"
+
+_REQUIRED = object()  # the key must be present
+_UNSET = object()  # an absent key stays absent
+
+
+class _Setting(NamedTuple):
+    """One numeric setting: int or float, its lower bound, whether the bound
+    itself is excluded, and the value an absent key takes."""
+
+    type: type
+    minimum: float
+    strict: bool = False
+    default: object = _REQUIRED
+
+
+# One row per config key and section; a None row is checked by hand in
+# load_config, as are the cross-field rules noted beside their rows.
+_SCHEMA = {
+    "config": {
+        **dict.fromkeys(("kind", "seeds", "out", "problem", "solver")),
+        "step_scale": _Setting(float, 0.0, True, 1.0),  # deconv only
+    },
+    "deconv": {
+        "N": _Setting(int, 2),
+        "sparsity": _Setting(float, 0.0, True),  # < 1
+        "kernel_support": _Setting(int, 1),  # <= N
+        "noise_sigma": _Setting(float, 0.0, default=0.0),
+        "lambda": _Setting(float, 0.0, default=None),  # None: heuristic_lambda
+    },
+    "subspace-mean": {
+        "N": _Setting(int, 2),
+        "D": _Setting(int, 1),  # < N
+        "M": _Setting(int, 1, default=_UNSET),  # > D; absent: 4N
+    },
+    "solver": {  # an absent key keeps the SolverConfig default
+        "max_iter": _Setting(int, 1, default=_UNSET),
+        "dist_tol": _Setting(float, 0.0, True, _UNSET),
+        "cost_tol": _Setting(float, 0.0, True, _UNSET),
+        "audit_every": _Setting(int, 0, default=_UNSET),
+        "audit_samples": _Setting(int, 1, default=_UNSET),
+    },
+}
 
 
 class ConfigError(Exception):
@@ -72,32 +108,34 @@ def _fail(raw: str, key: str, message: str) -> None:
     raise ConfigError(f"{message} (line {_key_line(raw, key)})")
 
 
-def _require_int(raw: str, obj: dict, key: str, label: str, minimum: int) -> int:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(raw, key, f"{label} must be an integer")
-    if v < minimum:
-        _fail(raw, key, f"{label} must be >= {minimum}, got {v}")
-    return v
-
-
-def _require_number(raw: str, obj: dict, key: str, label: str, *, minimum=None, strict=False):
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(raw, key, f"{label} must be a number")
-    v = float(v)
-    if minimum is not None:
-        if strict and v <= minimum:
-            _fail(raw, key, f"{label} must be > {minimum}, got {v}")
-        if not strict and v < minimum:
-            _fail(raw, key, f"{label} must be >= {minimum}, got {v}")
-    return v
-
-
-def _check_keys(raw: str, obj: dict, allowed: set, context: str) -> None:
-    for k in obj:
-        if k not in allowed:
-            _fail(raw, k, f"unknown key '{k}' in {context}")
+def _read_section(raw: str, obj: dict, rows: dict, section: str, context: str) -> dict:
+    """Check obj against its table rows; return its settings, defaults filled in."""
+    for key in obj:
+        if key not in rows:
+            _fail(raw, key, f"unknown key '{key}' in {context}")
+    settings = {}
+    for key, row in rows.items():
+        if row is None:
+            continue
+        if key not in obj:
+            if row.default is _REQUIRED:
+                _fail(raw, section, f"{context} requires key '{key}'")
+            if row.default is not _UNSET:
+                settings[key] = row.default
+            continue
+        name = f"{section}.{key}" if section else key
+        v = obj[key]
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            _fail(raw, key, f"{name} must be {'an integer' if row.type is int else 'a number'}")
+        if v != v or abs(v) > sys.float_info.max:  # NaN, +-inf, or an int past float range
+            _fail(raw, key, f"{name} must be a finite number")
+        if row.type is int and not isinstance(v, int):
+            _fail(raw, key, f"{name} must be an integer")
+        v = row.type(v)
+        if v < row.minimum or (row.strict and v == row.minimum):
+            _fail(raw, key, f"{name} must be {'>' if row.strict else '>='} {row.minimum}, got {v}")
+        settings[key] = v
+    return settings
 
 
 def load_config(path) -> dict:
@@ -109,11 +147,11 @@ def load_config(path) -> dict:
     raw = p.read_text()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, doc, _TOP_KEYS, "config")
+    top = _read_section(raw, doc, _SCHEMA["config"], "", "config")
 
     for key in ("kind", "seeds", "problem"):
         if key not in doc:
@@ -121,6 +159,8 @@ def load_config(path) -> dict:
     kind = doc["kind"]
     if kind not in VALID_KINDS:
         _fail(raw, "kind", f"kind must be one of {list(VALID_KINDS)}, got {kind!r}")
+    if "step_scale" in doc and kind != "deconv":
+        _fail(raw, "step_scale", "step_scale applies only to deconv")
 
     seeds = doc["seeds"]
     if not isinstance(seeds, list) or not seeds:
@@ -132,82 +172,33 @@ def load_config(path) -> dict:
     if "out" in doc and not isinstance(doc["out"], str):
         _fail(raw, "out", "out must be a string path")
 
-    pc = doc["problem"]
-    if not isinstance(pc, dict):
-        _fail(raw, "problem", "problem must be an object")
-    _check_keys(raw, pc, _PROBLEM_KEYS[kind], f"{kind} problem")
-    problem: dict = {}
+    for section in ("problem", "solver"):
+        if not isinstance(doc.get(section, {}), dict):
+            _fail(raw, section, f"{section} must be an object")
+    problem = _read_section(raw, doc["problem"], _SCHEMA[kind], "problem", f"{kind} problem")
     if kind == "deconv":
-        for key in ("N", "sparsity", "kernel_support"):
-            if key not in pc:
-                _fail(raw, "problem", f"{kind} problem requires key '{key}'")
-        problem["N"] = _require_int(raw, pc, "N", "problem.N", 2)
-        problem["sparsity"] = _require_number(raw, pc, "sparsity", "problem.sparsity", minimum=0.0, strict=True)
         if problem["sparsity"] >= 1.0:
             _fail(raw, "sparsity", f"problem.sparsity must be < 1, got {problem['sparsity']}")
-        problem["kernel_support"] = _require_int(raw, pc, "kernel_support", "problem.kernel_support", 1)
         if problem["kernel_support"] > problem["N"]:
             _fail(raw, "kernel_support", "problem.kernel_support must be <= problem.N")
-        problem["noise_sigma"] = (
-            _require_number(raw, pc, "noise_sigma", "problem.noise_sigma", minimum=0.0)
-            if "noise_sigma" in pc
-            else 0.0
-        )
-        problem["lambda"] = (
-            _require_number(raw, pc, "lambda", "problem.lambda", minimum=0.0)
-            if "lambda" in pc
-            else None
-        )
     else:
-        for key in ("N", "D"):
-            if key not in pc:
-                _fail(raw, "problem", f"{kind} problem requires key '{key}'")
-        problem["N"] = _require_int(raw, pc, "N", "problem.N", 2)
-        problem["D"] = _require_int(raw, pc, "D", "problem.D", 1)
         if problem["D"] >= problem["N"]:
             _fail(raw, "D", "problem.D must be < problem.N")
-        problem["M"] = (
-            _require_int(raw, pc, "M", "problem.M", 1) if "M" in pc else 4 * problem["N"]
-        )
-        if problem["M"] < problem["D"]:
-            _fail(raw, "M", "problem.M must be >= problem.D")
-
-    solver_kwargs: dict = {}
-    if "solver" in doc:
-        sc = doc["solver"]
-        if not isinstance(sc, dict):
-            _fail(raw, "solver", "solver must be an object")
-        _check_keys(raw, sc, _SOLVER_KEYS, "solver")
-        if "max_iter" in sc:
-            solver_kwargs["max_iter"] = _require_int(raw, sc, "max_iter", "solver.max_iter", 1)
-        if "dist_tol" in sc:
-            solver_kwargs["dist_tol"] = _require_number(raw, sc, "dist_tol", "solver.dist_tol", minimum=0.0, strict=True)
-        if "cost_tol" in sc:
-            solver_kwargs["cost_tol"] = _require_number(raw, sc, "cost_tol", "solver.cost_tol", minimum=0.0)
-        if "audit_every" in sc:
-            solver_kwargs["audit_every"] = _require_int(raw, sc, "audit_every", "solver.audit_every", 0)
-        if "audit_samples" in sc:
-            solver_kwargs["audit_samples"] = _require_int(raw, sc, "audit_samples", "solver.audit_samples", 1)
-
-    step_scale = 1.0
-    if "step_scale" in doc:
-        step_scale = _require_number(raw, doc, "step_scale", "step_scale", minimum=0.0, strict=True)
+        problem.setdefault("M", 4 * problem["N"])
+        if problem["M"] <= problem["D"]:
+            _fail(raw, "M", "problem.M must be > problem.D")
 
     return {
         "kind": kind,
         "seeds": list(seeds),
         "out": doc.get("out"),
         "problem": problem,
-        "solver": solver_kwargs,
-        "step_scale": step_scale,
+        "solver": _read_section(raw, doc.get("solver", {}), _SCHEMA["solver"], "solver", "solver"),
+        "step_scale": top["step_scale"],
     }
 
 
 # --- run plumbing ---------------------------------------------------------
-
-
-def _solver_config(cfg: dict, seed: int) -> SolverConfig:
-    return SolverConfig(seed=seed, **cfg["solver"])
 
 
 def _build(kind: str, pc: dict, seed: int, step_scale: float = 1.0):
@@ -252,7 +243,7 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
     all_converged = True
     for seed in cfg["seeds"]:
         block, init, _ = _build(cfg["kind"], cfg["problem"], seed, cfg["step_scale"])
-        trace, report = run_block_mm(block, *init, _solver_config(cfg, seed))
+        trace, report = run_block_mm(block, *init, SolverConfig(seed=seed, **cfg["solver"]))
         write_trace_csv(out_dir / f"trace_{seed}.csv", trace)
         runs[str(seed)] = {
             "converged": bool(report.converged),
@@ -278,7 +269,7 @@ def _audit_block_problem(cfg: dict, seed: int):
     """
     block, init, _ = _build(cfg["kind"], cfg["problem"], seed, cfg["step_scale"])
     try:
-        _, report = run_block_mm(block, *init, _solver_config(cfg, seed))
+        _, report = run_block_mm(block, *init, SolverConfig(seed=seed, **cfg["solver"]))
     except MonotonicityViolation:
         return block, [init]
     return block, [init, (report.final_g, report.final_c)]
@@ -315,7 +306,7 @@ def _merge(entry: dict, name: str, result) -> dict:
 
 def cmd_audit(cfg: dict, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    samples = cfg["solver"].get("audit_samples", 50)
+    samples = SolverConfig(**cfg["solver"]).audit_samples
     summary: dict = {}
     for seed in cfg["seeds"]:
         block, anchors = _audit_block_problem(cfg, seed)

@@ -191,16 +191,16 @@ def log_map(x: GrassmannPoint, y: GrassmannPoint) -> TangentVector:
     """
     _check_same_space(x, y)
     w = x.basis.T @ y.basis
-    smin = float(np.linalg.svd(w, compute_uv=False)[-1])
-    if smin <= UNIQUE_GEODESIC_CUTOFF:
+    u, s, vt = np.linalg.svd(w)
+    if s[-1] <= UNIQUE_GEODESIC_CUTOFF:
         raise GeodesicNotUnique(
-            f"subspaces meet near pi/2 (smallest cross-Gram singular value {smin:.3e})"
+            f"subspaces meet near pi/2 (smallest cross-Gram singular value {s[-1]:.3e})"
         )
     resid = y.basis - x.basis @ w
-    l = np.linalg.solve(w.T, resid.T).T
+    l = (resid @ vt.T / s) @ u.T  # resid @ inv(w), from the same SVD
     f = thin_svd(l)
     h = (f.u * np.arctan(f.s)) @ f.v.T
-    # Kill the numerical drift out of the tangent space left by the solve.
+    # Kill the numerical drift out of the tangent space left by the inverse.
     h = h - x.basis @ (x.basis.T @ h)
     return TangentVector(base=x, delta=h)
 

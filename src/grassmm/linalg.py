@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+RANK_CUTOFF = 1e-12  # relative singular value at or below which a column counts as dependent
 
 
 class NumericError(RuntimeError):
@@ -75,8 +75,8 @@ def qr_orthonormalize(a) -> QRFactors:
     """Reduced QR of a full-column-rank matrix, with diag(R) >= 0.
 
     Raises ValueError naming the offending column when the input is (numerically)
-    rank deficient relative to ``DEFAULT_TOLERANCES.rank_cutoff``. The rank check
-    reads the singular values of the D x D factor R, which equal the input's.
+    rank deficient relative to RANK_CUTOFF. The rank check reads the singular
+    values of the D x D factor R, which equal the input's.
     """
     m = as_matrix(a)
     n, d = m.shape
@@ -87,7 +87,7 @@ def qr_orthonormalize(a) -> QRFactors:
         )
     q, r = np.linalg.qr(m)
     sv = np.linalg.svd(r, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= DEFAULT_TOLERANCES.rank_cutoff * sv[0]:
+    if sv[0] == 0.0 or sv[-1] <= RANK_CUTOFF * sv[0]:
         bad = int(np.argmin(np.abs(np.diag(r))))
         raise ValueError(f"matrix is rank deficient at column {bad}")
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)

@@ -1,16 +1,32 @@
+import dataclasses
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grassmm import deconv
+from grassmm import SolverConfig, cli, deconv
 from grassmm.cli import ConfigError, load_config, main
+
+NAN, INF = float("nan"), float("inf")
+HUGE_INT = 10**400  # a JSON integer past the float range
 
 
 def write_config(tmp_path, payload, name="config.json"):
+    """payload as indented JSON text; a str payload is written as it is."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n")
     return path
+
+
+def with_literal(payload, literal):
+    """payload's JSON text with each string value equal to literal unquoted,
+    for number literals json.dumps cannot write, such as 1e400."""
+    return json.dumps(payload, indent=2).replace(f'"{literal}"', literal) + "\n"
 
 
 def deconv_payload(**overrides):
@@ -62,6 +78,9 @@ def test_load_config_missing_file(tmp_path):
 def test_load_config_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_config(path)
+    path.write_text('{"seeds": [' + "1" * 5000 + "]}")  # past the int digit limit
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(path)
 
@@ -125,16 +144,138 @@ def test_load_config_unknown_key_with_line(tmp_path):
             "kernel_support must be <= problem.N",
         ),
         (subspace_payload(problem={"N": 4, "D": 4}), r"problem\.D must be < problem\.N"),
-        (subspace_payload(problem={"N": 6, "D": 2, "M": 1}), r"problem\.M must be >= problem\.D"),
+        (subspace_payload(problem={"N": 6, "D": 2, "M": 1}), r"problem\.M must be > problem\.D"),
         (subspace_payload(solver={"max_iter": 0}), r"solver\.max_iter must be >= 1"),
         (subspace_payload(solver={"dist_tol": 0.0}), r"solver\.dist_tol must be > 0"),
         (subspace_payload(solver={"warm": 2}), "unknown key 'warm' in solver"),
         (subspace_payload(step_scale=0.0), "step_scale must be > 0"),
+        # every bound matches the library object that consumes it
+        (
+            subspace_payload(solver={"cost_tol": 0.0}),
+            r"solver\.cost_tol must be > 0\.0, got 0\.0 \(line 13\)",
+        ),
+        (
+            subspace_payload(problem={"N": 6, "D": 2, "M": 2}),
+            r"problem\.M must be > problem\.D \(line 10\)",
+        ),
+        # non-finite numbers are rejected in every section
+        (
+            deconv_payload(problem={"N": 32, "sparsity": NAN, "kernel_support": 6}),
+            r"problem\.sparsity must be a finite number \(line 8\)",
+        ),
+        (
+            deconv_payload(problem={"N": 32, "sparsity": 0.1, "kernel_support": 6, "lambda": INF}),
+            r"problem\.lambda must be a finite number \(line 10\)",
+        ),
+        (
+            deconv_payload(problem={"N": 32, "sparsity": 0.1, "kernel_support": 6, "noise_sigma": -INF}),
+            r"problem\.noise_sigma must be a finite number \(line 10\)",
+        ),
+        (
+            deconv_payload(problem={"N": NAN, "sparsity": 0.1, "kernel_support": 6}),
+            r"problem\.N must be a finite number \(line 7\)",
+        ),
+        (
+            deconv_payload(problem={"N": 32, "sparsity": 0.1, "kernel_support": 6, "lambda": HUGE_INT}),
+            r"problem\.lambda must be a finite number \(line 10\)",
+        ),
+        (subspace_payload(solver={"dist_tol": NAN}), r"solver\.dist_tol must be a finite number \(line 13\)"),
+        (subspace_payload(solver={"cost_tol": INF}), r"solver\.cost_tol must be a finite number \(line 13\)"),
+        (subspace_payload(solver={"max_iter": INF}), r"solver\.max_iter must be a finite number \(line 13\)"),
+        (deconv_payload(step_scale=NAN), r"step_scale must be a finite number \(line 12\)"),
+        (deconv_payload(step_scale=INF), r"step_scale must be a finite number \(line 12\)"),
+        pytest.param(
+            with_literal(deconv_payload(problem={"N": 32, "sparsity": 0.1, "kernel_support": 6, "lambda": "1e400"}), "1e400"),
+            r"problem\.lambda must be a finite number \(line 10\)",
+            id="problem-1e400",
+        ),
+        pytest.param(
+            with_literal(subspace_payload(solver={"dist_tol": "1e400"}), "1e400"),
+            r"solver\.dist_tol must be a finite number \(line 13\)",
+            id="solver-1e400",
+        ),
+        pytest.param(
+            with_literal(deconv_payload(step_scale="-1e400"), "-1e400"),
+            r"step_scale must be a finite number \(line 12\)",
+            id="step_scale-1e400",
+        ),
+        # step_scale acts on the deconv surrogates only
+        (subspace_payload(step_scale=2.0), r"step_scale applies only to deconv \(line 12\)"),
     ],
 )
 def test_load_config_rejections(tmp_path, payload, pattern):
     with pytest.raises(ConfigError, match=pattern):
         load_config(write_config(tmp_path, payload))
+
+
+def around(*bounds):
+    """Values at, next to and across each bound, as ints and floats, plus the
+    other numbers JSON can hold: +-0, bools and non-finite floats."""
+    near = [v for b in bounds for v in (b - 1, b, b + 1, float(b), math.nextafter(b, -INF), math.nextafter(b, INF))]
+    specials = [0.0, -0.0, True, False, NAN, INF, -INF, HUGE_INT]
+    return st.sampled_from(bounds) | st.sampled_from(near) | st.sampled_from(specials) | st.floats(-4.0, 4.0)
+
+
+# SolverConfig's own lower bounds (seed aside), written out apart from the
+# CLI's table, and valid values to start from.
+SOLVER_BOUNDS = {"max_iter": 1, "dist_tol": 0, "cost_tol": 0, "audit_every": 0, "audit_samples": 1}
+SOLVER_VALID = {"max_iter": 3, "dist_tol": 1e-6, "cost_tol": 1e-10, "audit_every": 0, "audit_samples": 2}
+
+
+@st.composite
+def configs(draw):
+    """A valid config at small N with one to three numbers moved to values at,
+    next to or across their bounds, and with optional keys dropped at random."""
+    kind = draw(st.sampled_from(cli.VALID_KINDS))
+    n = draw(st.integers(2, 8))
+    if kind == "deconv":
+        k = draw(st.integers(1, n))
+        problem = {"N": n, "sparsity": 0.25, "kernel_support": k, "noise_sigma": 0.1, "lambda": 0.1}
+        bounds = {"N": (2, k), "sparsity": (0, 1), "kernel_support": (1, n), "noise_sigma": (0,), "lambda": (0,)}
+    else:
+        d = draw(st.integers(1, n - 1))
+        problem = {"N": n, "D": d, "M": draw(st.integers(d + 1, 4 * n))}
+        bounds = {"N": (2, d), "D": (1, n), "M": (1, d)}
+    doc = {"kind": kind, "seeds": [draw(st.integers(0, 3))], "problem": problem, "solver": dict(SOLVER_VALID)}
+    if kind == "deconv":
+        doc["step_scale"] = 1.0
+    slots = [(problem, key, b) for key, b in bounds.items()]
+    slots += [(doc["solver"], key, (b,)) for key, b in SOLVER_BOUNDS.items()]
+    slots.append((doc, "step_scale", (0,)))
+    probed = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3, unique_by=lambda slot: slot[1]))
+    for obj, key, b in probed:
+        obj[key] = draw(around(*b))
+    kept = {key for _, key, _ in probed}
+    optional = [(problem, "noise_sigma"), (problem, "lambda"), (problem, "M"), (doc, "step_scale")]
+    for obj, key in optional + [(doc["solver"], key) for key in SOLVER_BOUNDS]:
+        if key in obj and key not in kept and draw(st.booleans()):
+            del obj[key]
+    return doc
+
+
+@settings(max_examples=600, deadline=None)
+@given(doc=configs())
+def test_accepted_configs_reach_the_solver(tmp_path_factory, doc):
+    numbers = [*doc["problem"].values(), *doc["solver"].values(), doc.get("step_scale", 1.0)]
+    try:
+        cfg = load_config(write_config(tmp_path_factory.getbasetemp(), doc, "property.json"))
+    except ConfigError:
+        return
+    assert all(not isinstance(v, float) or math.isfinite(v) for v in numbers)
+    SolverConfig(seed=0, **cfg["solver"])
+    cli._build(cfg["kind"], cfg["problem"], cfg["seeds"][0], cfg["step_scale"])
+
+
+def test_solver_rows_name_the_solver_config_fields():
+    assert set(cli._SCHEMA["solver"]) == {f.name for f in dataclasses.fields(SolverConfig)} - {"seed"}
+
+
+def test_readme_example_configs_load(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        load_config(write_config(tmp_path, block, f"readme_{i}.json"))
 
 
 # --- run command ---------------------------------------------------------------
