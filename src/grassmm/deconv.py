@@ -253,7 +253,9 @@ def generate_instance(
 ) -> SyntheticInstance:
     """Planted instance: Bernoulli-Gaussian code, unit Gaussian kernel on the
     first `kernel_support` samples, plus white noise. Deterministic per seed;
-    the draw order is code mask, code amplitudes, kernel, noise."""
+    the draw order is code mask, code amplitudes, kernel, noise. Raises
+    ValueError naming noise_sigma when the noise is so large that y or y @ y
+    overflows."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not 0.0 < sparsity < 1.0:
@@ -269,7 +271,13 @@ def generate_instance(
     raw = np.zeros(n)
     raw[:kernel_support] = rng.standard_normal(kernel_support)
     true_a = raw / np.linalg.norm(raw)
-    y = circular_convolution(true_a, true_x) + noise_sigma * rng.standard_normal(n)
+    with np.errstate(over="ignore"):  # overflow is reported below, naming its cause
+        y = circular_convolution(true_a, true_x) + noise_sigma * rng.standard_normal(n)
+        energy = y @ y
+    if not (np.all(np.isfinite(y)) and np.isfinite(energy)):
+        raise ValueError(
+            f"noise_sigma {noise_sigma:g} is too large: the observation y or its energy y @ y is not finite"
+        )
     return SyntheticInstance(
         seed=seed,
         true_a=true_a,

@@ -24,6 +24,7 @@ import numpy as np
 from .grassmann import (
     GeodesicNotUnique,
     GrassmannPoint,
+    _points,
     _trusted,
     canonical_distance,
     exp_map,
@@ -219,9 +220,10 @@ def _fd_grad_norm_grassmann(problem: BlockProblem, g: GrassmannPoint, c: np.ndar
         for j in range(g.d):
             delta = np.zeros_like(g.basis)
             delta[:, j] = comp[:, i]
-            tv = riemannian_gradient(g, delta)
-            plus = problem.cost(exp_map(g, tv, h), c)
-            minus = problem.cost(exp_map(g, tv, -h), c)
+            # One geodesic per direction, factored once for both steps.
+            p_plus, p_minus = geodesic(g, riemannian_gradient(g, delta))(np.array([h, -h]))
+            plus = problem.cost(p_plus, c)
+            minus = problem.cost(p_minus, c)
             total += ((plus - minus) / (2.0 * h)) ** 2
     return float(np.sqrt(total))
 
@@ -459,37 +461,32 @@ def audit_majorization(
 ) -> AuditResult:
     """Check g(candidate | anchor) >= f(candidate at that block) on random candidates.
 
+    Grassmann candidates are drawn, factored and checked as one batch per
+    anchor, which consumes the generator exactly as one draw at a time would.
     Reports the worst (smallest) margin; margins below -MAJORIZATION_TOL fail.
     """
     oracle = _oracle_for(problem, block)
     n, d, c_len = problem.dims
     rng = np.random.default_rng(seed)
-    worst = np.inf
-    checked = 0
+    margins = []
     skipped = 0
     for g, c in anchors:
-        for _ in range(samples):
-            if block == GRASSMANN_BLOCK:
-                candidate = random_point(rng, n, d)
+        if block == GRASSMANN_BLOCK:
+            for candidate in random_point(rng, n, d, count=samples):
                 if problem.grassmann_membership is not None and not problem.grassmann_membership(
                     candidate
                 ):
                     skipped += 1
                     continue
-                margin = float(oracle.evaluate(candidate, g, c)) - float(
-                    problem.cost(candidate, c)
-                )
-            else:
-                scale = 1.0 + np.linalg.norm(c) / np.sqrt(c_len)
+                margins.append(float(oracle.evaluate(candidate, g, c)) - float(problem.cost(candidate, c)))
+        else:
+            scale = 1.0 + np.linalg.norm(c) / np.sqrt(c_len)
+            for _ in range(samples):
                 raw = c + scale * rng.standard_normal(c_len)
                 candidate = np.asarray(problem.convex_constraint(raw), dtype=float)
-                margin = float(oracle.evaluate(candidate, g, c)) - float(
-                    problem.cost(g, candidate)
-                )
-            worst = min(worst, margin)
-            checked += 1
-    if checked == 0:
-        worst = 0.0
+                margins.append(float(oracle.evaluate(candidate, g, c)) - float(problem.cost(g, candidate)))
+    checked = len(margins)
+    worst = min([np.inf, *margins]) if margins else 0.0
     return AuditResult(
         audit="majorization",
         block=block,
@@ -512,8 +509,9 @@ def audit_derivative_match(
 
     Slopes are central finite differences at the steps in DERIVATIVE_FD_STEPS,
     along geodesics for the Grassmann block and straight lines for the convex
-    block. Directions flagged non-smooth by the oracle's smooth_along guard are
-    skipped and counted.
+    block. Each Grassmann direction takes one geodesic, factored once and
+    evaluated at every +/-h in one stacked call. Directions flagged non-smooth
+    by the oracle's smooth_along guard are skipped and counted.
     """
     oracle = _oracle_for(problem, block)
     g, c = anchor
@@ -523,6 +521,7 @@ def audit_derivative_match(
     checked = 0
     skipped = 0
     h_guard = max(DERIVATIVE_FD_STEPS)
+    fd_ts = np.array([t for h in DERIVATIVE_FD_STEPS for t in (h, -h)])
     for _ in range(directions):
         if block == GRASSMANN_BLOCK:
             tv = random_unit_tangent(rng, g)
@@ -533,10 +532,11 @@ def audit_derivative_match(
         if oracle.smooth_along is not None and not oracle.smooth_along(g, c, direction, h_guard):
             skipped += 1
             continue
-        for h in DERIVATIVE_FD_STEPS:
+        if block == GRASSMANN_BLOCK:
+            fd_points = geodesic(g, tv)(fd_ts)
+        for k, h in enumerate(DERIVATIVE_FD_STEPS):
             if block == GRASSMANN_BLOCK:
-                p_plus = exp_map(g, tv, h)
-                p_minus = exp_map(g, tv, -h)
+                p_plus, p_minus = fd_points[2 * k], fd_points[2 * k + 1]
                 sg = (float(oracle.evaluate(p_plus, g, c)) - float(oracle.evaluate(p_minus, g, c))) / (2 * h)
                 sf = (float(problem.cost(p_plus, c)) - float(problem.cost(p_minus, c))) / (2 * h)
             else:
@@ -574,8 +574,9 @@ def audit_quasiconvexity(
     A pair is skipped and counted when an endpoint cannot be drawn inside the
     feasible set, or when log_map raises GeodesicNotUnique because the two
     subspaces meet near pi/2. For each other pair the surrogate is evaluated
-    on a uniform t-grid along geodesic(x, log_map(x, y)) and must not exceed
-    max(endpoint values) by more than QUASICONVEXITY_TOL.
+    on a uniform t-grid along geodesic(x, log_map(x, y)), whose points are
+    built and checked in one stacked call, and must not exceed max(endpoint
+    values) by more than QUASICONVEXITY_TOL.
     """
     oracle = problem.grassmann_surrogate
     g_anchor, c_anchor = anchor
@@ -611,8 +612,8 @@ def audit_quasiconvexity(
             float(oracle.evaluate(y, g_anchor, c_anchor)),
         )
         cap = max(end_vals)
-        for t in ts:
-            val = float(oracle.evaluate(path(t), g_anchor, c_anchor))
+        for point in path(ts):
+            val = float(oracle.evaluate(point, g_anchor, c_anchor))
             worst = max(worst, val - cap)
         checked += 1
     return AuditResult(
@@ -635,15 +636,14 @@ def audit_homogeneity(
     """Check the cost depends on G only through its column span.
 
     Samples random D x D rotations R and compares f(G R, c) against f(G, c).
+    The rotations of one anchor are drawn, applied and checked as one batch.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = 0
     for g, c in anchors:
         f0 = float(problem.cost(g, c))
-        for _ in range(rotations):
-            r = random_orthonormal(rng, g.d, g.d)
-            rotated = GrassmannPoint(g.basis @ r)
+        for rotated in _points(g.basis @ random_orthonormal(rng, g.d, g.d, count=rotations)):
             worst = max(worst, abs(float(problem.cost(rotated, c)) - f0))
             checked += 1
     return AuditResult(

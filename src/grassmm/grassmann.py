@@ -10,7 +10,7 @@ module stores in ascending order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -35,6 +35,34 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _check_bases(b: np.ndarray) -> None:
+    """Check that each N x D matrix of the K x N x D float stack b is a point of
+    Gr(N, D): a non-empty finite orthonormal basis with 1 <= D < N.
+
+    This is the one basis check in the package; GrassmannPoint runs it on a
+    stack of one. A failing stack raises the message its first failing member
+    raises on its own.
+    """
+    _, n, d = b.shape
+    if n < 1 or d < 1:
+        raise ValueError(f"matrix must have at least one row and column, got shape {(n, d)}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("matrix entries must be finite")
+    if not 1 <= d < n:
+        raise ValueError(f"need 1 <= D < N, got N={n}, D={d}")
+    dev = np.abs(np.swapaxes(b, 1, 2) @ b - np.eye(d))
+    if not dev.max(initial=0.0) <= POINT_ORTHONORMALITY_TOL:  # NaN fails too
+        per_member = dev.max(axis=(1, 2))
+        err = per_member[np.argmin(per_member <= POINT_ORTHONORMALITY_TOL)]
+        raise ValueError(f"basis is not orthonormal (max Gram deviation {err:.3e})")
+
+
+def _points(stack: np.ndarray) -> list[GrassmannPoint]:
+    """The points of a K x N x D stack of bases, checked as one batch."""
+    _check_bases(stack)
+    return [_trusted(GrassmannPoint, basis=b) for b in stack]
+
+
 @dataclass(frozen=True)
 class GrassmannPoint:
     """A D-dimensional subspace of R^N held as an orthonormal basis matrix."""
@@ -42,14 +70,11 @@ class GrassmannPoint:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = as_matrix(self.basis)
+        b = np.asarray(self.basis, dtype=float)
+        if b.ndim != 2:
+            raise ValueError(f"expected a 2-d matrix, got ndim={b.ndim}")
+        _check_bases(b[None])
         object.__setattr__(self, "basis", b)
-        n, d = b.shape
-        if not 1 <= d < n:
-            raise ValueError(f"need 1 <= D < N, got N={n}, D={d}")
-        err = np.max(np.abs(b.T @ b - np.eye(d)))
-        if err > POINT_ORTHONORMALITY_TOL:
-            raise ValueError(f"basis is not orthonormal (max Gram deviation {err:.3e})")
 
     @property
     def n(self) -> int:
@@ -107,14 +132,20 @@ def make_point(m) -> GrassmannPoint:
     return GrassmannPoint(qr_orthonormalize(m).q)
 
 
-def random_point(seed, n: int, d: int) -> GrassmannPoint:
+def random_point(
+    seed, n: int, d: int, count: Optional[int] = None
+) -> Union[GrassmannPoint, list[GrassmannPoint]]:
     """Draw from the rotation-invariant distribution on Gr(n, d).
 
     seed is an int or a caller-owned np.random.Generator, which the draw advances.
+    With `count`, a list of `count` points drawn, factored and checked as one
+    batch, equal bit for bit to `count` single draws; a single draw is the
+    batch of one.
     """
     if d >= n:
         raise ValueError(f"Gr(N, D) requires D < N, got N={n}, D={d}")
-    return GrassmannPoint(random_orthonormal(seed, n, d))
+    points = _points(random_orthonormal(seed, n, d, count=1 if count is None else count))
+    return points[0] if count is None else points
 
 
 def random_unit_tangent(rng: np.random.Generator, x: GrassmannPoint) -> TangentVector:
@@ -205,11 +236,14 @@ def log_map(x: GrassmannPoint, y: GrassmannPoint) -> TangentVector:
     return TangentVector(base=x, delta=h)
 
 
-def geodesic(x: GrassmannPoint, h: TangentVector) -> Callable[[float], GrassmannPoint]:
+def geodesic(x: GrassmannPoint, h: TangentVector) -> Callable:
     """The geodesic t -> exp_map(x, h, t) from x with velocity h.
 
     h is checked and factored once, so evaluating the returned function at
-    many t costs no further SVD.
+    many t costs no further SVD. The function takes a scalar t and returns a
+    point, or a 1-d array of t and returns the list of its points, built as
+    one stack and checked as one batch. Each point equals, bit for bit, the
+    point at that t alone.
     """
     if not np.array_equal(h.base.basis, x.basis):
         raise ValueError("tangent vector is not based at the given point")
@@ -220,10 +254,13 @@ def geodesic(x: GrassmannPoint, h: TangentVector) -> Callable[[float], Grassmann
         )
     xv = x.basis @ f.v
 
-    def at(t: float) -> GrassmannPoint:
-        c = np.cos(f.s * t)
-        s = np.sin(f.s * t)
-        return GrassmannPoint(xv * c @ f.v.T + (f.u * s) @ f.v.T)
+    def at(t):
+        ts = np.asarray(t, dtype=float)
+        st = ts.reshape(-1, 1) * f.s
+        c = np.cos(st)[:, None, :]
+        s = np.sin(st)[:, None, :]
+        points = _points(xv * c @ f.v.T + (f.u * s) @ f.v.T)
+        return points[0] if ts.ndim == 0 else points
 
     return at
 

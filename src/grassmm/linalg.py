@@ -2,12 +2,14 @@
 
 Everything here works on plain 2-d float numpy arrays at desk scale; factorizations
 are delegated to LAPACK and then post-processed so repeated calls on the same input
-produce bit-identical factors.
+produce bit-identical factors. QR and the sampler also take a K x N x D stack,
+whose members come out bit-identical to one-at-a-time calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -74,12 +76,19 @@ def thin_svd(a) -> ThinSVD:
 def qr_orthonormalize(a) -> QRFactors:
     """Reduced QR of a full-column-rank matrix, with diag(R) >= 0.
 
-    Raises ValueError naming the offending column when the input is (numerically)
-    rank deficient relative to RANK_CUTOFF. The rank check reads the singular
-    values of the D x D factor R, which equal the input's.
+    `a` is one N x D matrix or a K x N x D stack of them, factored in one
+    LAPACK call; each factor of a stack equals, bit for bit, the factor of
+    that matrix alone. Raises ValueError naming the offending column when a
+    matrix is (numerically) rank deficient relative to RANK_CUTOFF. The rank
+    check reads the singular values of the D x D factor R, which equal the
+    input's.
     """
-    m = as_matrix(a)
-    n, d = m.shape
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 3:
+        m = as_matrix(m)
+    elif m.shape[1] < 1 or m.shape[2] < 1 or not np.all(np.isfinite(m)):
+        raise ValueError(f"expected a stack of finite non-empty matrices, got shape {m.shape}")
+    n, d = m.shape[-2:]
     if d > n:
         raise ValueError(
             f"matrix with {d} columns in {n} rows cannot have full column rank "
@@ -87,19 +96,26 @@ def qr_orthonormalize(a) -> QRFactors:
         )
     q, r = np.linalg.qr(m)
     sv = np.linalg.svd(r, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= RANK_CUTOFF * sv[0]:
-        bad = int(np.argmin(np.abs(np.diag(r))))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    deficient = (sv[..., 0] == 0.0) | (sv[..., -1] <= RANK_CUTOFF * sv[..., 0])
+    if np.any(deficient):
+        first = np.argmax(deficient)  # the first deficient matrix of a stack
+        bad = int(np.argmin(np.abs(diag.reshape(-1, d)[first])))
         raise ValueError(f"matrix is rank deficient at column {bad}")
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return QRFactors(q=q * signs, r=r * signs[:, None])
+    signs = np.where(diag < 0.0, -1.0, 1.0)
+    return QRFactors(q=q * signs[..., None, :], r=r * signs[..., :, None])
 
 
-def random_orthonormal(seed, n: int, d: int) -> np.ndarray:
+def random_orthonormal(seed, n: int, d: int, count: Optional[int] = None) -> np.ndarray:
     """Orthonormal n x d matrix from a Gaussian draw; bit-reproducible.
 
     seed is an int or a caller-owned np.random.Generator, which the draw advances.
+    With `count`, a count x n x d stack drawn and factored at once; it equals,
+    bit for bit, `count` single draws from the same generator, and a single
+    draw is the stack of one.
     """
     if d > n:
         raise ValueError(f"cannot draw {d} orthonormal columns in dimension {n}")
-    g = np.random.default_rng(seed).standard_normal((n, d))
-    return qr_orthonormalize(g).q
+    k = 1 if count is None else count
+    q = qr_orthonormalize(np.random.default_rng(seed).standard_normal((k, n, d))).q
+    return q[0] if count is None else q

@@ -346,6 +346,17 @@ def test_run_solver_failure_exit_one_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("noise_sigma", [1e160, 1e300])
+def test_run_overflowing_noise_names_noise_sigma(tmp_path, capsys, noise_sigma):
+    # accepted by the config table, but y @ y overflows
+    problem = {"N": 8, "sparsity": 0.25, "kernel_support": 3, "noise_sigma": noise_sigma}
+    config = write_config(tmp_path, deconv_payload(problem=problem))
+    assert main(["--out", str(tmp_path / "out"), "run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise_sigma ") and "not finite" in err
+    assert "orthonormal" not in err and "Traceback" not in err
+
+
 def test_run_long_signal_uses_fft_path(tmp_path):
     deconv._conv_index.cache_clear()
     problem = {"N": 4096, "sparsity": 0.0625, "kernel_support": 8, "lambda": 0.1}

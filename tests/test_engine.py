@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from grassmm import (
+    AuditResult,
     BlockProblem,
+    DeconvProblem,
+    GeodesicNotUnique,
     GrassmannPoint,
     InfeasibleBlockError,
     MonotonicityViolation,
@@ -17,12 +22,21 @@ from grassmm import (
     audit_tightness,
     builtin_subspace_plus_mean,
     canonical_distance,
+    default_init,
+    exp_map,
+    generate_instance,
+    log_map,
     make_point,
+    random_orthonormal,
     random_point,
+    riemannian_gradient,
     run_block_mm,
     stationarity_check,
     subspace_plus_mean_init,
 )
+from grassmm import engine
+from grassmm.deconv import build_block_problem
+from grassmm.grassmann import random_unit_tangent
 
 
 def subspace_optimum(a, d):
@@ -422,6 +436,148 @@ def test_audit_homogeneity_controls(exact_problem, exact_anchors):
     )
     bad = audit_homogeneity(trace_cost, exact_anchors[:5], 40, seed=2)
     assert not bad.passed
+
+
+# --- per-point references for the batched audits ----------------------------------
+#
+# The audits build their sampled points in batches. These references build
+# every point on its own, one draw, one geodesic evaluation and one check at a
+# time, as the audits did before; both must give the same AuditResult.
+
+
+def reference_majorization(problem, block, anchors, samples, seed):
+    oracle = engine._oracle_for(problem, block)
+    n, d, c_len = problem.dims
+    rng = np.random.default_rng(seed)
+    worst, checked = np.inf, 0
+    for g, c in anchors:
+        for _ in range(samples):
+            if block == "grassmann":
+                candidate = random_point(rng, n, d)
+                margin = float(oracle.evaluate(candidate, g, c)) - float(problem.cost(candidate, c))
+            else:
+                scale = 1.0 + np.linalg.norm(c) / np.sqrt(c_len)
+                raw = c + scale * rng.standard_normal(c_len)
+                candidate = np.asarray(problem.convex_constraint(raw), dtype=float)
+                margin = float(oracle.evaluate(candidate, g, c)) - float(problem.cost(g, candidate))
+            worst = min(worst, margin)
+            checked += 1
+    worst = worst if checked else 0.0
+    return AuditResult("majorization", block, checked > 0 and worst >= -engine.MAJORIZATION_TOL,
+                       float(worst), engine.MAJORIZATION_TOL, checked, 0)
+
+
+def reference_derivative_match(problem, block, anchor, directions, seed):
+    oracle = engine._oracle_for(problem, block)
+    g, c = anchor
+    c = np.asarray(c, dtype=float)
+    rng = np.random.default_rng(seed)
+    worst, checked, skipped = 0.0, 0, 0
+    for _ in range(directions):
+        if block == "grassmann":
+            tv = random_unit_tangent(rng, g)
+            direction = tv.delta
+        else:
+            direction = rng.standard_normal(c.size)
+            direction /= np.linalg.norm(direction)
+        h_guard = max(engine.DERIVATIVE_FD_STEPS)
+        if oracle.smooth_along is not None and not oracle.smooth_along(g, c, direction, h_guard):
+            skipped += 1
+            continue
+        for h in engine.DERIVATIVE_FD_STEPS:
+            if block == "grassmann":
+                p_plus, p_minus = exp_map(g, tv, h), exp_map(g, tv, -h)
+                sg = (float(oracle.evaluate(p_plus, g, c)) - float(oracle.evaluate(p_minus, g, c))) / (2 * h)
+                sf = (float(problem.cost(p_plus, c)) - float(problem.cost(p_minus, c))) / (2 * h)
+            else:
+                c_plus, c_minus = c + h * direction, c - h * direction
+                sg = (float(oracle.evaluate(c_plus, g, c)) - float(oracle.evaluate(c_minus, g, c))) / (2 * h)
+                sf = (float(problem.cost(g, c_plus)) - float(problem.cost(g, c_minus))) / (2 * h)
+            worst = max(worst, abs(sg - sf) / max(1.0, abs(sf)))
+        checked += 1
+    return AuditResult("derivative_match", block, checked > 0 and worst <= engine.DERIVATIVE_MATCH_TOL,
+                       worst, engine.DERIVATIVE_MATCH_TOL, checked, skipped)
+
+
+def reference_quasiconvexity(problem, anchor, pairs, t_samples, seed, radius=engine.QUASICONVEXITY_RADIUS):
+    oracle = problem.grassmann_surrogate
+    g_anchor, c_anchor = anchor
+    rng = np.random.default_rng(seed)
+    worst, checked, skipped = 0.0, 0, 0
+    for _ in range(pairs):
+        x = exp_map(g_anchor, random_unit_tangent(rng, g_anchor), rng.uniform(0.0, radius))
+        y = exp_map(g_anchor, random_unit_tangent(rng, g_anchor), rng.uniform(0.0, radius))
+        try:
+            h = log_map(x, y)
+        except GeodesicNotUnique:
+            skipped += 1
+            continue
+        cap = max(float(oracle.evaluate(x, g_anchor, c_anchor)), float(oracle.evaluate(y, g_anchor, c_anchor)))
+        for t in np.linspace(0.0, 1.0, t_samples):
+            worst = max(worst, float(oracle.evaluate(exp_map(x, h, t), g_anchor, c_anchor)) - cap)
+        checked += 1
+    return AuditResult("quasiconvexity", "grassmann", checked > 0 and worst <= engine.QUASICONVEXITY_TOL,
+                       worst, engine.QUASICONVEXITY_TOL, checked, skipped)
+
+
+def reference_homogeneity(problem, anchors, rotations, seed):
+    rng = np.random.default_rng(seed)
+    worst, checked = 0.0, 0
+    for g, c in anchors:
+        f0 = float(problem.cost(g, c))
+        for _ in range(rotations):
+            rotated = GrassmannPoint(g.basis @ random_orthonormal(rng, g.d, g.d))
+            worst = max(worst, abs(float(problem.cost(rotated, c)) - f0))
+            checked += 1
+    return AuditResult("homogeneity", None, worst <= engine.HOMOGENEITY_TOL,
+                       worst, engine.HOMOGENEITY_TOL, checked)
+
+
+def deconv_problem_and_anchors():
+    inst = generate_instance(3, 32, 0.125, 6)
+    start = default_init(DeconvProblem(y=inst.y, lam=0.1), 6)
+    problem = build_block_problem(DeconvProblem(y=inst.y, lam=0.1))
+    x = start.x + 0.1 * np.random.default_rng(3).standard_normal(32)
+    return problem, [(start.a, start.x), (start.a, x), (random_point(4, 32, 1), x)]
+
+
+@pytest.mark.parametrize("kind", ["subspace-mean", "deconv"])
+def test_batched_audits_match_pointwise_references(kind, exact_problem, exact_anchors):
+    if kind == "subspace-mean":
+        problem, anchors = exact_problem, exact_anchors[:3]
+    else:
+        problem, anchors = deconv_problem_and_anchors()
+    for seed in (0, 5):
+        for block in ("grassmann", "convex"):
+            assert audit_majorization(problem, block, anchors, 12, seed) == reference_majorization(
+                problem, block, anchors, 12, seed
+            )
+            for anchor in anchors:
+                assert audit_derivative_match(problem, block, anchor, 12, seed) == reference_derivative_match(
+                    problem, block, anchor, 12, seed
+                )
+        for anchor in anchors:
+            assert audit_quasiconvexity(problem, anchor, 8, 11, seed) == reference_quasiconvexity(
+                problem, anchor, 8, 11, seed
+            )
+            assert audit_quasiconvexity(problem, anchor, 8, 5, seed, radius=np.pi / 2) == reference_quasiconvexity(
+                problem, anchor, 8, 5, seed, radius=np.pi / 2
+            )
+        assert audit_homogeneity(problem, anchors, 12, seed) == reference_homogeneity(problem, anchors, 12, seed)
+
+
+def test_fd_gradient_norm_matches_analytic():
+    # without a gradient callable the diagnostic falls back to central
+    # differences along geodesics; on a smooth cost it must match the gradient
+    a = np.random.default_rng(7).standard_normal((8, 30))
+    analytic = builtin_subspace_plus_mean(a, 2)
+    fd_only = replace(analytic, grassmann_grad=None)
+    for seed in range(20):
+        g = random_point(seed, 8, 2)
+        c = np.random.default_rng(seed).standard_normal(8)
+        expected = riemannian_gradient(g, analytic.grassmann_grad(g, c)).norm()
+        fd, _ = engine._gradient_norms(fd_only, g, c)
+        assert fd == pytest.approx(expected, rel=1e-8)
 
 
 # --- stationarity ----------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from grassmm import (
@@ -18,7 +20,7 @@ from grassmm import (
     riemannian_gradient,
     thin_svd,
 )
-from grassmm.grassmann import random_unit_tangent
+from grassmm.grassmann import POINT_ORTHONORMALITY_TOL, _check_bases, random_unit_tangent
 
 
 def planar_line(angle):
@@ -295,3 +297,87 @@ def test_random_unit_tangent_is_unit_and_tangent():
         tv = random_unit_tangent(rng, x)
         assert abs(tv.norm() - 1.0) <= 1e-12
         assert np.max(np.abs(x.basis.T @ tv.delta)) <= 1e-9
+
+
+# --- batches ---------------------------------------------------------------------
+
+
+def reference_basis(rng, n, d):
+    """One sampled basis, drawn and factored on its own with plain numpy."""
+    q, r = np.linalg.qr(rng.standard_normal((n, d)))
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+
+
+def assert_orthonormal(b):
+    assert np.max(np.abs(b.T @ b - np.eye(b.shape[1]))) <= POINT_ORTHONORMALITY_TOL
+
+
+@st.composite
+def grassmann_shapes(draw):
+    n = draw(st.integers(2, 24))
+    return n, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=grassmann_shapes(), count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_batched_sampler_equals_single_draws(shape, count, seed):
+    n, d = shape
+    batch = random_point(seed, n, d, count=count)
+    assert len(batch) == count
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for point in batch:
+        assert_array_equal(point.basis, random_point(rng, n, d).basis)
+        assert_array_equal(point.basis, reference_basis(ref_rng, n, d))
+        assert_orthonormal(point.basis)
+    assert_array_equal(random_point(seed, n, d).basis, batch[0].basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=grassmann_shapes(),
+    seed=st.integers(0, 2**32 - 1),
+    ts=st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=12),
+)
+def test_stacked_geodesic_equals_pointwise(shape, seed, ts):
+    n, d = shape
+    x = random_point(seed, n, d)
+    rng = np.random.default_rng(seed + 1)
+    tv = random_unit_tangent(rng, x)
+    h = TangentVector(x, rng.uniform(0.0, np.pi / 2) * tv.delta)
+    f = thin_svd(h.delta)
+    points = geodesic(x, h)(np.array(ts))
+    assert len(points) == len(ts)
+    for t, point in zip(ts, points):
+        ref = (x.basis @ f.v) * np.cos(f.s * t) @ f.v.T + (f.u * np.sin(f.s * t)) @ f.v.T
+        assert_array_equal(point.basis, ref)
+        assert_array_equal(point.basis, exp_map(x, h, t).basis)
+        assert_orthonormal(point.basis)
+
+
+def message_of(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=grassmann_shapes(), count=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_stack_check_rejects_its_last_member(shape, count, seed):
+    # only the last member is bad, so a check that reads only [0] would pass
+    n, d = shape
+    stack = np.stack([p.basis for p in random_point(seed, n, d, count=count)])
+    _check_bases(stack)
+    for bad_value in (1.5 * stack[-1], np.where(np.arange(n)[:, None] == 0, np.nan, stack[-1])):
+        bad = stack.copy()
+        bad[-1] = bad_value
+        expected = message_of(GrassmannPoint, bad_value)
+        assert expected.startswith(("basis is not orthonormal", "matrix entries must be finite"))
+        assert message_of(_check_bases, bad) == expected
+
+
+def test_stack_check_shape_messages():
+    assert message_of(GrassmannPoint, np.ones(3)) == "expected a 2-d matrix, got ndim=1"
+    assert message_of(GrassmannPoint, np.eye(3)) == "need 1 <= D < N, got N=3, D=3"
+    assert message_of(GrassmannPoint, np.zeros((0, 2))).startswith("matrix must have at least one row")
+    assert message_of(GrassmannPoint, np.full((3, 1), np.inf)) == "matrix entries must be finite"
+    _check_bases(np.zeros((0, 3, 1)))  # an empty batch holds no bad member

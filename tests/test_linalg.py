@@ -132,6 +132,29 @@ def test_qr_rejects_wide_matrix():
         qr_orthonormalize(np.ones((2, 3)))
 
 
+def test_qr_of_a_stack_equals_each_matrix_alone():
+    stack = np.random.default_rng(6).standard_normal((5, 7, 3))
+    f = qr_orthonormalize(stack)
+    for k, m in enumerate(stack):
+        alone = qr_orthonormalize(m)
+        assert_array_equal(f.q[k], alone.q)
+        assert_array_equal(f.r[k], alone.r)
+    stack[3, :, 2] = stack[3, :, 0]  # only the fourth matrix is deficient
+    with pytest.raises(ValueError, match="rank deficient at column 2"):
+        qr_orthonormalize(stack)
+    stack[3, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        qr_orthonormalize(stack)
+
+
+def test_random_orthonormal_stack_equals_single_draws():
+    rng = np.random.default_rng(11)
+    stack = random_orthonormal(11, 6, 2, count=4)
+    assert stack.shape == (4, 6, 2)
+    for m in stack:
+        assert_array_equal(m, random_orthonormal(rng, 6, 2))
+
+
 def test_random_orthonormal_gram_and_determinism():
     m1 = random_orthonormal(7, 4, 4)
     m2 = random_orthonormal(7, 4, 4)
