@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -298,7 +299,9 @@ def _merge(entry: dict, name: str, result) -> dict:
         }
     entry["passed"] = bool(entry["passed"] and result.passed)
     pick = min if name in _MIN_WORST else max
-    entry["worst"] = float(pick(entry["worst"], float(result.worst)))
+    worst = float(result.worst)
+    # A NaN worst (a non-finite sample) stays NaN: min and max keep a NaN first argument.
+    entry["worst"] = worst if math.isnan(worst) else float(pick(entry["worst"], worst))
     entry["checked"] += int(result.checked)
     entry["skipped"] += int(result.skipped)
     return entry

@@ -10,7 +10,13 @@ and enforces the resulting descent chain f(G_i, c_i) >= f(G_{i+1}, c_i) >=
 f(G_{i+1}, c_{i+1}) at runtime. The audit functions are Monte-Carlo checks of
 the surrogate assumptions (tightness, majorization, directional-derivative
 match, geodesic quasiconvexity) and of rotation invariance of the cost; they
-can refute an assumption on sampled evidence but never prove it.
+can refute an assumption on sampled evidence but never prove it. A sampled
+value that is NaN or infinite fails its audit.
+
+The audits and the stationarity probe sample in batches: the tangents of one
+batch are drawn, factored and moved along their geodesics as stacks (see
+grassmm.grassmann), in slices of at most _CHUNK_BYTES of N x D members, and
+give the same results, bit for bit, as one sample at a time.
 """
 
 from __future__ import annotations
@@ -22,12 +28,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grassmann import (
-    GeodesicNotUnique,
     GrassmannPoint,
     _points,
     _trusted,
     canonical_distance,
-    exp_map,
     geodesic,
     log_map,
     random_point,
@@ -52,6 +56,10 @@ HOMOGENEITY_TOL = 1e-9
 STATIONARITY_FD_STEP = 1e-5
 STATIONARITY_PASS = -1e-4      # scores at or above this count as stationary
 _ZERO_GRAD_FALLBACK_FD = 1e-6  # step for the finite-difference gradient fallback
+# Largest stack of sampled N x D points built at once. It bounds what a batch
+# holds at a time, its stacks, their temporaries and one object per point:
+# unsplit, the 50 probe points of Gr(1024, 1) alone would take 400 KiB.
+_CHUNK_BYTES = 1 << 14
 
 
 class MonotonicityViolation(RuntimeError):
@@ -88,9 +96,7 @@ class BlockProblem:
 
     dims is (n, d, c_len): G lives on Gr(n, d) and c in R^c_len. The optional
     gradient callables feed the per-iteration diagnostic columns; when absent
-    the driver falls back to finite differences. grassmann_membership, when
-    given, restricts the Grassmann feasible set; audit sampling rejects points
-    outside it.
+    run_block_mm falls back to finite differences.
 
     Contract with run_block_mm: cost must be a deterministic function of its
     arguments. The engine calls it once per half-step, at each new iterate,
@@ -108,7 +114,6 @@ class BlockProblem:
     dims: tuple[int, int, int]
     grassmann_grad: Optional[Callable] = None
     convex_grad: Optional[Callable] = None
-    grassmann_membership: Optional[Callable[[GrassmannPoint], bool]] = None
 
 
 @dataclass(frozen=True)
@@ -210,18 +215,36 @@ def _complement_basis(g: GrassmannPoint) -> np.ndarray:
     return full[:, g.d:]
 
 
+def _chunks(count: int, g: GrassmannPoint, points: int = 1) -> list[tuple[int, int]]:
+    """(start, size) of the slices that split `count` samples at g, each of
+    which builds `points` points, into stacks of at most _CHUNK_BYTES of
+    points (and at least one sample)."""
+    step = max(1, _CHUNK_BYTES // (points * g.basis.nbytes))
+    return [(lo, min(step, count - lo)) for lo in range(0, count, step)]
+
+
+def _worst(values: list[float], pick: Callable, start: float) -> float:
+    """pick (max or min) of start and the values, first on ties; NaN if any
+    value is not finite, so every comparison with a threshold fails."""
+    if not all(map(math.isfinite, values)):
+        return math.nan
+    return float(pick([start, *values]))
+
+
 def _fd_grad_norm_grassmann(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray) -> float:
     # Directional derivatives along an orthonormal tangent basis recover the
     # full Riemannian gradient norm; only used when no gradient callable exists.
     comp = _complement_basis(g)
     h = _ZERO_GRAD_FALLBACK_FD
     total = 0.0
-    for i in range(comp.shape[1]):
-        for j in range(g.d):
-            delta = np.zeros_like(g.basis)
-            delta[:, j] = comp[:, i]
-            # One geodesic per direction, factored once for both steps.
-            p_plus, p_minus = geodesic(g, riemannian_gradient(g, delta))(np.array([h, -h]))
+    for lo, size in _chunks(comp.shape[1] * g.d, g, 2):
+        # Direction lo + k puts column i of the complement into column j of G.
+        i, j = np.divmod(np.arange(lo, lo + size), g.d)
+        deltas = np.zeros((size, *g.basis.shape))
+        deltas[np.arange(size), :, j] = comp[:, i].T
+        # One stacked geodesic per slice, factored once for both steps.
+        tangents = [riemannian_gradient(g, delta) for delta in deltas]
+        for p_plus, p_minus in geodesic(g, tangents)(np.array([h, -h])):
             plus = problem.cost(p_plus, c)
             minus = problem.cost(p_minus, c)
             total += ((plus - minus) / (2.0 * h)) ** 2
@@ -310,8 +333,6 @@ def run_block_mm(
         g_next = problem.grassmann_surrogate.minimize(g, c)
         if not isinstance(g_next, GrassmannPoint) or g_next.basis.shape != (n, d):
             raise InfeasibleBlockError("grassmann block update is not a point of Gr(n, d)")
-        if problem.grassmann_membership is not None and not problem.grassmann_membership(g_next):
-            raise InfeasibleBlockError("grassmann block update left the feasible set")
         g_next.basis.setflags(write=False)
         f_after_g = _finite_cost(problem, g_next, c, "after the grassmann update", i)
         if f_after_g > f_curr + MONOTONICITY_TOL:
@@ -413,35 +434,38 @@ def stationarity_check(
     Probes `directions` random unit tangent directions at g along geodesics and
     the same number of random unit directions in the convex block (projected
     back onto the feasible set). Values at or above STATIONARITY_PASS are
-    consistent with first-order stationarity.
+    consistent with first-order stationarity. The tangents are drawn and moved
+    along their geodesics in stacks (see the module docstring). Raises
+    NonFiniteCostError if the cost at g or at a probe is NaN or infinite.
     """
     c = np.asarray(c, dtype=float)
     rng = np.random.default_rng(seed)
     h = STATIONARITY_FD_STEP
     f0 = float(problem.cost(g, c))
-    worst = np.inf
-    for _ in range(directions):
-        tv = random_unit_tangent(rng, g)
-        slope = (float(problem.cost(exp_map(g, tv, h), c)) - f0) / h
-        worst = min(worst, slope)
+    slopes = []
+    for _, size in _chunks(directions, g):
+        for probe in geodesic(g, random_unit_tangent(rng, g, count=size))(h):
+            slopes.append((float(problem.cost(probe, c)) - f0) / h)
     for _ in range(directions):
         direction = rng.standard_normal(c.size)
         direction /= np.linalg.norm(direction)
         probe = np.asarray(problem.convex_constraint(c + h * direction), dtype=float)
-        slope = (float(problem.cost(g, probe)) - f0) / h
-        worst = min(worst, slope)
-    return float(worst)
+        slopes.append((float(problem.cost(g, probe)) - f0) / h)
+    worst = _worst(slopes, min, np.inf)
+    if math.isnan(worst):
+        raise NonFiniteCostError(f"cost is not finite at the stationarity probe (f at the iterate is {f0})")
+    return worst
 
 
 def audit_tightness(problem: BlockProblem, block: str, anchors: list) -> AuditResult:
     """Check g(anchor | anchor) == f(anchor) for each anchor pair."""
     oracle = _oracle_for(problem, block)
-    worst = 0.0
+    devs = []
     for g, c in anchors:
         f0 = float(problem.cost(g, c))
         candidate = g if block == GRASSMANN_BLOCK else c
-        dev = abs(float(oracle.evaluate(candidate, g, c)) - f0)
-        worst = max(worst, dev)
+        devs.append(abs(float(oracle.evaluate(candidate, g, c)) - f0))
+    worst = _worst(devs, max, 0.0)
     return AuditResult(
         audit="tightness",
         block=block,
@@ -469,15 +493,9 @@ def audit_majorization(
     n, d, c_len = problem.dims
     rng = np.random.default_rng(seed)
     margins = []
-    skipped = 0
     for g, c in anchors:
         if block == GRASSMANN_BLOCK:
             for candidate in random_point(rng, n, d, count=samples):
-                if problem.grassmann_membership is not None and not problem.grassmann_membership(
-                    candidate
-                ):
-                    skipped += 1
-                    continue
                 margins.append(float(oracle.evaluate(candidate, g, c)) - float(problem.cost(candidate, c)))
         else:
             scale = 1.0 + np.linalg.norm(c) / np.sqrt(c_len)
@@ -486,15 +504,14 @@ def audit_majorization(
                 candidate = np.asarray(problem.convex_constraint(raw), dtype=float)
                 margins.append(float(oracle.evaluate(candidate, g, c)) - float(problem.cost(g, candidate)))
     checked = len(margins)
-    worst = min([np.inf, *margins]) if margins else 0.0
+    worst = _worst(margins, min, np.inf) if margins else 0.0
     return AuditResult(
         audit="majorization",
         block=block,
         passed=checked > 0 and worst >= -MAJORIZATION_TOL,
-        worst=float(worst),
+        worst=worst,
         threshold=MAJORIZATION_TOL,
         checked=checked,
-        skipped=skipped,
     )
 
 
@@ -509,44 +526,50 @@ def audit_derivative_match(
 
     Slopes are central finite differences at the steps in DERIVATIVE_FD_STEPS,
     along geodesics for the Grassmann block and straight lines for the convex
-    block. Each Grassmann direction takes one geodesic, factored once and
-    evaluated at every +/-h in one stacked call. Directions flagged non-smooth
-    by the oracle's smooth_along guard are skipped and counted.
+    block. The Grassmann directions are drawn as stacks, and each stack takes
+    one stacked geodesic, evaluated at every +/-h at once. Directions flagged
+    non-smooth by the oracle's smooth_along guard are skipped and counted.
     """
     oracle = _oracle_for(problem, block)
     g, c = anchor
     c = np.asarray(c, dtype=float)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    mismatches = []
     checked = 0
     skipped = 0
+    guard = oracle.smooth_along
     h_guard = max(DERIVATIVE_FD_STEPS)
-    fd_ts = np.array([t for h in DERIVATIVE_FD_STEPS for t in (h, -h)])
-    for _ in range(directions):
-        if block == GRASSMANN_BLOCK:
-            tv = random_unit_tangent(rng, g)
-            direction = tv.delta
-        else:
+    if block == GRASSMANN_BLOCK:
+        fd_ts = np.array([t for h in DERIVATIVE_FD_STEPS for t in (h, -h)])
+        for _, size in _chunks(directions, g, fd_ts.size):
+            tangents = [
+                tv
+                for tv in random_unit_tangent(rng, g, count=size)
+                if guard is None or guard(g, c, tv.delta, h_guard)
+            ]
+            skipped += size - len(tangents)
+            for fd_points in geodesic(g, tangents)(fd_ts):
+                for k, h in enumerate(DERIVATIVE_FD_STEPS):
+                    p_plus, p_minus = fd_points[2 * k], fd_points[2 * k + 1]
+                    sg = (float(oracle.evaluate(p_plus, g, c)) - float(oracle.evaluate(p_minus, g, c))) / (2 * h)
+                    sf = (float(problem.cost(p_plus, c)) - float(problem.cost(p_minus, c))) / (2 * h)
+                    mismatches.append(abs(sg - sf) / max(1.0, abs(sf)))
+                checked += 1
+    else:
+        for _ in range(directions):
             direction = rng.standard_normal(c.size)
             direction /= np.linalg.norm(direction)
-        if oracle.smooth_along is not None and not oracle.smooth_along(g, c, direction, h_guard):
-            skipped += 1
-            continue
-        if block == GRASSMANN_BLOCK:
-            fd_points = geodesic(g, tv)(fd_ts)
-        for k, h in enumerate(DERIVATIVE_FD_STEPS):
-            if block == GRASSMANN_BLOCK:
-                p_plus, p_minus = fd_points[2 * k], fd_points[2 * k + 1]
-                sg = (float(oracle.evaluate(p_plus, g, c)) - float(oracle.evaluate(p_minus, g, c))) / (2 * h)
-                sf = (float(problem.cost(p_plus, c)) - float(problem.cost(p_minus, c))) / (2 * h)
-            else:
+            if guard is not None and not guard(g, c, direction, h_guard):
+                skipped += 1
+                continue
+            for h in DERIVATIVE_FD_STEPS:
                 c_plus = c + h * direction
                 c_minus = c - h * direction
                 sg = (float(oracle.evaluate(c_plus, g, c)) - float(oracle.evaluate(c_minus, g, c))) / (2 * h)
                 sf = (float(problem.cost(g, c_plus)) - float(problem.cost(g, c_minus))) / (2 * h)
-            mismatch = abs(sg - sf) / max(1.0, abs(sf))
-            worst = max(worst, mismatch)
-        checked += 1
+                mismatches.append(abs(sg - sf) / max(1.0, abs(sf)))
+            checked += 1
+    worst = _worst(mismatches, max, 0.0)
     return AuditResult(
         audit="derivative_match",
         block=block,
@@ -569,53 +592,42 @@ def audit_quasiconvexity(
     """Check the Grassmann surrogate has no interior bump along sampled geodesics.
 
     Endpoint pairs are drawn inside the geodesic ball of the given radius
-    around the anchor point (each endpoint via the exponential map along a
-    random direction), filtered through the problem's membership predicate.
-    A pair is skipped and counted when an endpoint cannot be drawn inside the
-    feasible set, or when log_map raises GeodesicNotUnique because the two
-    subspaces meet near pi/2. For each other pair the surrogate is evaluated
-    on a uniform t-grid along geodesic(x, log_map(x, y)), whose points are
-    built and checked in one stacked call, and must not exceed max(endpoint
-    values) by more than QUASICONVEXITY_TOL.
+    around the anchor point, each endpoint via the exponential map along a
+    random direction. A pair is skipped and counted when log_map finds no
+    unique geodesic because the two subspaces meet near pi/2. For each other
+    pair the surrogate is evaluated on a uniform t-grid along
+    geodesic(x, log_map(x, y)) and must not exceed max(endpoint values) by
+    more than QUASICONVEXITY_TOL. The endpoints, the logs and the t-grids of
+    a batch of pairs are each built as one stack (see the module docstring).
     """
     oracle = problem.grassmann_surrogate
     g_anchor, c_anchor = anchor
     c_anchor = np.asarray(c_anchor, dtype=float)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    excess = []
     checked = 0
     skipped = 0
-
-    def draw_endpoint() -> Optional[GrassmannPoint]:
-        for _ in range(20):
-            tv = random_unit_tangent(rng, g_anchor)
-            r = rng.uniform(0.0, radius)
-            candidate = exp_map(g_anchor, tv, r)
-            if problem.grassmann_membership is None or problem.grassmann_membership(candidate):
-                return candidate
-        return None
-
     ts = np.linspace(0.0, 1.0, t_samples)
-    for _ in range(pairs):
-        x = draw_endpoint()
-        y = draw_endpoint()
-        if x is None or y is None:
-            skipped += 1
-            continue
-        try:
-            path = geodesic(x, log_map(x, y))
-        except GeodesicNotUnique:
-            skipped += 1
-            continue
-        end_vals = (
-            float(oracle.evaluate(x, g_anchor, c_anchor)),
-            float(oracle.evaluate(y, g_anchor, c_anchor)),
-        )
-        cap = max(end_vals)
-        for point in path(ts):
-            val = float(oracle.evaluate(point, g_anchor, c_anchor))
-            worst = max(worst, val - cap)
-        checked += 1
+    for _, size in _chunks(pairs, g_anchor, t_samples):
+        # Each endpoint draws its direction, then its radius, from the one generator.
+        tangents, radii = [], []
+        for _ in range(2 * size):
+            tangents.append(random_unit_tangent(rng, g_anchor))
+            radii.append(rng.uniform(0.0, radius))
+        ends = geodesic(g_anchor, tangents)(np.array(radii)[:, None])
+        xs, ys = [row[0] for row in ends[0::2]], [row[0] for row in ends[1::2]]
+        joined = [(x, y, h) for x, y, h in zip(xs, ys, log_map(xs, ys)) if h is not None]
+        skipped += size - len(joined)
+        paths = geodesic([x for x, _, _ in joined], [h for _, _, h in joined])(ts)
+        for (x, y, _), path in zip(joined, paths):
+            cap = max(
+                float(oracle.evaluate(x, g_anchor, c_anchor)),
+                float(oracle.evaluate(y, g_anchor, c_anchor)),
+            )
+            for point in path:
+                excess.append(float(oracle.evaluate(point, g_anchor, c_anchor)) - cap)
+            checked += 1
+    worst = _worst(excess, max, 0.0)
     return AuditResult(
         audit="quasiconvexity",
         block=GRASSMANN_BLOCK,
@@ -639,13 +651,13 @@ def audit_homogeneity(
     The rotations of one anchor are drawn, applied and checked as one batch.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    checked = 0
+    devs = []
     for g, c in anchors:
         f0 = float(problem.cost(g, c))
         for rotated in _points(g.basis @ random_orthonormal(rng, g.d, g.d, count=rotations)):
-            worst = max(worst, abs(float(problem.cost(rotated, c)) - f0))
-            checked += 1
+            devs.append(abs(float(problem.cost(rotated, c)) - f0))
+    worst = _worst(devs, max, 0.0)
+    checked = len(devs)
     return AuditResult(
         audit="homogeneity",
         block=None,
@@ -669,27 +681,39 @@ def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:
     n, m = a.shape
     if not 1 <= d < min(n, m):
         raise ValueError(f"need 1 <= D < min(N, M), got D={d} for a {n}x{m} matrix")
+    newest: list = []  # [c, A - c 1^T] for the newest read-only c
+
+    def centred(c: np.ndarray) -> np.ndarray:
+        # The audits pass one anchor's c thousands of times. A read-only c is
+        # the engine's own iterate (see the BlockProblem contract), so its
+        # centred data is computed once and matched by identity.
+        if newest and newest[0] is c:
+            return newest[1]
+        b = a - np.asarray(c, dtype=float)[:, None]
+        if isinstance(c, np.ndarray) and not c.flags.writeable:
+            b.setflags(write=False)
+            newest[:] = [c, b]
+        return b
 
     def cost(g: GrassmannPoint, c: np.ndarray) -> float:
-        b = a - np.asarray(c, dtype=float)[:, None]
+        b = centred(c)
         r = b - g.basis @ (g.basis.T @ b)
-        return float(np.sum(r * r))
+        return float((r * r).sum())
 
     def minimize_g(g: GrassmannPoint, c: np.ndarray) -> GrassmannPoint:
-        b = a - np.asarray(c, dtype=float)[:, None]
-        return GrassmannPoint(thin_svd(b).u[:, :d])
+        return GrassmannPoint(thin_svd(centred(c)).u[:, :d])
 
     def minimize_c(g: GrassmannPoint, c: np.ndarray) -> np.ndarray:
-        b = a - np.asarray(c, dtype=float)[:, None]
+        b = centred(c)
         residual = a - g.basis @ (g.basis.T @ b)
         return residual.mean(axis=1)
 
     def grad_g(g: GrassmannPoint, c: np.ndarray) -> np.ndarray:
-        b = a - np.asarray(c, dtype=float)[:, None]
+        b = centred(c)
         return -2.0 * (b @ (b.T @ g.basis))
 
     def grad_c(g: GrassmannPoint, c: np.ndarray) -> np.ndarray:
-        b = a - np.asarray(c, dtype=float)[:, None]
+        b = centred(c)
         r = b - g.basis @ (g.basis.T @ b)
         return -2.0 * r.sum(axis=1)
 

@@ -5,6 +5,11 @@ bases related by a right D x D rotation represent the same point. Tangent
 vectors at X are N x D matrices H with X.T @ H = 0. Distances and geodesics
 are expressed through the principal angles between subspaces, which this
 module stores in ascending order.
+
+The samplers, `geodesic` and `log_map` also take a batch: K draws, K tangents at one base or one per base,
+or K pairs. A batch is computed as one K x N x D stack, with one thin SVD
+per stack, and checked by one vectorized check; each member equals, bit for
+bit, the single call, which is the batch of one.
 """
 
 from __future__ import annotations
@@ -63,6 +68,36 @@ def _points(stack: np.ndarray) -> list[GrassmannPoint]:
     return [_trusted(GrassmannPoint, basis=b) for b in stack]
 
 
+def _check_tangents(x: np.ndarray, deltas: np.ndarray) -> None:
+    """Check that each matrix H of the K x N x D stack `deltas` is tangent at
+    its base, X^T H = 0 to TANGENCY_TOL; x is one N x D basis or K of them.
+
+    This is the one tangency check in the package; TangentVector runs it on a
+    stack of one. A failing stack raises the message of its first failing member.
+    """
+    dev = np.abs(np.swapaxes(x, -1, -2) @ deltas)
+    if not dev.max(initial=0.0) <= TANGENCY_TOL:
+        per_member = dev.max(axis=(1, 2))
+        err = per_member[np.argmin(per_member <= TANGENCY_TOL)]
+        raise ValueError(f"matrix is not tangent at base (max X^T H entry {err:.3e})")
+
+
+def _tangents(base, x: np.ndarray, deltas: np.ndarray) -> list[TangentVector]:
+    """The tangent vectors of a K x N x D stack, checked as one batch.
+
+    x is one N x D basis, the point `base`, or a stack of K bases, the points
+    of the list `base`, one per member.
+    """
+    _check_tangents(x, deltas)
+    bases = [base] * len(deltas) if isinstance(base, GrassmannPoint) else base
+    return [_trusted(TangentVector, base=b, delta=m) for b, m in zip(bases, deltas)]
+
+
+def _project(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The tangent part m - X X^T m of each matrix m of a stack, at basis x."""
+    return m - x @ (np.swapaxes(x, -1, -2) @ m)
+
+
 @dataclass(frozen=True)
 class GrassmannPoint:
     """A D-dimensional subspace of R^N held as an orthonormal basis matrix."""
@@ -99,9 +134,7 @@ class TangentVector:
             raise ValueError(
                 f"tangent shape {m.shape} does not match base shape {self.base.basis.shape}"
             )
-        err = np.max(np.abs(self.base.basis.T @ m))
-        if err > TANGENCY_TOL:
-            raise ValueError(f"matrix is not tangent at base (max X^T H entry {err:.3e})")
+        _check_tangents(self.base.basis, m[None])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.delta))
@@ -148,14 +181,26 @@ def random_point(
     return points[0] if count is None else points
 
 
-def random_unit_tangent(rng: np.random.Generator, x: GrassmannPoint) -> TangentVector:
-    """Random tangent vector at x with unit Frobenius norm."""
-    h = tangent_project(x, rng.standard_normal(x.basis.shape)).delta
-    nrm = np.linalg.norm(h)
-    while nrm < 1e-12:  # essentially impossible, but keep the draw well-defined
-        h = tangent_project(x, rng.standard_normal(x.basis.shape)).delta
-        nrm = np.linalg.norm(h)
-    return TangentVector(base=x, delta=h / nrm)
+def random_unit_tangent(rng: np.random.Generator, x: GrassmannPoint, count: Optional[int] = None):
+    """Random tangent vector at x with unit Frobenius norm.
+
+    A draw whose tangent part has norm below 1e-12 is discarded and drawn
+    again. With `count`, a list of `count` vectors drawn, projected and
+    normalized as stacks; it equals, bit for bit, `count` single draws from
+    the same generator, redraws included, and advances it as they would.
+    """
+    k = 1 if count is None else count
+    kept = [np.empty((0, *x.basis.shape))]
+    while k > 0:
+        h = _project(x.basis, rng.standard_normal((k, *x.basis.shape)))
+        flat = h.reshape(k, 1, -1)
+        # Each (1 x ND) @ (ND x 1) product is the dot product np.linalg.norm takes.
+        nrm = np.sqrt(flat @ np.swapaxes(flat, 1, 2))
+        good = ~(nrm[:, 0, 0] < 1e-12)
+        kept.append(h[good] / nrm[good])
+        k -= int(np.count_nonzero(good))
+    tangents = _tangents(x, x.basis, np.concatenate(kept))
+    return tangents[0] if count is None else tangents
 
 
 def tangent_project(x: GrassmannPoint, a) -> TangentVector:
@@ -168,8 +213,7 @@ def tangent_project(x: GrassmannPoint, a) -> TangentVector:
     m = as_matrix(a)
     if m.shape != x.basis.shape:
         raise ValueError(f"expected shape {x.basis.shape}, got {m.shape}")
-    delta = m - x.basis @ (x.basis.T @ m)
-    return _trusted(TangentVector, base=x, delta=delta)
+    return _trusted(TangentVector, base=x, delta=_project(x.basis, m))
 
 
 def riemannian_gradient(x: GrassmannPoint, euclidean_grad) -> TangentVector:
@@ -213,30 +257,49 @@ def canonical_distance(x: GrassmannPoint, y: GrassmannPoint) -> float:
     return principal_angles(x, y).norm()
 
 
-def log_map(x: GrassmannPoint, y: GrassmannPoint) -> TangentVector:
+def log_map(x, y):
     """Tangent vector H at x with exp_map(x, H, 1) equal to y.
 
     Requires the smallest singular value of x.T @ y to exceed
     UNIQUE_GEODESIC_CUTOFF; otherwise the geodesic is not unique and
-    GeodesicNotUnique is raised.
+    GeodesicNotUnique is raised. x and y may also be lists of K points, whose
+    K logs are computed as stacks; the result is then a list with the tangent
+    vector at x[k] for each unique pair and None for each pair that is not.
     """
-    _check_same_space(x, y)
-    w = x.basis.T @ y.basis
+    single = isinstance(x, GrassmannPoint)
+    xs, ys = ([x], [y]) if single else (list(x), list(y))
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} base points for {len(ys)} targets")
+    for a, b in zip(xs, ys):
+        _check_same_space(a, b)
+    logs: list[Optional[TangentVector]] = [None] * len(xs)
+    if not xs:
+        return logs
+    xb = np.array([p.basis for p in xs])
+    yb = np.array([p.basis for p in ys])
+    w = np.swapaxes(xb, 1, 2) @ yb
     u, s, vt = np.linalg.svd(w)
-    if s[-1] <= UNIQUE_GEODESIC_CUTOFF:
+    unique = s[:, -1] > UNIQUE_GEODESIC_CUTOFF
+    if single and not unique[0]:
         raise GeodesicNotUnique(
-            f"subspaces meet near pi/2 (smallest cross-Gram singular value {s[-1]:.3e})"
+            f"subspaces meet near pi/2 (smallest cross-Gram singular value {s[0, -1]:.3e})"
         )
-    resid = y.basis - x.basis @ w
-    l = (resid @ vt.T / s) @ u.T  # resid @ inv(w), from the same SVD
-    f = thin_svd(l)
-    h = (f.u * np.arctan(f.s)) @ f.v.T
-    # Kill the numerical drift out of the tangent space left by the inverse.
-    h = h - x.basis @ (x.basis.T @ h)
-    return TangentVector(base=x, delta=h)
+    keep = np.flatnonzero(unique)
+    if keep.size:
+        xk, wk = xb[keep], w[keep]
+        resid = yb[keep] - xk @ wk
+        # resid @ inv(w), from the same SVD
+        l = (resid @ np.swapaxes(vt[keep], 1, 2) / s[keep, None, :]) @ np.swapaxes(u[keep], 1, 2)
+        f = thin_svd(l)
+        h = (f.u * np.arctan(f.s)[:, None, :]) @ np.swapaxes(f.v, 1, 2)
+        # Kill the numerical drift out of the tangent space left by the inverse.
+        h = _project(xk, h)
+        for i, tv in zip(keep, _tangents([xs[i] for i in keep], xk, h)):
+            logs[i] = tv
+    return logs[0] if single else logs
 
 
-def geodesic(x: GrassmannPoint, h: TangentVector) -> Callable:
+def geodesic(x, h) -> Callable:
     """The geodesic t -> exp_map(x, h, t) from x with velocity h.
 
     h is checked and factored once, so evaluating the returned function at
@@ -244,23 +307,46 @@ def geodesic(x: GrassmannPoint, h: TangentVector) -> Callable:
     point, or a 1-d array of t and returns the list of its points, built as
     one stack and checked as one batch. Each point equals, bit for bit, the
     point at that t alone.
+
+    h may also be a list of K tangent vectors, all at the point x or each at
+    its own point of the list x; their K geodesics are factored with one
+    stacked SVD. The function then returns one entry per geodesic: a point for
+    a scalar t, or a list of points for a 1-d array of t or for a K x T array,
+    whose row k holds the times of geodesic k.
     """
-    if not np.array_equal(h.base.basis, x.basis):
-        raise ValueError("tangent vector is not based at the given point")
-    f = thin_svd(h.delta)
-    if f.s.size and f.s[0] > np.pi / 2 + 1e-9:
+    single = isinstance(h, TangentVector)
+    hs = [h] if single else list(h)
+    xs = [x] * len(hs) if isinstance(x, GrassmannPoint) else list(x)
+    if len(xs) != len(hs):
+        raise ValueError(f"{len(xs)} base points for {len(hs)} tangent vectors")
+    for p, tv in zip(xs, hs):
+        if tv.base is not p and not np.array_equal(tv.base.basis, p.basis):
+            raise ValueError("tangent vector is not based at the given point")
+    if not hs:
+        return lambda t: []
+    f = thin_svd(np.array([tv.delta for tv in hs]))
+    over = f.s[:, 0] > np.pi / 2 + 1e-9
+    if np.any(over):
         raise ValueError(
-            f"tangent singular values must not exceed pi/2, largest is {f.s[0]:.6f}"
+            f"tangent singular values must not exceed pi/2, largest is {f.s[np.argmax(over), 0]:.6f}"
         )
-    xv = x.basis @ f.v
+    bases = x.basis if isinstance(x, GrassmannPoint) else np.array([p.basis for p in xs])
+    xv = (bases @ f.v)[:, None]
+    u = f.u[:, None]
+    vt = np.swapaxes(f.v, 1, 2)[:, None]
 
     def at(t):
         ts = np.asarray(t, dtype=float)
-        st = ts.reshape(-1, 1) * f.s
-        c = np.cos(st)[:, None, :]
-        s = np.sin(st)[:, None, :]
-        points = _points(xv * c @ f.v.T + (f.u * s) @ f.v.T)
-        return points[0] if ts.ndim == 0 else points
+        grid = ts if ts.ndim == 2 else ts.reshape(1, -1)
+        st = grid[:, :, None] * f.s[:, None, :]
+        c = np.cos(st)[:, :, None, :]
+        s = np.sin(st)[:, :, None, :]
+        stack = xv * c @ vt + (u * s) @ vt
+        points = _points(stack.reshape(-1, *stack.shape[2:]))
+        rows = [points[i : i + stack.shape[1]] for i in range(0, len(points), stack.shape[1])]
+        if ts.ndim == 0:
+            rows = [row[0] for row in rows]
+        return rows[0] if single else rows
 
     return at
 

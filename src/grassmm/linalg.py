@@ -2,8 +2,9 @@
 
 Everything here works on plain 2-d float numpy arrays at desk scale; factorizations
 are delegated to LAPACK and then post-processed so repeated calls on the same input
-produce bit-identical factors. QR and the sampler also take a K x N x D stack,
-whose members come out bit-identical to one-at-a-time calls.
+produce bit-identical factors. The thin SVD, QR and the sampler also take a
+K x N x D stack, factored in one LAPACK call, whose members come out
+bit-identical to one-at-a-time calls; a single matrix is the stack of one.
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _as_matrices(a) -> np.ndarray:
+    """`a` validated as one matrix (see as_matrix) or a K x N x D stack of them."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 3:
+        return as_matrix(m)
+    if m.shape[1] < 1 or m.shape[2] < 1 or not np.all(np.isfinite(m)):
+        raise ValueError(f"expected a stack of finite non-empty matrices, got shape {m.shape}")
+    return m
+
+
 @dataclass(frozen=True)
 class ThinSVD:
     """Factors of A = U @ diag(s) @ V.T with orthonormal U, V columns, s descending."""
@@ -54,22 +65,23 @@ def thin_svd(a) -> ThinSVD:
 
     In each column of U the entry of largest magnitude (first index on ties) is
     made non-negative and the corresponding column of V is flipped to match, so
-    the factorization of a given matrix is unique and reproducible.
+    the factorization of a given matrix is unique and reproducible. `a` is one
+    N x D matrix or a K x N x D stack of them, whose factors are stacked the
+    same way and equal, bit for bit, the factors of each matrix alone.
     """
-    m = as_matrix(a)
+    m = _as_matrices(a)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
-            f"SVD failed to converge for a {m.shape[0]}x{m.shape[1]} matrix"
+            f"SVD failed to converge for a {m.shape[-2]}x{m.shape[-1]} matrix"
         ) from exc
     u = np.ascontiguousarray(u)
-    v = np.ascontiguousarray(vt.T)
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
+    v = np.ascontiguousarray(np.swapaxes(vt, -1, -2))
+    top = np.take_along_axis(u, np.argmax(np.abs(u), axis=-2)[..., None, :], axis=-2)
+    signs = np.where(top < 0.0, -1.0, 1.0)  # a product with -1.0 is an exact negation
+    u *= signs
+    v *= signs
     return ThinSVD(u=u, s=s, v=v)
 
 
@@ -83,11 +95,7 @@ def qr_orthonormalize(a) -> QRFactors:
     check reads the singular values of the D x D factor R, which equal the
     input's.
     """
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 3:
-        m = as_matrix(m)
-    elif m.shape[1] < 1 or m.shape[2] < 1 or not np.all(np.isfinite(m)):
-        raise ValueError(f"expected a stack of finite non-empty matrices, got shape {m.shape}")
+    m = _as_matrices(a)
     n, d = m.shape[-2:]
     if d > n:
         raise ValueError(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grassmm import SolverConfig, cli, deconv
+from grassmm import AuditResult, SolverConfig, cli, deconv
 from grassmm.cli import ConfigError, load_config, main
 
 NAN, INF = float("nan"), float("inf")
@@ -423,6 +423,36 @@ def test_audit_deconv_summary_is_pinned(tmp_path):
             assert entry["worst"] <= threshold
         else:
             assert entry["worst"] == pytest.approx(worst, abs=1e-9)
+
+
+def test_audit_subspace_summary_is_pinned(tmp_path):
+    # (passed, worst, threshold, checked, skipped) of each audit for this
+    # config, exactly: the batched audit geometry must not move a bit of it
+    expected = {
+        "tightness": (True, 0.0, 1e-9, 12, 0),
+        "majorization": (True, 0.0, 1e-9, 600, 0),
+        "derivative_match": (True, 0.0, 1e-4, 300, 0),
+        "quasiconvexity": (True, 2.842170943040401e-14, 1e-8, 150, 0),
+        "homogeneity": (True, 2.842170943040401e-14, 1e-9, 300, 0),
+    }
+    config = write_config(tmp_path, subspace_payload(seeds=[0, 1, 2], problem={"N": 8, "D": 2}))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "audit", str(config)]) == 0
+    audit = json.loads((out / "audit.json").read_text())
+    assert audit["overall_pass"] is True
+    assert {
+        name: (e["passed"], e["worst"], e["threshold"], e["checked"], e["skipped"])
+        for name, e in audit["audits"].items()
+    } == expected
+
+
+def test_audit_summary_keeps_a_non_finite_worst():
+    finite = AuditResult("majorization", "grassmann", True, -1e-12, 1e-9, 5)
+    broken = dataclasses.replace(finite, passed=False, worst=math.nan)
+    for first, second in ((finite, broken), (broken, finite)):
+        entry = cli._merge(cli._merge({}, "majorization", first), "majorization", second)
+        assert entry["passed"] is False and math.isnan(entry["worst"])
+        assert entry["checked"] == 10
 
 
 def test_audit_flags_broken_curvature(tmp_path):

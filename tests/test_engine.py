@@ -438,6 +438,69 @@ def test_audit_homogeneity_controls(exact_problem, exact_anchors):
     assert not bad.passed
 
 
+# --- non-finite values fail ------------------------------------------------------
+
+
+def with_evaluate(problem, value):
+    """problem whose surrogates both evaluate to `value` everywhere."""
+    return replace(
+        problem,
+        grassmann_surrogate=replace(problem.grassmann_surrogate, evaluate=lambda cand, g, c: value),
+        convex_surrogate=replace(problem.convex_surrogate, evaluate=lambda cand, g, c: value),
+    )
+
+
+NON_FINITE = [np.nan, np.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_audit_tightness_fails_on_non_finite(exact_problem, exact_anchors, value):
+    for block in ("grassmann", "convex"):
+        res = audit_tightness(with_evaluate(exact_problem, value), block, exact_anchors[:3])
+        assert not res.passed and np.isnan(res.worst)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_audit_majorization_fails_on_non_finite(exact_problem, exact_anchors, value):
+    for block in ("grassmann", "convex"):
+        res = audit_majorization(with_evaluate(exact_problem, value), block, exact_anchors[:2], 10, seed=0)
+        assert not res.passed and np.isnan(res.worst)
+        assert res.checked == 20
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_audit_derivative_match_fails_on_non_finite(exact_problem, exact_anchors, value):
+    for block in ("grassmann", "convex"):
+        res = audit_derivative_match(with_evaluate(exact_problem, value), block, exact_anchors[0], 10, seed=1)
+        assert not res.passed and np.isnan(res.worst)
+        assert res.checked == 10
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_audit_quasiconvexity_fails_on_non_finite(exact_problem, exact_anchors, value):
+    res = audit_quasiconvexity(with_evaluate(exact_problem, value), exact_anchors[0], 10, 5, seed=2)
+    assert not res.passed and np.isnan(res.worst)
+    assert res.checked == 10
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_audit_homogeneity_fails_on_non_finite(exact_problem, exact_anchors, value):
+    broken = replace(exact_problem, cost=lambda g, c: value)
+    res = audit_homogeneity(broken, exact_anchors[:2], 10, seed=3)
+    assert not res.passed and np.isnan(res.worst)
+    assert res.checked == 20
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_stationarity_probe_raises_on_non_finite(exact_problem, exact_anchors, value):
+    g0, c0 = exact_anchors[0]
+    # finite at the iterate itself, non-finite at every point the probe moves G to
+    broken = replace(exact_problem, cost=lambda g, c: exact_problem.cost(g, c) if g is g0 else value)
+    assert np.isfinite(stationarity_check(exact_problem, g0, c0, 10, seed=4))
+    with pytest.raises(NonFiniteCostError, match="stationarity probe"):
+        stationarity_check(broken, g0, c0, 10, seed=4)
+
+
 # --- per-point references for the batched audits ----------------------------------
 #
 # The audits build their sampled points in batches. These references build
@@ -564,6 +627,60 @@ def test_batched_audits_match_pointwise_references(kind, exact_problem, exact_an
                 problem, anchor, 8, 5, seed, radius=np.pi / 2
             )
         assert audit_homogeneity(problem, anchors, 12, seed) == reference_homogeneity(problem, anchors, 12, seed)
+
+
+def reference_stationarity(problem, g, c, directions, seed):
+    c = np.asarray(c, dtype=float)
+    rng = np.random.default_rng(seed)
+    h = engine.STATIONARITY_FD_STEP
+    f0 = float(problem.cost(g, c))
+    worst = np.inf
+    for _ in range(directions):
+        worst = min(worst, (float(problem.cost(exp_map(g, random_unit_tangent(rng, g), h), c)) - f0) / h)
+    for _ in range(directions):
+        direction = rng.standard_normal(c.size)
+        direction /= np.linalg.norm(direction)
+        probe = np.asarray(problem.convex_constraint(c + h * direction), dtype=float)
+        worst = min(worst, (float(problem.cost(g, probe)) - f0) / h)
+    return float(worst)
+
+
+def reference_fd_grad_norm(problem, g, c):
+    comp = engine._complement_basis(g)
+    h = engine._ZERO_GRAD_FALLBACK_FD
+    total = 0.0
+    for i in range(comp.shape[1]):
+        for j in range(g.d):
+            delta = np.zeros_like(g.basis)
+            delta[:, j] = comp[:, i]
+            tv = riemannian_gradient(g, delta)
+            plus, minus = problem.cost(exp_map(g, tv, h), c), problem.cost(exp_map(g, tv, -h), c)
+            total += ((plus - minus) / (2.0 * h)) ** 2
+    return float(np.sqrt(total))
+
+
+@pytest.mark.parametrize("chunk_bytes", [engine._CHUNK_BYTES, 384, 1536])
+@pytest.mark.parametrize("kind", ["subspace-mean", "deconv"])
+def test_chunked_batches_match_pointwise_references(kind, chunk_bytes, monkeypatch, exact_problem, exact_anchors):
+    # An 8 x 2 point takes 128 bytes and a 32 x 1 point 256. At 384 and 1536
+    # bytes every batch below is split, into one sample per chunk or into
+    # several samples per chunk with a short last one.
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk_bytes)
+    if kind == "subspace-mean":
+        problem, anchors = exact_problem, exact_anchors[:2]
+    else:
+        problem, anchors = deconv_problem_and_anchors()
+    for seed, anchor in enumerate(anchors):
+        g, c = anchor
+        assert stationarity_check(problem, g, c, 10, seed) == reference_stationarity(problem, g, c, 10, seed)
+        for block in ("grassmann", "convex"):
+            assert audit_derivative_match(problem, block, anchor, 10, seed) == reference_derivative_match(
+                problem, block, anchor, 10, seed
+            )
+        assert audit_quasiconvexity(problem, anchor, 7, 5, seed) == reference_quasiconvexity(problem, anchor, 7, 5, seed)
+    g, c = anchors[0]
+    fd_only = replace(problem, grassmann_grad=None)
+    assert engine._fd_grad_norm_grassmann(fd_only, g, c) == reference_fd_grad_norm(fd_only, g, c)
 
 
 def test_fd_gradient_norm_matches_analytic():

@@ -20,7 +20,7 @@ from grassmm import (
     riemannian_gradient,
     thin_svd,
 )
-from grassmm.grassmann import POINT_ORTHONORMALITY_TOL, _check_bases, random_unit_tangent
+from grassmm.grassmann import POINT_ORTHONORMALITY_TOL, _check_bases, _check_tangents, random_unit_tangent
 
 
 def planar_line(angle):
@@ -352,6 +352,96 @@ def test_stacked_geodesic_equals_pointwise(shape, seed, ts):
         assert_array_equal(point.basis, ref)
         assert_array_equal(point.basis, exp_map(x, h, t).basis)
         assert_orthonormal(point.basis)
+
+
+@st.composite
+def stacked_cases(draw):
+    n = draw(st.integers(2, 64))
+    count = draw(st.integers(1, 60))
+    return n, draw(st.integers(1, n - 1)), count, draw(st.integers(0, count))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=stacked_cases(), seed=st.integers(0, 2**32 - 1), degenerate=st.booleans())
+def test_stacked_primitives_equal_single_calls(case, seed, degenerate):
+    n, d, count, split = case
+    x = random_point(seed, n, d)
+    # Seeded like the anchor, the first Gaussian draw is the matrix whose QR
+    # factor x is: its tangent part is rounding noise and must be redrawn.
+    rng_seed = seed if degenerate else seed + 1
+    if degenerate:
+        first = np.random.default_rng(seed).standard_normal((n, d))
+        assert np.linalg.norm(first - x.basis @ (x.basis.T @ first)) < 1e-12
+    rng, ref = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+    # two batches from one generator, as a batch split at a chunk boundary is drawn
+    tangents = random_unit_tangent(rng, x, count=split) + random_unit_tangent(rng, x, count=count - split)
+    singles = [random_unit_tangent(ref, x) for _ in range(count)]
+    assert rng.bit_generator.state == ref.bit_generator.state
+    for tv, single in zip(tangents, singles):
+        assert tv.base is x
+        assert_array_equal(tv.delta, single.delta)
+
+    # thin SVD of the stack, member by member
+    stack = np.array([tv.delta for tv in tangents])
+    f = thin_svd(stack)
+    for k, m in enumerate(stack):
+        single = thin_svd(m)
+        for got, want in ((f.u[k], single.u), (f.s[k], single.s), (f.v[k], single.v)):
+            assert_array_equal(got, want)
+
+    # geodesics at one base: a shared t-grid, and one time per geodesic
+    hs = [TangentVector(x, r * tv.delta) for r, tv in zip(rng.uniform(0.0, np.pi / 2, count), tangents)]
+    ts = rng.uniform(-1.0, 1.0, 3)
+    radii = rng.uniform(0.0, 1.0, count)
+    ends = geodesic(x, hs)(radii[:, None])
+    for h, path, r, (end,) in zip(hs, geodesic(x, hs)(ts), radii, ends):
+        for t, point in zip(ts, path):
+            assert_array_equal(point.basis, exp_map(x, h, t).basis)
+        assert_array_equal(end.basis, exp_map(x, h, r).basis)
+    for point, (same,) in zip(geodesic(x, hs)(ts[0]), geodesic(x, hs)(ts[:1])):
+        assert_array_equal(point.basis, same.basis)  # a scalar t gives one point per geodesic
+
+    # logs of K pairs, with a pair meeting at pi/2 when the dimensions allow one
+    xs = [end for (end,) in ends]
+    ys = random_point(rng, n, d, count=count)
+    if 2 * d <= n:
+        ys[-1] = GrassmannPoint(np.linalg.qr(xs[-1].basis, mode="complete")[0][:, d : 2 * d])
+    logs = log_map(xs, ys)
+    for xk, yk, log in zip(xs, ys, logs):
+        try:
+            single = log_map(xk, yk)
+        except GeodesicNotUnique:
+            assert log is None
+            continue
+        assert log.base is xk
+        assert_array_equal(log.delta, single.delta)
+    if 2 * d <= n:
+        assert logs[-1] is None
+
+    # geodesics with one tangent per base
+    joined = [(xk, log) for xk, log in zip(xs, logs) if log is not None]
+    paths = geodesic([xk for xk, _ in joined], [log for _, log in joined])(ts)
+    for (xk, log), path in zip(joined, paths):
+        for t, point in zip(ts, path):
+            assert_array_equal(point.basis, exp_map(xk, log, t).basis)
+
+
+def test_empty_batches():
+    x = random_point(0, 5, 2)
+    assert random_unit_tangent(np.random.default_rng(0), x, count=0) == []
+    assert geodesic(x, [])(np.array([0.0, 1.0])) == []
+    assert log_map([], []) == []
+
+
+def test_stacked_tangents_are_checked():
+    x = random_point(0, 5, 2)
+    h = random_unit_tangent(np.random.default_rng(1), x)
+    with pytest.raises(ValueError, match="not based at the given point"):
+        geodesic(x, [h, TangentVector(random_point(2, 5, 2), np.zeros((5, 2)))])
+    with pytest.raises(ValueError, match="must not exceed pi/2"):
+        geodesic(x, [h, TangentVector(x, 2.0 * h.delta / np.linalg.norm(h.delta, 2))])
+    with pytest.raises(ValueError, match="not tangent at base"):
+        _check_tangents(x.basis, np.stack([h.delta, x.basis]))
 
 
 def message_of(fn, *args):
