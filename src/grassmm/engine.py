@@ -15,8 +15,11 @@ value that is NaN or infinite fails its audit.
 
 The audits and the stationarity probe sample in batches: the tangents of one
 batch are drawn, factored and moved along their geodesics as stacks (see
-grassmm.grassmann), in slices of at most _CHUNK_BYTES of N x D members, and
-give the same results, bit for bit, as one sample at a time.
+grassmm.grassmann), in slices of at most _CHUNK_BYTES of N x D members (or of
+convex values), and give the same results, bit for bit, as one sample at a
+time. Each slice is then evaluated with one call into the problem: the
+optional BlockProblem.costs and SurrogateOracle.evaluate_many fields take the
+whole slice, and a problem without them is called once per sample instead.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ _ZERO_GRAD_FALLBACK_FD = 1e-6  # step for the finite-difference gradient fallbac
 # holds at a time, its stacks, their temporaries and one object per point:
 # unsplit, the 50 probe points of Gr(1024, 1) alone would take 400 KiB.
 _CHUNK_BYTES = 1 << 14
+# Largest K x N x M temporary the subspace-mean batch cost builds at once.
+_COST_BATCH_BYTES = 1 << 16
 
 
 class MonotonicityViolation(RuntimeError):
@@ -83,11 +88,18 @@ class SurrogateOracle:
     smooth_along, when given, reports whether the segment candidate +/- h*direction
     stays clear of non-smooth points; the derivative-match audit skips (and
     counts) directions where it returns False.
+    evaluate_many(candidates, anchor_g, anchor_c), when given, evaluates K
+    candidates in one call: a list of K points for the Grassmann block, a
+    K x c_len array for the convex block. It returns K floats, member k equal
+    bit for bit to evaluate(candidates[k], anchor_g, anchor_c); the audits use
+    it in place of evaluate. A dataclasses.replace that changes evaluate must
+    also replace or clear (set to None) evaluate_many.
     """
 
     evaluate: Callable
     minimize: Callable
     smooth_along: Optional[Callable] = None
+    evaluate_many: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -105,6 +117,14 @@ class BlockProblem:
     marked read-only (a copy of the initial values, then each value a
     minimize returns), so a problem may cache per-anchor work for read-only
     arguments, matched by identity.
+
+    costs, when given, evaluates the cost at K samples in one call: costs(gs,
+    c) with a list of K points and one c, or costs(g, cs) with one point and a
+    K x c_len array. It returns K floats, member k equal bit for bit to the
+    cost call at that sample. The audits, the stationarity probe and the
+    finite-difference gradients use it in place of cost. As with the gradient
+    callables, a dataclasses.replace that changes cost must also replace or
+    clear (set to None) costs.
     """
 
     cost: Callable[[GrassmannPoint, np.ndarray], float]
@@ -114,6 +134,7 @@ class BlockProblem:
     dims: tuple[int, int, int]
     grassmann_grad: Optional[Callable] = None
     convex_grad: Optional[Callable] = None
+    costs: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -215,12 +236,45 @@ def _complement_basis(g: GrassmannPoint) -> np.ndarray:
     return full[:, g.d:]
 
 
-def _chunks(count: int, g: GrassmannPoint, points: int = 1) -> list[tuple[int, int]]:
-    """(start, size) of the slices that split `count` samples at g, each of
-    which builds `points` points, into stacks of at most _CHUNK_BYTES of
-    points (and at least one sample)."""
-    step = max(1, _CHUNK_BYTES // (points * g.basis.nbytes))
+def _chunks(count: int, sample_bytes: int) -> list[tuple[int, int]]:
+    """(start, size) of the slices that split `count` samples, each of which
+    builds `sample_bytes` of points or convex values, into stacks of at most
+    _CHUNK_BYTES (and at least one sample)."""
+    step = max(1, _CHUNK_BYTES // max(1, sample_bytes))
     return [(lo, min(step, count - lo)) for lo in range(0, count, step)]
+
+
+def _floats(values, count: int, name: str) -> list[float]:
+    """The values of a batch of `count` samples as floats, one per sample."""
+    values = [float(v) for v in values]
+    if len(values) != count:
+        raise ValueError(f"{name} returned {len(values)} values for {count} samples")
+    return values
+
+
+def _costs(problem: BlockProblem, g, c) -> list[float]:
+    """The cost at K samples, in one problem.costs call when the problem has
+    one: g is a list of K points and c one convex value, or g is one point and
+    c a K x c_len array. Without costs, one cost call per sample."""
+    one_g = isinstance(g, GrassmannPoint)
+    if problem.costs is not None:
+        values = problem.costs(g, c)
+    elif one_g:
+        values = [problem.cost(g, ck) for ck in c]
+    else:
+        values = [problem.cost(gk, c) for gk in g]
+    return _floats(values, len(c) if one_g else len(g), "costs")
+
+
+def _evaluations(oracle: SurrogateOracle, candidates, g: GrassmannPoint, c) -> list[float]:
+    """The surrogate at K candidates (a list of points or a K x c_len array),
+    in one oracle.evaluate_many call when the oracle has one. Without it, one
+    evaluate call per candidate."""
+    if oracle.evaluate_many is not None:
+        values = oracle.evaluate_many(candidates, g, c)
+    else:
+        values = [oracle.evaluate(x, g, c) for x in candidates]
+    return _floats(values, len(candidates), "evaluate_many")
 
 
 def _worst(values: list[float], pick: Callable, start: float) -> float:
@@ -237,16 +291,16 @@ def _fd_grad_norm_grassmann(problem: BlockProblem, g: GrassmannPoint, c: np.ndar
     comp = _complement_basis(g)
     h = _ZERO_GRAD_FALLBACK_FD
     total = 0.0
-    for lo, size in _chunks(comp.shape[1] * g.d, g, 2):
+    for lo, size in _chunks(comp.shape[1] * g.d, 2 * g.basis.nbytes):
         # Direction lo + k puts column i of the complement into column j of G.
         i, j = np.divmod(np.arange(lo, lo + size), g.d)
         deltas = np.zeros((size, *g.basis.shape))
         deltas[np.arange(size), :, j] = comp[:, i].T
         # One stacked geodesic per slice, factored once for both steps.
         tangents = [riemannian_gradient(g, delta) for delta in deltas]
-        for p_plus, p_minus in geodesic(g, tangents)(np.array([h, -h])):
-            plus = problem.cost(p_plus, c)
-            minus = problem.cost(p_minus, c)
+        samples = [p for pair in geodesic(g, tangents)(np.array([h, -h])) for p in pair]
+        values = _costs(problem, samples, c)
+        for plus, minus in zip(values[0::2], values[1::2]):
             total += ((plus - minus) / (2.0 * h)) ** 2
     return float(np.sqrt(total))
 
@@ -254,13 +308,16 @@ def _fd_grad_norm_grassmann(problem: BlockProblem, g: GrassmannPoint, c: np.ndar
 def _fd_grad_norm_convex(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray) -> float:
     h = _ZERO_GRAD_FALLBACK_FD
     total = 0.0
-    for i in range(c.size):
-        step = h * (1.0 + abs(c[i]))
-        cp = c.copy()
-        cp[i] += step
-        cm = c.copy()
-        cm[i] -= step
-        total += ((problem.cost(g, cp) - problem.cost(g, cm)) / (2.0 * step)) ** 2
+    for lo, size in _chunks(c.size, 2 * c.nbytes):
+        # Rows 2k and 2k + 1 step coordinate lo + k up and down.
+        steps = h * (1.0 + np.abs(c[lo : lo + size]))
+        samples = np.repeat(c[None], 2 * size, axis=0)
+        rows, cols = np.arange(size), np.arange(lo, lo + size)
+        samples[2 * rows, cols] += steps
+        samples[2 * rows + 1, cols] -= steps
+        values = _costs(problem, g, samples)
+        for plus, minus, step in zip(values[0::2], values[1::2], steps):
+            total += ((plus - minus) / (2.0 * step)) ** 2
     return float(np.sqrt(total))
 
 
@@ -443,14 +500,16 @@ def stationarity_check(
     h = STATIONARITY_FD_STEP
     f0 = float(problem.cost(g, c))
     slopes = []
-    for _, size in _chunks(directions, g):
-        for probe in geodesic(g, random_unit_tangent(rng, g, count=size))(h):
-            slopes.append((float(problem.cost(probe, c)) - f0) / h)
-    for _ in range(directions):
-        direction = rng.standard_normal(c.size)
-        direction /= np.linalg.norm(direction)
-        probe = np.asarray(problem.convex_constraint(c + h * direction), dtype=float)
-        slopes.append((float(problem.cost(g, probe)) - f0) / h)
+    for _, size in _chunks(directions, g.basis.nbytes):
+        probes = geodesic(g, random_unit_tangent(rng, g, count=size))(h)
+        slopes += [(f - f0) / h for f in _costs(problem, probes, c)]
+    for _, size in _chunks(directions, c.nbytes):
+        probes = np.empty((size, c.size))
+        for k in range(size):
+            direction = rng.standard_normal(c.size)
+            direction /= np.linalg.norm(direction)
+            probes[k] = problem.convex_constraint(c + h * direction)
+        slopes += [(f - f0) / h for f in _costs(problem, g, probes)]
     worst = _worst(slopes, min, np.inf)
     if math.isnan(worst):
         raise NonFiniteCostError(f"cost is not finite at the stationarity probe (f at the iterate is {f0})")
@@ -466,13 +525,14 @@ def audit_tightness(problem: BlockProblem, block: str, anchors: list) -> AuditRe
         candidate = g if block == GRASSMANN_BLOCK else c
         devs.append(abs(float(oracle.evaluate(candidate, g, c)) - f0))
     worst = _worst(devs, max, 0.0)
+    checked = len(devs)
     return AuditResult(
         audit="tightness",
         block=block,
-        passed=worst <= TIGHTNESS_TOL,
+        passed=checked > 0 and worst <= TIGHTNESS_TOL,
         worst=worst,
         threshold=TIGHTNESS_TOL,
-        checked=len(anchors),
+        checked=checked,
     )
 
 
@@ -485,24 +545,27 @@ def audit_majorization(
 ) -> AuditResult:
     """Check g(candidate | anchor) >= f(candidate at that block) on random candidates.
 
-    Grassmann candidates are drawn, factored and checked as one batch per
-    anchor, which consumes the generator exactly as one draw at a time would.
-    Reports the worst (smallest) margin; margins below -MAJORIZATION_TOL fail.
+    The candidates of one anchor are drawn (Grassmann candidates also factored
+    and checked) and evaluated in batches, which consume the generator exactly
+    as one draw at a time would. Reports the worst (smallest) margin; margins
+    below -MAJORIZATION_TOL fail.
     """
     oracle = _oracle_for(problem, block)
     n, d, c_len = problem.dims
     rng = np.random.default_rng(seed)
     margins = []
     for g, c in anchors:
-        if block == GRASSMANN_BLOCK:
-            for candidate in random_point(rng, n, d, count=samples):
-                margins.append(float(oracle.evaluate(candidate, g, c)) - float(problem.cost(candidate, c)))
-        else:
-            scale = 1.0 + np.linalg.norm(c) / np.sqrt(c_len)
-            for _ in range(samples):
-                raw = c + scale * rng.standard_normal(c_len)
-                candidate = np.asarray(problem.convex_constraint(raw), dtype=float)
-                margins.append(float(oracle.evaluate(candidate, g, c)) - float(problem.cost(g, candidate)))
+        scale = 1.0 + np.linalg.norm(c) / np.sqrt(c_len)
+        for _, size in _chunks(samples, g.basis.nbytes if block == GRASSMANN_BLOCK else 8 * c_len):
+            if block == GRASSMANN_BLOCK:
+                candidates = random_point(rng, n, d, count=size)
+                values = _costs(problem, candidates, c)
+            else:
+                candidates = np.empty((size, c_len))
+                for k in range(size):
+                    candidates[k] = problem.convex_constraint(c + scale * rng.standard_normal(c_len))
+                values = _costs(problem, g, candidates)
+            margins += [e - f for e, f in zip(_evaluations(oracle, candidates, g, c), values)]
     checked = len(margins)
     worst = _worst(margins, min, np.inf) if margins else 0.0
     return AuditResult(
@@ -526,49 +589,49 @@ def audit_derivative_match(
 
     Slopes are central finite differences at the steps in DERIVATIVE_FD_STEPS,
     along geodesics for the Grassmann block and straight lines for the convex
-    block. The Grassmann directions are drawn as stacks, and each stack takes
-    one stacked geodesic, evaluated at every +/-h at once. Directions flagged
-    non-smooth by the oracle's smooth_along guard are skipped and counted.
+    block. The directions are drawn as stacks; each stack takes one stacked
+    geodesic (Grassmann) or one array of shifted values (convex), evaluated at
+    every +/-h at once and as one batch. Directions flagged non-smooth by the
+    oracle's smooth_along guard are skipped and counted.
     """
     oracle = _oracle_for(problem, block)
     g, c = anchor
     c = np.asarray(c, dtype=float)
     rng = np.random.default_rng(seed)
     mismatches = []
-    checked = 0
     skipped = 0
     guard = oracle.smooth_along
     h_guard = max(DERIVATIVE_FD_STEPS)
-    if block == GRASSMANN_BLOCK:
-        fd_ts = np.array([t for h in DERIVATIVE_FD_STEPS for t in (h, -h)])
-        for _, size in _chunks(directions, g, fd_ts.size):
-            tangents = [
+    # Each direction is sampled at +h, -h for each step h, in this order.
+    fd_ts = np.array([t for h in DERIVATIVE_FD_STEPS for t in (h, -h)])
+    sample_bytes = fd_ts.size * (g.basis.nbytes if block == GRASSMANN_BLOCK else c.nbytes)
+    for _, size in _chunks(directions, sample_bytes):
+        if block == GRASSMANN_BLOCK:
+            kept = [
                 tv
                 for tv in random_unit_tangent(rng, g, count=size)
                 if guard is None or guard(g, c, tv.delta, h_guard)
             ]
-            skipped += size - len(tangents)
-            for fd_points in geodesic(g, tangents)(fd_ts):
-                for k, h in enumerate(DERIVATIVE_FD_STEPS):
-                    p_plus, p_minus = fd_points[2 * k], fd_points[2 * k + 1]
-                    sg = (float(oracle.evaluate(p_plus, g, c)) - float(oracle.evaluate(p_minus, g, c))) / (2 * h)
-                    sf = (float(problem.cost(p_plus, c)) - float(problem.cost(p_minus, c))) / (2 * h)
-                    mismatches.append(abs(sg - sf) / max(1.0, abs(sf)))
-                checked += 1
-    else:
-        for _ in range(directions):
-            direction = rng.standard_normal(c.size)
-            direction /= np.linalg.norm(direction)
-            if guard is not None and not guard(g, c, direction, h_guard):
-                skipped += 1
-                continue
-            for h in DERIVATIVE_FD_STEPS:
-                c_plus = c + h * direction
-                c_minus = c - h * direction
-                sg = (float(oracle.evaluate(c_plus, g, c)) - float(oracle.evaluate(c_minus, g, c))) / (2 * h)
-                sf = (float(problem.cost(g, c_plus)) - float(problem.cost(g, c_minus))) / (2 * h)
-                mismatches.append(abs(sg - sf) / max(1.0, abs(sf)))
-            checked += 1
+            samples = [p for path in geodesic(g, kept)(fd_ts) for p in path]
+            values = _costs(problem, samples, c)
+        else:
+            kept = []
+            for _ in range(size):
+                direction = rng.standard_normal(c.size)
+                direction /= np.linalg.norm(direction)
+                if guard is None or guard(g, c, direction, h_guard):
+                    kept.append(direction)
+            # c + (-h) * direction is c - h * direction, bit for bit.
+            samples = (c + fd_ts[:, None] * np.reshape(kept, (-1, 1, c.size))).reshape(-1, c.size)
+            values = _costs(problem, g, samples)
+        skipped += size - len(kept)
+        surrogate = _evaluations(oracle, samples, g, c)
+        for i in range(0, len(values), 2):
+            h = DERIVATIVE_FD_STEPS[(i // 2) % len(DERIVATIVE_FD_STEPS)]
+            sg = (surrogate[i] - surrogate[i + 1]) / (2 * h)
+            sf = (values[i] - values[i + 1]) / (2 * h)
+            mismatches.append(abs(sg - sf) / max(1.0, abs(sf)))
+    checked = len(mismatches) // len(DERIVATIVE_FD_STEPS)
     worst = _worst(mismatches, max, 0.0)
     return AuditResult(
         audit="derivative_match",
@@ -598,7 +661,8 @@ def audit_quasiconvexity(
     pair the surrogate is evaluated on a uniform t-grid along
     geodesic(x, log_map(x, y)) and must not exceed max(endpoint values) by
     more than QUASICONVEXITY_TOL. The endpoints, the logs and the t-grids of
-    a batch of pairs are each built as one stack (see the module docstring).
+    a batch of pairs are each built as one stack (see the module docstring),
+    and the surrogate takes the endpoints and t-grids of a batch in one call.
     """
     oracle = problem.grassmann_surrogate
     g_anchor, c_anchor = anchor
@@ -608,7 +672,7 @@ def audit_quasiconvexity(
     checked = 0
     skipped = 0
     ts = np.linspace(0.0, 1.0, t_samples)
-    for _, size in _chunks(pairs, g_anchor, t_samples):
+    for _, size in _chunks(pairs, t_samples * g_anchor.basis.nbytes):
         # Each endpoint draws its direction, then its radius, from the one generator.
         tangents, radii = [], []
         for _ in range(2 * size):
@@ -619,13 +683,12 @@ def audit_quasiconvexity(
         joined = [(x, y, h) for x, y, h in zip(xs, ys, log_map(xs, ys)) if h is not None]
         skipped += size - len(joined)
         paths = geodesic([x for x, _, _ in joined], [h for _, _, h in joined])(ts)
-        for (x, y, _), path in zip(joined, paths):
-            cap = max(
-                float(oracle.evaluate(x, g_anchor, c_anchor)),
-                float(oracle.evaluate(y, g_anchor, c_anchor)),
-            )
-            for point in path:
-                excess.append(float(oracle.evaluate(point, g_anchor, c_anchor)) - cap)
+        # Pair k takes entries k * (2 + t_samples) on: x, y, then its t-grid.
+        samples = [p for (x, y, _), path in zip(joined, paths) for p in (x, y, *path)]
+        values = _evaluations(oracle, samples, g_anchor, c_anchor)
+        for lo in range(0, len(values), 2 + t_samples):
+            cap = max(values[lo], values[lo + 1])
+            excess += [v - cap for v in values[lo + 2 : lo + 2 + t_samples]]
             checked += 1
     worst = _worst(excess, max, 0.0)
     return AuditResult(
@@ -648,20 +711,22 @@ def audit_homogeneity(
     """Check the cost depends on G only through its column span.
 
     Samples random D x D rotations R and compares f(G R, c) against f(G, c).
-    The rotations of one anchor are drawn, applied and checked as one batch.
+    The rotations of one anchor are drawn, applied, checked and evaluated in
+    batches.
     """
     rng = np.random.default_rng(seed)
     devs = []
     for g, c in anchors:
         f0 = float(problem.cost(g, c))
-        for rotated in _points(g.basis @ random_orthonormal(rng, g.d, g.d, count=rotations)):
-            devs.append(abs(float(problem.cost(rotated, c)) - f0))
+        for _, size in _chunks(rotations, g.basis.nbytes):
+            rotated = _points(g.basis @ random_orthonormal(rng, g.d, g.d, count=size))
+            devs += [abs(f - f0) for f in _costs(problem, rotated, c)]
     worst = _worst(devs, max, 0.0)
     checked = len(devs)
     return AuditResult(
         audit="homogeneity",
         block=None,
-        passed=worst <= HOMOGENEITY_TOL,
+        passed=checked > 0 and worst <= HOMOGENEITY_TOL,
         worst=worst,
         threshold=HOMOGENEITY_TOL,
         checked=checked,
@@ -695,10 +760,26 @@ def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:
             newest[:] = [c, b]
         return b
 
+    def costs(g, c) -> list[float]:
+        # The cost on a stack: K points with one c, or one point with K rows
+        # of c. Each member takes the same matmuls and the same pairwise sum
+        # over its N x M residual, so a member does not depend on K.
+        one_g = isinstance(g, GrassmannPoint)
+        if one_g:
+            c = np.asarray(c, dtype=float)
+        step = max(1, _COST_BATCH_BYTES // a.nbytes)
+        out: list[float] = []
+        for lo in range(0, len(c) if one_g else len(g), step):
+            if one_g:
+                x, b = np.ascontiguousarray(g.basis), a - c[lo : lo + step, :, None]
+            else:
+                x, b = np.array([p.basis for p in g[lo : lo + step]]), centred(c)
+            r = b - x @ (np.swapaxes(x, -1, -2) @ b)
+            out += (r * r).sum(axis=(-2, -1)).tolist()
+        return out
+
     def cost(g: GrassmannPoint, c: np.ndarray) -> float:
-        b = centred(c)
-        r = b - g.basis @ (g.basis.T @ b)
-        return float((r * r).sum())
+        return costs([g], c)[0]
 
     def minimize_g(g: GrassmannPoint, c: np.ndarray) -> GrassmannPoint:
         return GrassmannPoint(thin_svd(centred(c)).u[:, :d])
@@ -722,15 +803,18 @@ def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:
         grassmann_surrogate=SurrogateOracle(
             evaluate=lambda candidate, g, c: cost(candidate, c),
             minimize=minimize_g,
+            evaluate_many=lambda candidates, g, c: costs(candidates, c),
         ),
         convex_surrogate=SurrogateOracle(
             evaluate=lambda candidate, g, c: cost(g, candidate),
             minimize=minimize_c,
+            evaluate_many=lambda candidates, g, c: costs(g, candidates),
         ),
         convex_constraint=lambda v: np.asarray(v, dtype=float),
         dims=(n, d, n),
         grassmann_grad=grad_g,
         convex_grad=grad_c,
+        costs=costs,
     )
 
 

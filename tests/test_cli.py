@@ -315,6 +315,28 @@ def test_run_outputs_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_run_subspace_line_report_is_pinned(tmp_path):
+    # Gr(10, 1): the G step returns a column slice of the SVD factor, and the
+    # subspace cost must not round differently for it; values pinned exactly
+    expected = {
+        "0": (True, 2, 307.72748623092286, 1.3014080040840904e-15, 0.00020868355932179836),
+        "1": (True, 2, 252.3389036801181, 8.661396316919335e-16, 0.00023894131118140646),
+    }
+    expected_f = {"0": [346.27281342877586, 307.72748623092286], "1": [296.882021799153, 252.3389036801181]}
+    config = write_config(tmp_path, subspace_payload(seeds=[0, 1], problem={"N": 10, "D": 1, "M": 40}))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(config)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert {
+        seed: (e["converged"], e["iterations"], e["final_f"], e["final_dc"], e["stationarity_score"])
+        for seed, e in report["runs"].items()
+    } == expected
+    for seed, fs in expected_f.items():
+        rows = [row.split(",") for row in (out / f"trace_{seed}.csv").read_text().splitlines()[1:]]
+        assert [float(row[1]) for row in rows] == fs
+        assert float(rows[-1][2]) == fs[-1]
+
+
 def test_run_flag_overrides_config_out(tmp_path):
     config = write_config(tmp_path, subspace_payload(out=str(tmp_path / "ignored")))
     assert main(["--out", str(tmp_path / "chosen"), "run", str(config)]) == 0

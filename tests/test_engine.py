@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from grassmm import (
@@ -346,6 +348,11 @@ def test_audit_tightness_exact_and_offset(exact_problem, exact_anchors):
     assert_allclose(bad.worst, 1.0, atol=1e-12)
 
 
+def test_audit_tightness_without_anchors_fails(exact_problem):
+    res = audit_tightness(exact_problem, "grassmann", [])
+    assert not res.passed and res.checked == 0
+
+
 def test_audit_majorization_exact(exact_problem, exact_anchors):
     for block in ("grassmann", "convex"):
         res = audit_majorization(exact_problem, block, exact_anchors[:5], 40, seed=0)
@@ -438,6 +445,11 @@ def test_audit_homogeneity_controls(exact_problem, exact_anchors):
     assert not bad.passed
 
 
+def test_audit_homogeneity_without_anchors_fails(exact_problem):
+    res = audit_homogeneity(exact_problem, [], 10, seed=2)
+    assert not res.passed and res.checked == 0
+
+
 # --- non-finite values fail ------------------------------------------------------
 
 
@@ -445,8 +457,10 @@ def with_evaluate(problem, value):
     """problem whose surrogates both evaluate to `value` everywhere."""
     return replace(
         problem,
-        grassmann_surrogate=replace(problem.grassmann_surrogate, evaluate=lambda cand, g, c: value),
-        convex_surrogate=replace(problem.convex_surrogate, evaluate=lambda cand, g, c: value),
+        grassmann_surrogate=replace(
+            problem.grassmann_surrogate, evaluate=lambda cand, g, c: value, evaluate_many=None
+        ),
+        convex_surrogate=replace(problem.convex_surrogate, evaluate=lambda cand, g, c: value, evaluate_many=None),
     )
 
 
@@ -485,7 +499,7 @@ def test_audit_quasiconvexity_fails_on_non_finite(exact_problem, exact_anchors, 
 
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_audit_homogeneity_fails_on_non_finite(exact_problem, exact_anchors, value):
-    broken = replace(exact_problem, cost=lambda g, c: value)
+    broken = replace(exact_problem, cost=lambda g, c: value, costs=None)
     res = audit_homogeneity(broken, exact_anchors[:2], 10, seed=3)
     assert not res.passed and np.isnan(res.worst)
     assert res.checked == 20
@@ -495,10 +509,114 @@ def test_audit_homogeneity_fails_on_non_finite(exact_problem, exact_anchors, val
 def test_stationarity_probe_raises_on_non_finite(exact_problem, exact_anchors, value):
     g0, c0 = exact_anchors[0]
     # finite at the iterate itself, non-finite at every point the probe moves G to
-    broken = replace(exact_problem, cost=lambda g, c: exact_problem.cost(g, c) if g is g0 else value)
+    broken = replace(exact_problem, cost=lambda g, c: exact_problem.cost(g, c) if g is g0 else value, costs=None)
     assert np.isfinite(stationarity_check(exact_problem, g0, c0, 10, seed=4))
     with pytest.raises(NonFiniteCostError, match="stationarity probe"):
         stationarity_check(broken, g0, c0, 10, seed=4)
+
+
+def poison_last(batch, value):
+    """The batch call `batch`, with `value` in place of its last member."""
+
+    def poisoned(*args):
+        values = list(batch(*args))
+        if values:
+            values[-1] = value
+        return values
+
+    return poisoned
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_non_finite_batch_member_fails_its_audit(exact_problem, exact_anchors, value):
+    p, anchors = exact_problem, exact_anchors[:2]
+    gs, cs = p.grassmann_surrogate, p.convex_surrogate
+    bad_costs = replace(p, costs=poison_last(p.costs, value))
+    bad_evaluations = replace(
+        p,
+        grassmann_surrogate=replace(gs, evaluate_many=poison_last(gs.evaluate_many, value)),
+        convex_surrogate=replace(cs, evaluate_many=poison_last(cs.evaluate_many, value)),
+    )
+    results = [audit_homogeneity(bad_costs, anchors, 10, seed=3)]
+    results.append(audit_quasiconvexity(bad_evaluations, anchors[0], 10, 5, seed=2))
+    for broken in (bad_costs, bad_evaluations):
+        for block in ("grassmann", "convex"):
+            results.append(audit_majorization(broken, block, anchors, 10, seed=0))
+            results.append(audit_derivative_match(broken, block, anchors[0], 10, seed=1))
+    for res in results:
+        assert not res.passed and np.isnan(res.worst), res
+        assert res.checked > 0
+    with pytest.raises(NonFiniteCostError, match="stationarity probe"):
+        stationarity_check(bad_costs, *anchors[0], 10, seed=4)
+
+
+def test_batch_with_a_wrong_count_raises(exact_problem, exact_anchors):
+    short = replace(exact_problem, costs=lambda g, c: exact_problem.costs(g, c)[:-1])
+    with pytest.raises(ValueError, match="costs returned 9 values for 10 samples"):
+        audit_homogeneity(short, exact_anchors[:1], 10, seed=3)
+
+
+# --- batch evaluation ------------------------------------------------------------
+
+
+def without_batches(problem):
+    """problem with its batch fields cleared, so every sample takes one call."""
+    return replace(
+        problem,
+        costs=None,
+        grassmann_surrogate=replace(problem.grassmann_surrogate, evaluate_many=None),
+        convex_surrogate=replace(problem.convex_surrogate, evaluate_many=None),
+    )
+
+
+def every_audit(problem, anchors, seed):
+    anchor = anchors[-1]
+    out = [audit_homogeneity(problem, anchors, 12, seed), audit_quasiconvexity(problem, anchor, 8, 11, seed)]
+    for block in ("grassmann", "convex"):
+        out.append(audit_tightness(problem, block, anchors))
+        out.append(audit_majorization(problem, block, anchors, 12, seed))
+        out.append(audit_derivative_match(problem, block, anchor, 12, seed))
+    out.append(stationarity_check(problem, *anchor, 12, seed))
+    fd_only = replace(problem, grassmann_grad=None, convex_grad=None)
+    out.append(engine._gradient_norms(fd_only, *anchor))
+    return out
+
+
+def test_batch_fields_leave_every_audit_unchanged(exact_problem, exact_anchors):
+    looped = without_batches(exact_problem)
+    for seed in (0, 5):
+        assert every_audit(exact_problem, exact_anchors[:3], seed) == every_audit(looped, exact_anchors[:3], seed)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), read_only=st.booleans())
+def test_subspace_batches_equal_single_calls(data, n, seed, read_only):
+    d = data.draw(st.integers(1, n - 1), label="d")
+    m = data.draw(st.integers(d + 1, 60), label="m")
+    rng = np.random.default_rng(seed)
+    problem = builtin_subspace_plus_mean(rng.standard_normal((n, m)), d)
+    # K reaches past the batch cost's byte budget, so some calls are split.
+    k = data.draw(st.integers(0, engine._COST_BATCH_BYTES // (8 * n * m) + 3), label="k")
+    g0, c = subspace_plus_mean_init(rng.standard_normal((n, m)), d, seed % 1000)
+    # The solver's own G step returns a column slice, which numpy's matmul
+    # rounds differently from a contiguous basis at D = 1.
+    sliced = problem.grassmann_surrogate.minimize(g0, c)
+    pool = [g0, sliced, GrassmannPoint(np.asfortranarray(sliced.basis)), *random_point(rng, n, d, count=2)]
+    points = [pool[i] for i in rng.integers(0, len(pool), size=k)]
+    g = pool[rng.integers(0, len(pool))]
+    cs = rng.standard_normal((k, n))
+    if read_only:
+        c.setflags(write=False)
+        cs.setflags(write=False)
+    g_oracle, c_oracle = problem.grassmann_surrogate, problem.convex_surrogate
+    assert _bits(problem.costs(points, c)) == _bits([problem.cost(p, c) for p in points])
+    assert _bits(problem.costs(g, cs)) == _bits([problem.cost(g, ck) for ck in cs])
+    assert _bits(g_oracle.evaluate_many(points, g, c)) == _bits([g_oracle.evaluate(p, g, c) for p in points])
+    assert _bits(c_oracle.evaluate_many(cs, g, c)) == _bits([c_oracle.evaluate(ck, g, c) for ck in cs])
 
 
 # --- per-point references for the batched audits ----------------------------------
