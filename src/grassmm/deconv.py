@@ -9,10 +9,12 @@ so it is exactly invariant under flipping the kernel representative. The sign
 attaining the minimum is called the active sign; gradients and surrogate steps
 are taken on that branch. Circular convolution and correlation are computed
 as the direct O(N^2) sum below _FFT_MIN_N samples and with a real FFT at and
-above it, where the FFT is faster. Every caller (instance generator, public
-functions, per-anchor context) shares the one routine, so at any length a
-planted instance has exactly zero residual at the truth. Both routines are
-odd in their first argument bit for bit.
+above it, where the FFT is faster. Both work on a per-signal transform (see
+_Signal): the circulant of a signal on the direct path, its real FFT on the
+FFT path. Every caller (instance generator, public functions, per-anchor
+context) shares the one routine, so at any length a planted instance has
+exactly zero residual at the truth. Both routines are odd in their first
+argument bit for bit, and so is the transform.
 
 The public functions taking a DeconvState are the reference: each validates
 its input and computes its quantity from scratch. The BlockProblem built by
@@ -20,10 +22,14 @@ build_block_problem reads everything at an anchor (G, x) from one per-anchor
 context instead. The context computes the convolution u = a (*) x once; the
 cost, the active sign and the active-sign residual follow from u, and the two
 block gradients and the two Lipschitz bounds are filled in on first use. The
-results equal the reference functions bit for bit. Contexts are kept for the
-two most recent anchors whose arrays are read-only, matched by identity: the
-engine marks its iterates read-only, and an anchor with a writable array is
-recomputed on every call, so mutating it in place cannot leave a stale value.
+transforms are kept per signal: the residual's serves both gradients, an
+anchor whose G or x is, by identity, the previous anchor's takes that
+signal's transform from it, and the active kernel's transform is G's,
+negated for the negative sign. The results equal the reference functions
+bit for bit. Contexts are kept for the two most recent anchors whose arrays
+are read-only, matched by identity: the engine marks its iterates read-only,
+and an anchor with a writable array is recomputed on every call, so mutating
+it in place cannot leave a stale value.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .engine import (
     SurrogateOracle,
     run_block_mm,
 )
-from .grassmann import GrassmannPoint, _trusted, random_point, riemannian_gradient
+from .grassmann import GrassmannPoint, _project, _trusted, random_point
 
 ZERO_GRAD_CUTOFF = 1e-14  # Riemannian gradient norms at or below this skip the kernel step
 _KERNEL_NORM_TOL = 1e-10
@@ -70,22 +76,53 @@ def _as_signal(v, name: str) -> np.ndarray:
 # caller has already validated; the public wrappers check outside input.
 
 
-def _conv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    n = a.size
+class _Signal:
+    """A signal v and its transform t, computed on first use and then kept:
+    the circulant v[_conv_index(N)] below _FFT_MIN_N samples, rfft(v) at and
+    above. A given t must be the transform of v bit for bit; the negated
+    transform of a signal is that of its negation."""
+
+    __slots__ = ("v", "_t")
+
+    def __init__(self, v: np.ndarray, t: Optional[np.ndarray] = None):
+        self.v = v
+        self._t = t
+
+    @property
+    def t(self) -> np.ndarray:
+        if self._t is None:
+            n = self.v.size
+            self._t = self.v[_conv_index(n)] if n < _FFT_MIN_N else np.fft.rfft(self.v)
+        return self._t
+
+
+def _convolve(a: _Signal, x: _Signal) -> np.ndarray:
+    n = a.v.size
     if n < _FFT_MIN_N:
-        return x[_conv_index(n)] @ a
-    return np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(x), n)
+        return x.t @ a.v
+    return np.fft.irfft(a.t * x.t, n)
+
+
+def _correlate(v: _Signal, w: _Signal) -> np.ndarray:
+    n = v.v.size
+    if n < _FFT_MIN_N:
+        return w.v @ v.t
+    return np.fft.irfft(np.conj(v.t) * w.t, n)
+
+
+def _conv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return _convolve(_Signal(a), _Signal(x))
 
 
 def _corr(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    n = v.size
-    if n < _FFT_MIN_N:
-        return w @ v[_conv_index(n)]
-    return np.fft.irfft(np.conj(np.fft.rfft(v)) * np.fft.rfft(w), n)
+    return _correlate(_Signal(v), _Signal(w))
 
 
 def _lipschitz(v: np.ndarray) -> float:
-    return float(2.0 * np.max(np.abs(np.fft.fft(v)) ** 2))
+    # Rounding is monotone, so the square of the largest modulus is the
+    # largest rounded square bit for bit.
+    m = float(np.abs(np.fft.fft(v)).max())
+    return 2.0 * (m * m)
 
 
 def circular_convolution(a, x) -> np.ndarray:
@@ -235,10 +272,12 @@ def riemannian_step_a(problem: DeconvProblem, state: DeconvState, step: float) -
 
 
 def _geodesic_step(a: GrassmannPoint, egrad: np.ndarray, step: float) -> GrassmannPoint:
-    rg = riemannian_gradient(a, egrad[:, None])
-    if rg.norm() <= ZERO_GRAD_CUTOFF:
+    # egrad is this module's own gradient, so it is projected without the
+    # input checks of riemannian_gradient; the new kernel is still checked.
+    rg = _project(a.basis, egrad[:, None])
+    if np.linalg.norm(rg) <= ZERO_GRAD_CUTOFF:
         return a
-    h = -step * rg.delta[:, 0]
+    h = -step * rg[:, 0]
     hn = float(np.linalg.norm(h))
     new = a.basis[:, 0] * np.cos(hn) + (h / hn) * np.sin(hn)
     return GrassmannPoint(new[:, None])
@@ -354,48 +393,68 @@ class _Anchor:
     """The deconvolution quantities at one anchor (G, x), each computed once.
 
     `ws_a` is the active-sign representative of G, `kernel` its vector,
-    `resid` = y - kernel (*) x and `base` = ||resid||^2. The gradients and
-    Lipschitz bounds are computed on first use.
+    `resid` the signal r = y - kernel (*) x and `base` = ||r||^2. The
+    gradients and Lipschitz bounds are computed on first use, and so are the
+    transforms of G, x and the residual (see _Signal); both gradients read
+    the residual's.
+    An anchor whose G or x is the previous anchor's, by identity, takes that
+    signal and its transform from there, with the kernel bound `lip_a` or the
+    l1 penalty of x, and checks a G only when it is new.
     """
 
     def __init__(self, problem: DeconvProblem, g: GrassmannPoint, x: np.ndarray, prev: Optional[_Anchor]):
         if x.shape != problem.y.shape:
             raise ValueError(f"code has shape {x.shape}, expected {problem.y.shape}")
-        _check_kernel(g, x.size)
+        same_g = prev is not None and prev.g is g
+        if not same_g:
+            _check_kernel(g, x.size)
         self.g = g
         self.x = x
         self.lam = problem.lam
+        self.g_signal = prev.g_signal if same_g else _Signal(g.basis[:, 0])
+        if prev is not None and prev.x is x:
+            self.x_signal, self.penalty = prev.x_signal, prev.penalty
+        else:
+            self.x_signal, self.penalty = _Signal(x), problem.lam * float(np.abs(x).sum())
         y = problem.y
-        u = _conv(g.basis[:, 0], x)
+        u = _convolve(self.g_signal, self.x_signal)
         # y + u is y - (-a) (*) x bit for bit: negating a negates every product
         # of the direct sum and every coefficient of the FFT path.
         r_plus = y - u
         r_minus = y + u
         d_plus = float(r_plus @ r_plus)
         d_minus = float(r_minus @ r_minus)
-        self.penalty = problem.lam * float(np.sum(np.abs(x)))
         self.cost = min(d_plus, d_minus) + self.penalty
         if float(y @ u) >= 0.0:
-            self.ws_a, self.resid, self.base = g, r_plus, d_plus
+            self.ws_a, resid, self.base = g, r_plus, d_plus
         else:
             self.ws_a = _trusted(GrassmannPoint, basis=-g.basis)
-            self.resid, self.base = r_minus, d_minus
+            resid, self.base = r_minus, d_minus
+        self.resid = _Signal(resid)
         self.kernel = self.ws_a.basis[:, 0]
-        if prev is not None and prev.g is g and "lip_a" in vars(prev):
+        if same_g and "lip_a" in vars(prev):
             # |DFT(a)| does not depend on the sign of a, so anchors on one G share it.
             self.lip_a = prev.lip_a
 
     @cached_property
+    def kernel_signal(self) -> _Signal:
+        """The active kernel as a signal: the signal of G, or for the negative
+        sign its negation, whose transform is the negated transform of G."""
+        if self.ws_a is self.g:
+            return self.g_signal
+        return _Signal(self.kernel, -self.g_signal.t)
+
+    @cached_property
     def grad_a(self) -> np.ndarray:
         """Gradient of ||y - a (*) x||^2 in the active kernel representative."""
-        grad = -2.0 * _corr(self.x, self.resid)
+        grad = -2.0 * _correlate(self.x_signal, self.resid)
         grad.setflags(write=False)
         return grad
 
     @cached_property
     def grad_x(self) -> np.ndarray:
         """Gradient of ||y - a (*) x||^2 in x for the active kernel representative."""
-        grad = -2.0 * _corr(self.kernel, self.resid)
+        grad = -2.0 * _correlate(self.kernel_signal, self.resid)
         grad.setflags(write=False)
         return grad
 

@@ -404,7 +404,10 @@ def run_block_mm(
                 f"convex block update has shape {c_raw.shape}, expected {(c_len,)}"
             )
         c_proj = np.asarray(problem.convex_constraint(c_raw), dtype=float)
-        if np.linalg.norm(c_proj - c_raw) > FEASIBILITY_TOL * (1.0 + np.linalg.norm(c_raw)):
+        # A constraint that returns its input object leaves it exactly in place.
+        if c_proj is not c_raw and (
+            np.linalg.norm(c_proj - c_raw) > FEASIBILITY_TOL * (1.0 + np.linalg.norm(c_raw))
+        ):
             raise InfeasibleBlockError("convex block update is infeasible")
         c_next = c_proj
         c_next.setflags(write=False)

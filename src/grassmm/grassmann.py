@@ -235,8 +235,9 @@ def principal_angles(x: GrassmannPoint, y: GrassmannPoint) -> PrincipalAngles:
     small angles accurate they are evaluated as arctan2 of paired sine/cosine
     singular values (the sines coming from the projection residual
     Y - X X^T Y), which is the same quantity without the precision loss of
-    arccos near 1. Operands are ordered canonically first so the result is
-    exactly symmetric in (x, y).
+    arccos near 1. On Gr(N, 1) the cosine is |X^T Y| itself, with no SVD.
+    Operands are ordered canonically first so the result is exactly
+    symmetric in (x, y).
     """
     _check_same_space(x, y)
     x_bytes, y_bytes = x.basis.tobytes(), y.basis.tobytes()
@@ -244,9 +245,14 @@ def principal_angles(x: GrassmannPoint, y: GrassmannPoint) -> PrincipalAngles:
         return _trusted(PrincipalAngles, angles=np.zeros(x.d))
     a, b = (x, y) if x_bytes <= y_bytes else (y, x)
     w = a.basis.T @ b.basis
-    cos_vals = np.clip(np.linalg.svd(w, compute_uv=False), 0.0, 1.0)
-    sin_vals = np.sort(np.clip(np.linalg.svd(b.basis - a.basis @ w, compute_uv=False), 0.0, 1.0))
-    theta = np.arctan2(sin_vals, cos_vals)
+    # Singular values are non-negative, so only the upper clamp can act.
+    sin_vals = np.minimum(np.linalg.svd(b.basis - a.basis @ w, compute_uv=False), 1.0)
+    if x.d == 1:
+        # The singular value of the 1 x 1 w is |w| bit for bit, and the one
+        # angle arctan2 gives for non-negative operands lies in [0, pi/2].
+        return _trusted(PrincipalAngles, angles=np.arctan2(sin_vals, np.minimum(np.abs(w[0]), 1.0)))
+    cos_vals = np.minimum(np.linalg.svd(w, compute_uv=False), 1.0)
+    theta = np.arctan2(np.sort(sin_vals), cos_vals)
     # Sorted and clamped to [0, pi/2] here, so the result is valid as built.
     theta = np.minimum(np.maximum.accumulate(theta), np.pi / 2)
     return _trusted(PrincipalAngles, angles=theta)

@@ -160,6 +160,55 @@ def test_canonical_distance_examples():
     assert_allclose(principal_angles(x4, y4).angles, [0.2, 0.5], atol=1e-9)
 
 
+def two_svd_distance(x, y):
+    """canonical_distance by the general route, which takes the cosines from
+    the SVD of X^T Y and sorts and accumulates the angles."""
+    x_bytes, y_bytes = x.basis.tobytes(), y.basis.tobytes()
+    if x_bytes == y_bytes:
+        return float(np.linalg.norm(np.zeros(x.d)))
+    a, b = (x, y) if x_bytes <= y_bytes else (y, x)
+    w = a.basis.T @ b.basis
+    cos_vals = np.clip(np.linalg.svd(w, compute_uv=False), 0.0, 1.0)
+    sin_vals = np.sort(np.clip(np.linalg.svd(b.basis - a.basis @ w, compute_uv=False), 0.0, 1.0))
+    theta = np.minimum(np.maximum.accumulate(np.arctan2(sin_vals, cos_vals)), np.pi / 2)
+    return float(np.linalg.norm(theta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 1024),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "identical", "negated", "near", "orthogonal"]),
+)
+def test_line_distance_equals_two_svd_route(n, seed, kind):
+    # On Gr(N, 1) the cosine is |X^T Y| without an SVD; the bits must not move.
+    x = random_point(seed, n, 1)
+    rng = np.random.default_rng(seed + 1)
+    if kind == "random":
+        y = random_point(rng, n, 1)
+    elif kind == "identical":
+        y = GrassmannPoint(x.basis.copy())
+    elif kind == "negated":
+        y = GrassmannPoint(-x.basis)
+    elif kind == "near":
+        v = x.basis + 1e-12 * rng.standard_normal((n, 1))
+        y = GrassmannPoint(v / np.linalg.norm(v))
+    else:
+        v = rng.standard_normal((n, 1))
+        v -= x.basis @ (x.basis.T @ v)
+        y = GrassmannPoint(v / np.linalg.norm(v))
+    dist = canonical_distance(x, y)
+    assert dist == two_svd_distance(x, y) == canonical_distance(y, x)
+    if kind == "identical":
+        assert dist == 0.0
+    elif kind == "negated":
+        assert dist <= 1e-7
+    elif kind == "near":
+        assert dist <= 1e-10
+    elif kind == "orthogonal":
+        assert abs(dist - np.pi / 2) <= 1e-12
+
+
 # --- geodesics ---------------------------------------------------------------
 
 
