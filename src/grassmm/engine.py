@@ -13,32 +13,37 @@ match, geodesic quasiconvexity) and of rotation invariance of the cost; they
 can refute an assumption on sampled evidence but never prove it. A sampled
 value that is NaN or infinite fails its audit.
 
-The audits and the stationarity probe sample in batches: the tangents of one
-batch are drawn, factored and moved along their geodesics as stacks (see
-grassmm.grassmann), in slices of at most _CHUNK_BYTES of N x D members (or of
-convex values), and give the same results, bit for bit, as one sample at a
-time. Each slice is then evaluated with one call into the problem: the
-optional BlockProblem.costs and SurrogateOracle.evaluate_many fields take the
-whole slice, and a problem without them is called once per sample instead.
+The audits and the stationarity probe sample in batches. A batch of
+Grassmann samples is one checked K x N x D array of bases from the moment it
+is drawn until the problem evaluates it: the tangents are drawn, factored and
+moved along their geodesics by the private stack functions of
+grassmm.grassmann, in slices of at most _CHUNK_BYTES of members (or of convex
+values), and give the same results, bit for bit, as one sample at a time.
+Each slice is then evaluated with one call into the problem: the optional
+BlockProblem.costs and SurrogateOracle.evaluate_many fields take the whole
+array, and a problem without them is called once per sample instead, with a
+trusted GrassmannPoint view of each member.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
 
 from .grassmann import (
     GrassmannPoint,
-    _points,
+    _check_bases,
+    _geodesics,
+    _log_maps,
+    _project,
     _trusted,
+    _unit_tangents,
     canonical_distance,
-    geodesic,
-    log_map,
     random_point,
-    random_unit_tangent,
     riemannian_gradient,
 )
 from .linalg import as_matrix, random_orthonormal, thin_svd
@@ -46,7 +51,6 @@ from .linalg import as_matrix, random_orthonormal, thin_svd
 GRASSMANN_BLOCK = "grassmann"
 CONVEX_BLOCK = "convex"
 
-DESCENT_SLACK = 1e-10          # slack allowed on each link of the descent chain
 MONOTONICITY_TOL = 1e-8        # cost increase beyond this aborts the run
 FEASIBILITY_TOL = 1e-9         # distance of a convex update from its projection
 TIGHTNESS_TOL = 1e-9
@@ -60,8 +64,8 @@ STATIONARITY_FD_STEP = 1e-5
 STATIONARITY_PASS = -1e-4      # scores at or above this count as stationary
 _ZERO_GRAD_FALLBACK_FD = 1e-6  # step for the finite-difference gradient fallback
 # Largest stack of sampled N x D points built at once. It bounds what a batch
-# holds at a time, its stacks, their temporaries and one object per point:
-# unsplit, the 50 probe points of Gr(1024, 1) alone would take 400 KiB.
+# holds at a time, its stacks and their temporaries: unsplit, the 50 probe
+# points of Gr(1024, 1) alone would take 400 KiB.
 _CHUNK_BYTES = 1 << 14
 # Largest K x N x M temporary the subspace-mean batch cost builds at once.
 _COST_BATCH_BYTES = 1 << 16
@@ -89,11 +93,11 @@ class SurrogateOracle:
     stays clear of non-smooth points; the derivative-match audit skips (and
     counts) directions where it returns False.
     evaluate_many(candidates, anchor_g, anchor_c), when given, evaluates K
-    candidates in one call: a list of K points for the Grassmann block, a
-    K x c_len array for the convex block. It returns K floats, member k equal
-    bit for bit to evaluate(candidates[k], anchor_g, anchor_c); the audits use
-    it in place of evaluate. A dataclasses.replace that changes evaluate must
-    also replace or clear (set to None) evaluate_many.
+    candidates in one call: a K x N x D array of checked bases for the
+    Grassmann block, a K x c_len array for the convex block. It returns K
+    floats, member k equal bit for bit to evaluate at candidate k; the audits
+    use it in place of evaluate. A dataclasses.replace that changes evaluate
+    must also replace or clear (set to None) evaluate_many.
     """
 
     evaluate: Callable
@@ -119,9 +123,9 @@ class BlockProblem:
     arguments, matched by identity.
 
     costs, when given, evaluates the cost at K samples in one call: costs(gs,
-    c) with a list of K points and one c, or costs(g, cs) with one point and a
-    K x c_len array. It returns K floats, member k equal bit for bit to the
-    cost call at that sample. The audits, the stationarity probe and the
+    c) with a K x N x D array of checked bases and one c, or costs(g, cs) with
+    one point and a K x c_len array. It returns K floats, member k equal bit
+    for bit to the cost call at that sample. The audits, the stationarity probe and the
     finite-difference gradients use it in place of cost. As with the gradient
     callables, a dataclasses.replace that changes cost must also replace or
     clear (set to None) costs.
@@ -147,14 +151,15 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.dist_tol <= 0.0 or self.cost_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.audit_every < 0:
-            raise ValueError("audit_every must be non-negative (0 disables audits)")
-        if self.audit_samples < 1:
-            raise ValueError("audit_samples must be at least 1")
+        # audit_every = 0 disables the in-run audits.
+        for name, low in (("max_iter", 1), ("audit_every", 0), ("audit_samples", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("dist_tol", "cost_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -252,28 +257,38 @@ def _floats(values, count: int, name: str) -> list[float]:
     return values
 
 
+def _members(samples: np.ndarray) -> list:
+    """The samples of a batch one by one, for a problem without batch fields:
+    a trusted point viewing each basis of a checked K x N x D array, or each
+    row of a K x c_len array."""
+    if samples.ndim == 3:
+        return [_trusted(GrassmannPoint, basis=b) for b in samples]
+    return list(samples)
+
+
 def _costs(problem: BlockProblem, g, c) -> list[float]:
     """The cost at K samples, in one problem.costs call when the problem has
-    one: g is a list of K points and c one convex value, or g is one point and
-    c a K x c_len array. Without costs, one cost call per sample."""
+    one: g is a K x N x D array of checked bases and c one convex value, or g
+    is one point and c a K x c_len array. Without costs, one cost call per
+    sample."""
     one_g = isinstance(g, GrassmannPoint)
     if problem.costs is not None:
         values = problem.costs(g, c)
     elif one_g:
         values = [problem.cost(g, ck) for ck in c]
     else:
-        values = [problem.cost(gk, c) for gk in g]
+        values = [problem.cost(gk, c) for gk in _members(g)]
     return _floats(values, len(c) if one_g else len(g), "costs")
 
 
-def _evaluations(oracle: SurrogateOracle, candidates, g: GrassmannPoint, c) -> list[float]:
-    """The surrogate at K candidates (a list of points or a K x c_len array),
-    in one oracle.evaluate_many call when the oracle has one. Without it, one
-    evaluate call per candidate."""
+def _evaluations(oracle: SurrogateOracle, candidates: np.ndarray, g: GrassmannPoint, c) -> list[float]:
+    """The surrogate at K candidates (a K x N x D array of checked bases or a
+    K x c_len array), in one oracle.evaluate_many call when the oracle has
+    one. Without it, one evaluate call per candidate."""
     if oracle.evaluate_many is not None:
         values = oracle.evaluate_many(candidates, g, c)
     else:
-        values = [oracle.evaluate(x, g, c) for x in candidates]
+        values = [oracle.evaluate(x, g, c) for x in _members(candidates)]
     return _floats(values, len(candidates), "evaluate_many")
 
 
@@ -297,9 +312,8 @@ def _fd_grad_norm_grassmann(problem: BlockProblem, g: GrassmannPoint, c: np.ndar
         deltas = np.zeros((size, *g.basis.shape))
         deltas[np.arange(size), :, j] = comp[:, i].T
         # One stacked geodesic per slice, factored once for both steps.
-        tangents = [riemannian_gradient(g, delta) for delta in deltas]
-        samples = [p for pair in geodesic(g, tangents)(np.array([h, -h])) for p in pair]
-        values = _costs(problem, samples, c)
+        samples = _geodesics(g.basis, _project(g.basis, deltas))(np.array([h, -h]))
+        values = _costs(problem, samples.reshape(-1, *g.basis.shape), c)
         for plus, minus in zip(values[0::2], values[1::2]):
             total += ((plus - minus) / (2.0 * h)) ** 2
     return float(np.sqrt(total))
@@ -498,14 +512,16 @@ def stationarity_check(
     along their geodesics in stacks (see the module docstring). Raises
     NonFiniteCostError if the cost at g or at a probe is NaN or infinite.
     """
+    if directions < 1:
+        raise ValueError(f"directions must be at least 1, got {directions}")
     c = np.asarray(c, dtype=float)
     rng = np.random.default_rng(seed)
     h = STATIONARITY_FD_STEP
     f0 = float(problem.cost(g, c))
     slopes = []
     for _, size in _chunks(directions, g.basis.nbytes):
-        probes = geodesic(g, random_unit_tangent(rng, g, count=size))(h)
-        slopes += [(f - f0) / h for f in _costs(problem, probes, c)]
+        probes = _geodesics(g.basis, _unit_tangents(rng, g.basis, size))(h)
+        slopes += [(f - f0) / h for f in _costs(problem, probes[:, 0], c)]
     for _, size in _chunks(directions, c.nbytes):
         probes = np.empty((size, c.size))
         for k in range(size):
@@ -548,9 +564,9 @@ def audit_majorization(
 ) -> AuditResult:
     """Check g(candidate | anchor) >= f(candidate at that block) on random candidates.
 
-    The candidates of one anchor are drawn (Grassmann candidates also factored
-    and checked) and evaluated in batches, which consume the generator exactly
-    as one draw at a time would. Reports the worst (smallest) margin; margins
+    The candidates of one anchor are drawn (Grassmann candidates as one
+    factored and checked stack of bases) and evaluated in batches, which
+    consume the generator exactly as one draw at a time would. Reports the worst (smallest) margin; margins
     below -MAJORIZATION_TOL fail.
     """
     oracle = _oracle_for(problem, block)
@@ -561,7 +577,8 @@ def audit_majorization(
         scale = 1.0 + np.linalg.norm(c) / np.sqrt(c_len)
         for _, size in _chunks(samples, g.basis.nbytes if block == GRASSMANN_BLOCK else 8 * c_len):
             if block == GRASSMANN_BLOCK:
-                candidates = random_point(rng, n, d, count=size)
+                candidates = random_orthonormal(rng, n, d, count=size)
+                _check_bases(candidates)
                 values = _costs(problem, candidates, c)
             else:
                 candidates = np.empty((size, c_len))
@@ -610,12 +627,9 @@ def audit_derivative_match(
     sample_bytes = fd_ts.size * (g.basis.nbytes if block == GRASSMANN_BLOCK else c.nbytes)
     for _, size in _chunks(directions, sample_bytes):
         if block == GRASSMANN_BLOCK:
-            kept = [
-                tv
-                for tv in random_unit_tangent(rng, g, count=size)
-                if guard is None or guard(g, c, tv.delta, h_guard)
-            ]
-            samples = [p for path in geodesic(g, kept)(fd_ts) for p in path]
+            deltas = _unit_tangents(rng, g.basis, size)
+            kept = deltas[[guard is None or bool(guard(g, c, m, h_guard)) for m in deltas]]
+            samples = _geodesics(g.basis, kept)(fd_ts).reshape(-1, *g.basis.shape)
             values = _costs(problem, samples, c)
         else:
             kept = []
@@ -667,6 +681,8 @@ def audit_quasiconvexity(
     a batch of pairs are each built as one stack (see the module docstring),
     and the surrogate takes the endpoints and t-grids of a batch in one call.
     """
+    if t_samples < 1:
+        raise ValueError(f"t_samples must be at least 1, got {t_samples}")
     oracle = problem.grassmann_surrogate
     g_anchor, c_anchor = anchor
     c_anchor = np.asarray(c_anchor, dtype=float)
@@ -679,16 +695,15 @@ def audit_quasiconvexity(
         # Each endpoint draws its direction, then its radius, from the one generator.
         tangents, radii = [], []
         for _ in range(2 * size):
-            tangents.append(random_unit_tangent(rng, g_anchor))
+            tangents.append(_unit_tangents(rng, g_anchor.basis, 1))
             radii.append(rng.uniform(0.0, radius))
-        ends = geodesic(g_anchor, tangents)(np.array(radii)[:, None])
-        xs, ys = [row[0] for row in ends[0::2]], [row[0] for row in ends[1::2]]
-        joined = [(x, y, h) for x, y, h in zip(xs, ys, log_map(xs, ys)) if h is not None]
-        skipped += size - len(joined)
-        paths = geodesic([x for x, _, _ in joined], [h for _, _, h in joined])(ts)
-        # Pair k takes entries k * (2 + t_samples) on: x, y, then its t-grid.
-        samples = [p for (x, y, _), path in zip(joined, paths) for p in (x, y, *path)]
-        values = _evaluations(oracle, samples, g_anchor, c_anchor)
+        ends = _geodesics(g_anchor.basis, np.concatenate(tangents))(np.array(radii)[:, None])
+        keep, logs = _log_maps(ends[0::2, 0], ends[1::2, 0])
+        skipped += size - keep.size
+        xs, ys = ends[2 * keep], ends[2 * keep + 1]
+        # Pair k takes rows k * (2 + t_samples) on: x, y, then its t-grid.
+        samples = np.concatenate([xs, ys, _geodesics(xs[:, 0], logs)(ts)], axis=1)
+        values = _evaluations(oracle, samples.reshape(-1, *g_anchor.basis.shape), g_anchor, c_anchor)
         for lo in range(0, len(values), 2 + t_samples):
             cap = max(values[lo], values[lo + 1])
             excess += [v - cap for v in values[lo + 2 : lo + 2 + t_samples]]
@@ -722,7 +737,8 @@ def audit_homogeneity(
     for g, c in anchors:
         f0 = float(problem.cost(g, c))
         for _, size in _chunks(rotations, g.basis.nbytes):
-            rotated = _points(g.basis @ random_orthonormal(rng, g.d, g.d, count=size))
+            rotated = g.basis @ random_orthonormal(rng, g.d, g.d, count=size)
+            _check_bases(rotated)
             devs += [abs(f - f0) for f in _costs(problem, rotated, c)]
     worst = _worst(devs, max, 0.0)
     checked = len(devs)
@@ -764,7 +780,7 @@ def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:
         return b
 
     def costs(g, c) -> list[float]:
-        # The cost on a stack: K points with one c, or one point with K rows
+        # The cost on a stack: K bases with one c, or one point with K rows
         # of c. Each member takes the same matmuls and the same pairwise sum
         # over its N x M residual, so a member does not depend on K.
         one_g = isinstance(g, GrassmannPoint)
@@ -776,13 +792,13 @@ def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:
             if one_g:
                 x, b = np.ascontiguousarray(g.basis), a - c[lo : lo + step, :, None]
             else:
-                x, b = np.array([p.basis for p in g[lo : lo + step]]), centred(c)
+                x, b = np.ascontiguousarray(g[lo : lo + step]), centred(c)
             r = b - x @ (np.swapaxes(x, -1, -2) @ b)
             out += (r * r).sum(axis=(-2, -1)).tolist()
         return out
 
     def cost(g: GrassmannPoint, c: np.ndarray) -> float:
-        return costs([g], c)[0]
+        return costs(g.basis[None], c)[0]
 
     def minimize_g(g: GrassmannPoint, c: np.ndarray) -> GrassmannPoint:
         return GrassmannPoint(thin_svd(centred(c)).u[:, :d])

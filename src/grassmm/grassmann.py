@@ -6,16 +6,18 @@ vectors at X are N x D matrices H with X.T @ H = 0. Distances and geodesics
 are expressed through the principal angles between subspaces, which this
 module stores in ascending order.
 
-The samplers, `geodesic` and `log_map` also take a batch: K draws, K tangents at one base or one per base,
-or K pairs. A batch is computed as one K x N x D stack, with one thin SVD
-per stack, and checked by one vectorized check; each member equals, bit for
-bit, the single call, which is the batch of one.
+The batch work of the sampled audits is done by private functions on plain
+K x N x D stacks: K unit tangents at a basis (`_unit_tangents`), the
+geodesics of K tangents over a t-grid (`_geodesics`) and the logs of K pairs
+(`_log_maps`). The geodesics and the logs take one thin SVD per stack, each
+function checks its output stack once, and member k equals, bit for bit, the
+public single call, which is the stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
@@ -62,12 +64,6 @@ def _check_bases(b: np.ndarray) -> None:
         raise ValueError(f"basis is not orthonormal (max Gram deviation {err:.3e})")
 
 
-def _points(stack: np.ndarray) -> list[GrassmannPoint]:
-    """The points of a K x N x D stack of bases, checked as one batch."""
-    _check_bases(stack)
-    return [_trusted(GrassmannPoint, basis=b) for b in stack]
-
-
 def _check_tangents(x: np.ndarray, deltas: np.ndarray) -> None:
     """Check that each matrix H of the K x N x D stack `deltas` is tangent at
     its base, X^T H = 0 to TANGENCY_TOL; x is one N x D basis or K of them.
@@ -80,17 +76,6 @@ def _check_tangents(x: np.ndarray, deltas: np.ndarray) -> None:
         per_member = dev.max(axis=(1, 2))
         err = per_member[np.argmin(per_member <= TANGENCY_TOL)]
         raise ValueError(f"matrix is not tangent at base (max X^T H entry {err:.3e})")
-
-
-def _tangents(base, x: np.ndarray, deltas: np.ndarray) -> list[TangentVector]:
-    """The tangent vectors of a K x N x D stack, checked as one batch.
-
-    x is one N x D basis, the point `base`, or a stack of K bases, the points
-    of the list `base`, one per member.
-    """
-    _check_tangents(x, deltas)
-    bases = [base] * len(deltas) if isinstance(base, GrassmannPoint) else base
-    return [_trusted(TangentVector, base=b, delta=m) for b, m in zip(bases, deltas)]
 
 
 def _project(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -165,42 +150,40 @@ def make_point(m) -> GrassmannPoint:
     return GrassmannPoint(qr_orthonormalize(m).q)
 
 
-def random_point(
-    seed, n: int, d: int, count: Optional[int] = None
-) -> Union[GrassmannPoint, list[GrassmannPoint]]:
+def random_point(seed, n: int, d: int) -> GrassmannPoint:
     """Draw from the rotation-invariant distribution on Gr(n, d).
 
     seed is an int or a caller-owned np.random.Generator, which the draw advances.
-    With `count`, a list of `count` points drawn, factored and checked as one
-    batch, equal bit for bit to `count` single draws; a single draw is the
-    batch of one.
     """
     if d >= n:
         raise ValueError(f"Gr(N, D) requires D < N, got N={n}, D={d}")
-    points = _points(random_orthonormal(seed, n, d, count=1 if count is None else count))
-    return points[0] if count is None else points
+    return GrassmannPoint(random_orthonormal(seed, n, d))
 
 
-def random_unit_tangent(rng: np.random.Generator, x: GrassmannPoint, count: Optional[int] = None):
-    """Random tangent vector at x with unit Frobenius norm.
+def _unit_tangents(rng: np.random.Generator, x: np.ndarray, count: int) -> np.ndarray:
+    """A count x N x D stack of random unit-norm tangents at the basis x.
 
     A draw whose tangent part has norm below 1e-12 is discarded and drawn
-    again. With `count`, a list of `count` vectors drawn, projected and
-    normalized as stacks; it equals, bit for bit, `count` single draws from
-    the same generator, redraws included, and advances it as they would.
+    again. The stack equals, bit for bit, `count` calls of random_unit_tangent
+    on the same generator, redraws included, and advances it as they would.
     """
-    k = 1 if count is None else count
-    kept = [np.empty((0, *x.basis.shape))]
-    while k > 0:
-        h = _project(x.basis, rng.standard_normal((k, *x.basis.shape)))
-        flat = h.reshape(k, 1, -1)
+    kept = [np.empty((0, *x.shape))]
+    while count > 0:
+        h = _project(x, rng.standard_normal((count, *x.shape)))
+        flat = h.reshape(count, 1, -1)
         # Each (1 x ND) @ (ND x 1) product is the dot product np.linalg.norm takes.
         nrm = np.sqrt(flat @ np.swapaxes(flat, 1, 2))
         good = ~(nrm[:, 0, 0] < 1e-12)
         kept.append(h[good] / nrm[good])
-        k -= int(np.count_nonzero(good))
-    tangents = _tangents(x, x.basis, np.concatenate(kept))
-    return tangents[0] if count is None else tangents
+        count -= int(np.count_nonzero(good))
+    deltas = np.concatenate(kept)
+    _check_tangents(x, deltas)
+    return deltas
+
+
+def random_unit_tangent(rng: np.random.Generator, x: GrassmannPoint) -> TangentVector:
+    """Random tangent vector at x with unit Frobenius norm (see _unit_tangents)."""
+    return _trusted(TangentVector, base=x, delta=_unit_tangents(rng, x.basis, 1)[0])
 
 
 def tangent_project(x: GrassmannPoint, a) -> TangentVector:
@@ -263,98 +246,88 @@ def canonical_distance(x: GrassmannPoint, y: GrassmannPoint) -> float:
     return principal_angles(x, y).norm()
 
 
-def log_map(x, y):
+def _log_maps(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The logs of the K pairs of the K x N x D stacks x and y.
+
+    Returns the indices of the pairs with a unique geodesic, in order, and the
+    stack of their logs, each at its own base; the other pairs are left out.
+    Each log equals, bit for bit, log_map of its pair alone.
+    """
+    w = np.swapaxes(x, 1, 2) @ y
+    u, s, vt = np.linalg.svd(w)
+    keep = np.flatnonzero(s[:, -1] > UNIQUE_GEODESIC_CUTOFF)
+    xk, wk = x[keep], w[keep]
+    resid = y[keep] - xk @ wk
+    # resid @ inv(w), from the same SVD
+    l = (resid @ np.swapaxes(vt[keep], 1, 2) / s[keep, None, :]) @ np.swapaxes(u[keep], 1, 2)
+    f = thin_svd(l)
+    h = (f.u * np.arctan(f.s)[:, None, :]) @ np.swapaxes(f.v, 1, 2)
+    # Kill the numerical drift out of the tangent space left by the inverse.
+    h = _project(xk, h)
+    _check_tangents(xk, h)
+    return keep, h
+
+
+def log_map(x: GrassmannPoint, y: GrassmannPoint) -> TangentVector:
     """Tangent vector H at x with exp_map(x, H, 1) equal to y.
 
     Requires the smallest singular value of x.T @ y to exceed
     UNIQUE_GEODESIC_CUTOFF; otherwise the geodesic is not unique and
-    GeodesicNotUnique is raised. x and y may also be lists of K points, whose
-    K logs are computed as stacks; the result is then a list with the tangent
-    vector at x[k] for each unique pair and None for each pair that is not.
+    GeodesicNotUnique is raised.
     """
-    single = isinstance(x, GrassmannPoint)
-    xs, ys = ([x], [y]) if single else (list(x), list(y))
-    if len(xs) != len(ys):
-        raise ValueError(f"{len(xs)} base points for {len(ys)} targets")
-    for a, b in zip(xs, ys):
-        _check_same_space(a, b)
-    logs: list[Optional[TangentVector]] = [None] * len(xs)
-    if not xs:
-        return logs
-    xb = np.array([p.basis for p in xs])
-    yb = np.array([p.basis for p in ys])
-    w = np.swapaxes(xb, 1, 2) @ yb
-    u, s, vt = np.linalg.svd(w)
-    unique = s[:, -1] > UNIQUE_GEODESIC_CUTOFF
-    if single and not unique[0]:
+    _check_same_space(x, y)
+    keep, h = _log_maps(np.array([x.basis]), np.array([y.basis]))
+    if not keep.size:
+        smallest = np.linalg.svd(x.basis.T @ y.basis, compute_uv=False)[-1]
         raise GeodesicNotUnique(
-            f"subspaces meet near pi/2 (smallest cross-Gram singular value {s[0, -1]:.3e})"
+            f"subspaces meet near pi/2 (smallest cross-Gram singular value {smallest:.3e})"
         )
-    keep = np.flatnonzero(unique)
-    if keep.size:
-        xk, wk = xb[keep], w[keep]
-        resid = yb[keep] - xk @ wk
-        # resid @ inv(w), from the same SVD
-        l = (resid @ np.swapaxes(vt[keep], 1, 2) / s[keep, None, :]) @ np.swapaxes(u[keep], 1, 2)
-        f = thin_svd(l)
-        h = (f.u * np.arctan(f.s)[:, None, :]) @ np.swapaxes(f.v, 1, 2)
-        # Kill the numerical drift out of the tangent space left by the inverse.
-        h = _project(xk, h)
-        for i, tv in zip(keep, _tangents([xs[i] for i in keep], xk, h)):
-            logs[i] = tv
-    return logs[0] if single else logs
+    return _trusted(TangentVector, base=x, delta=h[0])
 
 
-def geodesic(x, h) -> Callable:
-    """The geodesic t -> exp_map(x, h, t) from x with velocity h.
+def _geodesics(x: np.ndarray, deltas: np.ndarray) -> Callable:
+    """The geodesics from x with the velocities of the K x N x D stack deltas.
 
-    h is checked and factored once, so evaluating the returned function at
-    many t costs no further SVD. The function takes a scalar t and returns a
-    point, or a 1-d array of t and returns the list of its points, built as
-    one stack and checked as one batch. Each point equals, bit for bit, the
-    point at that t alone.
-
-    h may also be a list of K tangent vectors, all at the point x or each at
-    its own point of the list x; their K geodesics are factored with one
-    stacked SVD. The function then returns one entry per geodesic: a point for
-    a scalar t, or a list of points for a 1-d array of t or for a K x T array,
-    whose row k holds the times of geodesic k.
+    x is one N x D basis, shared by all K, or a K x N x D stack with one base
+    per velocity. The velocities are factored once, with one stacked SVD. The
+    returned function takes a scalar t, a 1-d array of T times shared by all
+    geodesics, or a K x T array whose row k holds the times of geodesic k,
+    and returns the K x T x N x D stack of the points, checked once. Point
+    [k, i] equals, bit for bit, exp_map of velocity k at its time i alone.
     """
-    single = isinstance(h, TangentVector)
-    hs = [h] if single else list(h)
-    xs = [x] * len(hs) if isinstance(x, GrassmannPoint) else list(x)
-    if len(xs) != len(hs):
-        raise ValueError(f"{len(xs)} base points for {len(hs)} tangent vectors")
-    for p, tv in zip(xs, hs):
-        if tv.base is not p and not np.array_equal(tv.base.basis, p.basis):
-            raise ValueError("tangent vector is not based at the given point")
-    if not hs:
-        return lambda t: []
-    f = thin_svd(np.array([tv.delta for tv in hs]))
+    f = thin_svd(deltas)
     over = f.s[:, 0] > np.pi / 2 + 1e-9
     if np.any(over):
         raise ValueError(
             f"tangent singular values must not exceed pi/2, largest is {f.s[np.argmax(over), 0]:.6f}"
         )
-    bases = x.basis if isinstance(x, GrassmannPoint) else np.array([p.basis for p in xs])
-    xv = (bases @ f.v)[:, None]
+    xv = (x @ f.v)[:, None]
     u = f.u[:, None]
     vt = np.swapaxes(f.v, 1, 2)[:, None]
 
-    def at(t):
+    def at(t) -> np.ndarray:
         ts = np.asarray(t, dtype=float)
         grid = ts if ts.ndim == 2 else ts.reshape(1, -1)
         st = grid[:, :, None] * f.s[:, None, :]
         c = np.cos(st)[:, :, None, :]
         s = np.sin(st)[:, :, None, :]
         stack = xv * c @ vt + (u * s) @ vt
-        points = _points(stack.reshape(-1, *stack.shape[2:]))
-        rows = [points[i : i + stack.shape[1]] for i in range(0, len(points), stack.shape[1])]
-        if ts.ndim == 0:
-            rows = [row[0] for row in rows]
-        return rows[0] if single else rows
+        _check_bases(stack.reshape(-1, *stack.shape[2:]))
+        return stack
 
     return at
+
+
+def geodesic(x: GrassmannPoint, h: TangentVector) -> Callable[[float], GrassmannPoint]:
+    """The geodesic t -> exp_map(x, h, t) from x with velocity h.
+
+    h is checked and factored once, so evaluating the returned function at
+    many t costs no further SVD.
+    """
+    if h.base is not x and not np.array_equal(h.base.basis, x.basis):
+        raise ValueError("tangent vector is not based at the given point")
+    path = _geodesics(x.basis, h.delta[None])
+    return lambda t: _trusted(GrassmannPoint, basis=path(float(t))[0, 0])
 
 
 def exp_map(x: GrassmannPoint, h: TangentVector, t: float) -> GrassmannPoint:

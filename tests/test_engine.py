@@ -160,6 +160,30 @@ def test_solver_config_validation():
         SolverConfig(audit_samples=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dist_tol", float("nan")),
+        ("cost_tol", float("inf")),
+        ("dist_tol", True),
+        ("max_iter", 2.5),
+        ("max_iter", True),
+        ("audit_samples", 2.5),
+        ("audit_every", 1.0),
+        ("seed", 0.5),
+        ("seed", -1),
+    ],
+)
+def test_solver_config_rejects_non_finite_and_non_integer_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_accepts_numpy_integers_and_integer_tolerances():
+    config = SolverConfig(max_iter=np.int64(3), dist_tol=1, seed=np.int32(2))
+    assert config.max_iter == 3 and config.dist_tol == 1
+
+
 # --- failure modes --------------------------------------------------------------
 
 
@@ -550,6 +574,16 @@ def test_non_finite_batch_member_fails_its_audit(exact_problem, exact_anchors, v
         stationarity_check(bad_costs, *anchors[0], 10, seed=4)
 
 
+def test_stationarity_check_rejects_zero_directions(exact_problem, exact_anchors):
+    with pytest.raises(ValueError, match="directions must be at least 1"):
+        stationarity_check(exact_problem, *exact_anchors[0], 0, seed=0)
+
+
+def test_audit_quasiconvexity_rejects_zero_t_samples(exact_problem, exact_anchors):
+    with pytest.raises(ValueError, match="t_samples must be at least 1"):
+        audit_quasiconvexity(exact_problem, exact_anchors[0], 5, 0, seed=0)
+
+
 def test_batch_with_a_wrong_count_raises(exact_problem, exact_anchors):
     short = replace(exact_problem, costs=lambda g, c: exact_problem.costs(g, c)[:-1])
     with pytest.raises(ValueError, match="costs returned 9 values for 10 samples"):
@@ -588,6 +622,40 @@ def test_batch_fields_leave_every_audit_unchanged(exact_problem, exact_anchors):
         assert every_audit(exact_problem, exact_anchors[:3], seed) == every_audit(looped, exact_anchors[:3], seed)
 
 
+def test_batch_fields_receive_stacks(exact_problem, exact_anchors):
+    # Grassmann samples reach the problem as one K x N x D array of bases and
+    # convex samples as one K x c_len array, with no per-sample objects.
+    p = exact_problem
+    n, d, c_len = p.dims
+    seen = set()
+
+    def costs(g, c):
+        if isinstance(g, GrassmannPoint):
+            assert isinstance(c, np.ndarray) and c.shape[1:] == (c_len,)
+            seen.add("costs at K values of c")
+        else:
+            assert isinstance(g, np.ndarray) and g.shape[1:] == (n, d)
+            seen.add("costs at K points")
+        return p.costs(g, c)
+
+    def evaluate_many(oracle, shape):
+        def many(candidates, g, c):
+            assert isinstance(candidates, np.ndarray) and candidates.shape[1:] == shape
+            seen.add(shape)
+            return oracle.evaluate_many(candidates, g, c)
+
+        return replace(oracle, evaluate_many=many)
+
+    checked = replace(
+        p,
+        costs=costs,
+        grassmann_surrogate=evaluate_many(p.grassmann_surrogate, (n, d)),
+        convex_surrogate=evaluate_many(p.convex_surrogate, (c_len,)),
+    )
+    assert every_audit(checked, exact_anchors[:3], 2) == every_audit(p, exact_anchors[:3], 2)
+    assert len(seen) == 4
+
+
 def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
@@ -605,17 +673,19 @@ def test_subspace_batches_equal_single_calls(data, n, seed, read_only):
     # The solver's own G step returns a column slice, which numpy's matmul
     # rounds differently from a contiguous basis at D = 1.
     sliced = problem.grassmann_surrogate.minimize(g0, c)
-    pool = [g0, sliced, GrassmannPoint(np.asfortranarray(sliced.basis)), *random_point(rng, n, d, count=2)]
+    pool = [g0, sliced, GrassmannPoint(np.asfortranarray(sliced.basis)), random_point(rng, n, d), random_point(rng, n, d)]
     points = [pool[i] for i in rng.integers(0, len(pool), size=k)]
+    stack = np.array([p.basis for p in points]).reshape(k, n, d)
     g = pool[rng.integers(0, len(pool))]
     cs = rng.standard_normal((k, n))
     if read_only:
         c.setflags(write=False)
         cs.setflags(write=False)
+        stack.setflags(write=False)
     g_oracle, c_oracle = problem.grassmann_surrogate, problem.convex_surrogate
-    assert _bits(problem.costs(points, c)) == _bits([problem.cost(p, c) for p in points])
+    assert _bits(problem.costs(stack, c)) == _bits([problem.cost(p, c) for p in points])
     assert _bits(problem.costs(g, cs)) == _bits([problem.cost(g, ck) for ck in cs])
-    assert _bits(g_oracle.evaluate_many(points, g, c)) == _bits([g_oracle.evaluate(p, g, c) for p in points])
+    assert _bits(g_oracle.evaluate_many(stack, g, c)) == _bits([g_oracle.evaluate(p, g, c) for p in points])
     assert _bits(c_oracle.evaluate_many(cs, g, c)) == _bits([c_oracle.evaluate(ck, g, c) for ck in cs])
 
 

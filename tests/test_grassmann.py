@@ -15,12 +15,21 @@ from grassmm import (
     log_map,
     make_point,
     principal_angles,
+    random_orthonormal,
     random_point,
     tangent_project,
     riemannian_gradient,
     thin_svd,
 )
-from grassmm.grassmann import POINT_ORTHONORMALITY_TOL, _check_bases, _check_tangents, random_unit_tangent
+from grassmm.grassmann import (
+    POINT_ORTHONORMALITY_TOL,
+    _check_bases,
+    _check_tangents,
+    _geodesics,
+    _log_maps,
+    _unit_tangents,
+    random_unit_tangent,
+)
 
 
 def planar_line(angle):
@@ -370,15 +379,17 @@ def grassmann_shapes(draw):
 @settings(max_examples=150, deadline=None)
 @given(shape=grassmann_shapes(), count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_batched_sampler_equals_single_draws(shape, count, seed):
+    # the audits draw K candidate points as one checked stack of bases
     n, d = shape
-    batch = random_point(seed, n, d, count=count)
-    assert len(batch) == count
+    batch = random_orthonormal(seed, n, d, count=count)
+    _check_bases(batch)
+    assert batch.shape == (count, n, d)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for point in batch:
-        assert_array_equal(point.basis, random_point(rng, n, d).basis)
-        assert_array_equal(point.basis, reference_basis(ref_rng, n, d))
-        assert_orthonormal(point.basis)
-    assert_array_equal(random_point(seed, n, d).basis, batch[0].basis)
+    for basis in batch:
+        assert_array_equal(basis, random_point(rng, n, d).basis)
+        assert_array_equal(basis, reference_basis(ref_rng, n, d))
+        assert_orthonormal(basis)
+    assert_array_equal(random_point(seed, n, d).basis, batch[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -394,13 +405,13 @@ def test_stacked_geodesic_equals_pointwise(shape, seed, ts):
     tv = random_unit_tangent(rng, x)
     h = TangentVector(x, rng.uniform(0.0, np.pi / 2) * tv.delta)
     f = thin_svd(h.delta)
-    points = geodesic(x, h)(np.array(ts))
-    assert len(points) == len(ts)
-    for t, point in zip(ts, points):
+    points = _geodesics(x.basis, h.delta[None])(np.array(ts))
+    assert points.shape == (1, len(ts), n, d)
+    for t, point in zip(ts, points[0]):
         ref = (x.basis @ f.v) * np.cos(f.s * t) @ f.v.T + (f.u * np.sin(f.s * t)) @ f.v.T
-        assert_array_equal(point.basis, ref)
-        assert_array_equal(point.basis, exp_map(x, h, t).basis)
-        assert_orthonormal(point.basis)
+        assert_array_equal(point, ref)
+        assert_array_equal(point, exp_map(x, h, t).basis)
+        assert_orthonormal(point)
 
 
 @st.composite
@@ -423,72 +434,78 @@ def test_stacked_primitives_equal_single_calls(case, seed, degenerate):
         assert np.linalg.norm(first - x.basis @ (x.basis.T @ first)) < 1e-12
     rng, ref = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
     # two batches from one generator, as a batch split at a chunk boundary is drawn
-    tangents = random_unit_tangent(rng, x, count=split) + random_unit_tangent(rng, x, count=count - split)
+    tangents = np.concatenate([_unit_tangents(rng, x.basis, split), _unit_tangents(rng, x.basis, count - split)])
     singles = [random_unit_tangent(ref, x) for _ in range(count)]
     assert rng.bit_generator.state == ref.bit_generator.state
-    for tv, single in zip(tangents, singles):
-        assert tv.base is x
-        assert_array_equal(tv.delta, single.delta)
+    assert tangents.shape == (count, n, d)
+    for delta, single in zip(tangents, singles):
+        assert single.base is x
+        assert_array_equal(delta, single.delta)
 
     # thin SVD of the stack, member by member
-    stack = np.array([tv.delta for tv in tangents])
-    f = thin_svd(stack)
-    for k, m in enumerate(stack):
+    f = thin_svd(tangents)
+    for k, m in enumerate(tangents):
         single = thin_svd(m)
         for got, want in ((f.u[k], single.u), (f.s[k], single.s), (f.v[k], single.v)):
             assert_array_equal(got, want)
 
     # geodesics at one base: a shared t-grid, and one time per geodesic
-    hs = [TangentVector(x, r * tv.delta) for r, tv in zip(rng.uniform(0.0, np.pi / 2, count), tangents)]
+    hs = rng.uniform(0.0, np.pi / 2, count)[:, None, None] * tangents
     ts = rng.uniform(-1.0, 1.0, 3)
     radii = rng.uniform(0.0, 1.0, count)
-    ends = geodesic(x, hs)(radii[:, None])
-    for h, path, r, (end,) in zip(hs, geodesic(x, hs)(ts), radii, ends):
+    ends = _geodesics(x.basis, hs)(radii[:, None])
+    paths = _geodesics(x.basis, hs)(ts)
+    assert ends.shape == (count, 1, n, d) and paths.shape == (count, 3, n, d)
+    for h, path, r, (end,) in zip(hs, paths, radii, ends):
+        tv = TangentVector(x, h)
         for t, point in zip(ts, path):
-            assert_array_equal(point.basis, exp_map(x, h, t).basis)
-        assert_array_equal(end.basis, exp_map(x, h, r).basis)
-    for point, (same,) in zip(geodesic(x, hs)(ts[0]), geodesic(x, hs)(ts[:1])):
-        assert_array_equal(point.basis, same.basis)  # a scalar t gives one point per geodesic
+            assert_array_equal(point, exp_map(x, tv, t).basis)
+        assert_array_equal(end, exp_map(x, tv, r).basis)
+    # a scalar t gives one point per geodesic
+    assert_array_equal(_geodesics(x.basis, hs)(ts[0]), _geodesics(x.basis, hs)(ts[:1]))
 
     # logs of K pairs, with a pair meeting at pi/2 when the dimensions allow one
-    xs = [end for (end,) in ends]
-    ys = random_point(rng, n, d, count=count)
+    xs = ends[:, 0]
+    ys = random_orthonormal(rng, n, d, count=count)
     if 2 * d <= n:
-        ys[-1] = GrassmannPoint(np.linalg.qr(xs[-1].basis, mode="complete")[0][:, d : 2 * d])
-    logs = log_map(xs, ys)
-    for xk, yk, log in zip(xs, ys, logs):
+        ys[-1] = np.linalg.qr(xs[-1], mode="complete")[0][:, d : 2 * d]
+    keep, logs = _log_maps(xs, ys)
+    assert logs.shape == (keep.size, n, d)
+    logs_of = dict(zip(keep.tolist(), logs))
+    for k, (xk, yk) in enumerate(zip(xs, ys)):
         try:
-            single = log_map(xk, yk)
+            single = log_map(GrassmannPoint(xk), GrassmannPoint(yk))
         except GeodesicNotUnique:
-            assert log is None
+            assert k not in logs_of
             continue
-        assert log.base is xk
-        assert_array_equal(log.delta, single.delta)
+        assert_array_equal(logs_of[k], single.delta)
     if 2 * d <= n:
-        assert logs[-1] is None
+        assert count - 1 not in logs_of
 
     # geodesics with one tangent per base
-    joined = [(xk, log) for xk, log in zip(xs, logs) if log is not None]
-    paths = geodesic([xk for xk, _ in joined], [log for _, log in joined])(ts)
-    for (xk, log), path in zip(joined, paths):
+    paths = _geodesics(xs[keep], logs)(ts)
+    for xk, log, path in zip(xs[keep], logs, paths):
+        x_k = GrassmannPoint(xk)
         for t, point in zip(ts, path):
-            assert_array_equal(point.basis, exp_map(xk, log, t).basis)
+            assert_array_equal(point, exp_map(x_k, TangentVector(x_k, log), t).basis)
 
 
 def test_empty_batches():
     x = random_point(0, 5, 2)
-    assert random_unit_tangent(np.random.default_rng(0), x, count=0) == []
-    assert geodesic(x, [])(np.array([0.0, 1.0])) == []
-    assert log_map([], []) == []
+    empty = np.empty((0, 5, 2))
+    assert _unit_tangents(np.random.default_rng(0), x.basis, 0).shape == (0, 5, 2)
+    assert _geodesics(x.basis, empty)(np.array([0.0, 1.0])).shape == (0, 2, 5, 2)
+    keep, logs = _log_maps(empty, empty)
+    assert keep.size == 0 and logs.shape == (0, 5, 2)
 
 
 def test_stacked_tangents_are_checked():
     x = random_point(0, 5, 2)
     h = random_unit_tangent(np.random.default_rng(1), x)
-    with pytest.raises(ValueError, match="not based at the given point"):
-        geodesic(x, [h, TangentVector(random_point(2, 5, 2), np.zeros((5, 2)))])
-    with pytest.raises(ValueError, match="must not exceed pi/2"):
-        geodesic(x, [h, TangentVector(x, 2.0 * h.delta / np.linalg.norm(h.delta, 2))])
+    long = 2.0 * h.delta / np.linalg.norm(h.delta, 2)
+    expected = message_of(geodesic, x, TangentVector(x, long))
+    assert expected.startswith("tangent singular values must not exceed pi/2")
+    assert message_of(_geodesics, x.basis, np.stack([h.delta, long])) == expected
     with pytest.raises(ValueError, match="not tangent at base"):
         _check_tangents(x.basis, np.stack([h.delta, x.basis]))
 
@@ -504,7 +521,7 @@ def message_of(fn, *args):
 def test_stack_check_rejects_its_last_member(shape, count, seed):
     # only the last member is bad, so a check that reads only [0] would pass
     n, d = shape
-    stack = np.stack([p.basis for p in random_point(seed, n, d, count=count)])
+    stack = random_orthonormal(seed, n, d, count=count)
     _check_bases(stack)
     for bad_value in (1.5 * stack[-1], np.where(np.arange(n)[:, None] == 0, np.nan, stack[-1])):
         bad = stack.copy()
