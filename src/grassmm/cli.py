@@ -252,6 +252,7 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
             "final_f": float(report.final_cost),
             "final_dc": float(report.final_dc),
             "stationarity_score": float(report.stationarity_score),
+            "extrapolations": int(report.extrapolations),
         }
         all_converged &= bool(report.converged)
     _write_json(out_dir / "report.json", {"kind": cfg["kind"], "runs": runs})

@@ -25,15 +25,19 @@ block gradients and the two Lipschitz bounds are filled in on first use. The
 transforms are kept per signal: the residual's serves both gradients, an
 anchor whose G or x is, by identity, the previous anchor's takes that
 signal's transform from it, and the active kernel's transform is G's,
-negated for the negative sign. The results equal the reference functions
-bit for bit. Contexts are kept for the two most recent anchors whose arrays
-are read-only, matched by identity: the engine marks its iterates read-only,
+negated for the negative sign. At and above _FFT_MIN_N the Lipschitz bounds
+read the stored real FFTs of G and x. The results equal the reference
+functions bit for bit. Contexts are kept for the two most recently used
+anchors whose arrays are read-only, matched by identity, so an anchor
+that follows an extrapolation the engine rejected still shares its signals
+with the iterate it continues from: the engine marks its iterates read-only,
 and an anchor with a writable array is recomputed on every call, so mutating
 it in place cannot leave a stale value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -80,13 +84,15 @@ class _Signal:
     """A signal v and its transform t, computed on first use and then kept:
     the circulant v[_conv_index(N)] below _FFT_MIN_N samples, rfft(v) at and
     above. A given t must be the transform of v bit for bit; the negated
-    transform of a signal is that of its negation."""
+    transform of a signal is that of its negation. Its Lipschitz bound is
+    kept the same way."""
 
-    __slots__ = ("v", "_t")
+    __slots__ = ("v", "_t", "_lip")
 
     def __init__(self, v: np.ndarray, t: Optional[np.ndarray] = None):
         self.v = v
         self._t = t
+        self._lip = None
 
     @property
     def t(self) -> np.ndarray:
@@ -94,6 +100,14 @@ class _Signal:
             n = self.v.size
             self._t = self.v[_conv_index(n)] if n < _FFT_MIN_N else np.fft.rfft(self.v)
         return self._t
+
+    @property
+    def lip(self) -> float:
+        """_lipschitz(v), from the transform when that is the real FFT. |DFT(v)|
+        does not depend on the sign of v, so a negated signal may share it."""
+        if self._lip is None:
+            self._lip = _lipschitz(self.v, self.t if self.v.size >= _FFT_MIN_N else None)
+        return self._lip
 
 
 def _convolve(a: _Signal, x: _Signal) -> np.ndarray:
@@ -118,10 +132,12 @@ def _corr(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _correlate(_Signal(v), _Signal(w))
 
 
-def _lipschitz(v: np.ndarray) -> float:
-    # Rounding is monotone, so the square of the largest modulus is the
-    # largest rounded square bit for bit.
-    m = float(np.abs(np.fft.fft(v)).max())
+def _lipschitz(v: np.ndarray, spectrum: Optional[np.ndarray] = None) -> float:
+    """2 max |rfft(v)|^2; spectrum, when given, must be rfft(v) bit for bit."""
+    # The moduli of the full DFT are those of the real FFT, mirrored. Rounding
+    # is monotone, so the square of the largest modulus is the largest
+    # rounded square bit for bit.
+    m = float(np.abs(np.fft.rfft(v) if spectrum is None else spectrum).max())
     return 2.0 * (m * m)
 
 
@@ -260,11 +276,17 @@ def prox_step_x(problem: DeconvProblem, state: DeconvState, step: float) -> np.n
 
 
 def riemannian_step_a(problem: DeconvProblem, state: DeconvState, step: float) -> GrassmannPoint:
-    """One geodesic gradient step on the kernel.
+    """One geodesic step on the kernel: the exact minimizer over the unit
+    sphere of the quadratic model f(a) + <g, b - a> + ||b - a||^2 / (2 step)
+    of the data term, with g its gradient at a.
 
-    Moves along the Gr(N, 1) geodesic a cos(||h||) + (h / ||h||) sin(||h||)
-    with h = -step * (tangent-projected gradient); returns the kernel unchanged
-    when the projected gradient norm is at or below ZERO_GRAD_CUTOFF.
+    The minimizer is (a - step g) / ||a - step g||, which lies on the Gr(N, 1)
+    geodesic a cos(t) - u sin(t) along the tangent-projected gradient
+    (u = P g / ||P g||) at the angle t = atan2(step ||P g||, 1 - step <g, a>).
+    That is about step ||P g|| for a short step. The model majorizes the data
+    term when 1 / step is at least its Lipschitz constant, so the step then
+    never raises the cost. Returns the kernel unchanged when the projected
+    gradient norm is at or below ZERO_GRAD_CUTOFF.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
@@ -274,12 +296,16 @@ def riemannian_step_a(problem: DeconvProblem, state: DeconvState, step: float) -
 def _geodesic_step(a: GrassmannPoint, egrad: np.ndarray, step: float) -> GrassmannPoint:
     # egrad is this module's own gradient, so it is projected without the
     # input checks of riemannian_gradient; the new kernel is still checked.
+    # The angle is not step * ||P g||: where <g, a> < -1 / step that angle
+    # overshoots the model's minimizer on the sphere, and the step raised the
+    # cost (deconv N=27, seed 1439, lambda 0.5, iteration 1).
     rg = _project(a.basis, egrad[:, None])
-    if np.linalg.norm(rg) <= ZERO_GRAD_CUTOFF:
+    gn = float(np.linalg.norm(rg))
+    if gn <= ZERO_GRAD_CUTOFF:
         return a
-    h = -step * rg[:, 0]
-    hn = float(np.linalg.norm(h))
-    new = a.basis[:, 0] * np.cos(hn) + (h / hn) * np.sin(hn)
+    b = a.basis[:, 0]
+    angle = math.atan2(step * gn, 1.0 - step * float(egrad @ b))
+    new = b * math.cos(angle) - rg[:, 0] * (math.sin(angle) / gn)
     return GrassmannPoint(new[:, None])
 
 
@@ -394,12 +420,12 @@ class _Anchor:
 
     `ws_a` is the active-sign representative of G, `kernel` its vector,
     `resid` the signal r = y - kernel (*) x and `base` = ||r||^2. The
-    gradients and Lipschitz bounds are computed on first use, and so are the
-    transforms of G, x and the residual (see _Signal); both gradients read
-    the residual's.
+    gradients are computed on first use, and so are the transforms of G, x
+    and the residual and the Lipschitz bounds of G and x (see _Signal); both
+    gradients read the residual's transform.
     An anchor whose G or x is the previous anchor's, by identity, takes that
-    signal and its transform from there, with the kernel bound `lip_a` or the
-    l1 penalty of x, and checks a G only when it is new.
+    signal, with its transform and bound, from there, with the l1 penalty of
+    x, and checks a G only when it is new.
     """
 
     def __init__(self, problem: DeconvProblem, g: GrassmannPoint, x: np.ndarray, prev: Optional[_Anchor]):
@@ -432,9 +458,6 @@ class _Anchor:
             resid, self.base = r_minus, d_minus
         self.resid = _Signal(resid)
         self.kernel = self.ws_a.basis[:, 0]
-        if same_g and "lip_a" in vars(prev):
-            # |DFT(a)| does not depend on the sign of a, so anchors on one G share it.
-            self.lip_a = prev.lip_a
 
     @cached_property
     def kernel_signal(self) -> _Signal:
@@ -458,15 +481,15 @@ class _Anchor:
         grad.setflags(write=False)
         return grad
 
-    @cached_property
+    @property
     def lip_a(self) -> float:
         """Curvature bound of the data term in x: it depends on the kernel."""
-        return _lipschitz(self.kernel)
+        return self.g_signal.lip
 
-    @cached_property
+    @property
     def lip_x(self) -> float:
         """Curvature bound of the data term in the kernel: it depends on x."""
-        return _lipschitz(self.x)
+        return self.x_signal.lip
 
     def prox(self, step: float) -> np.ndarray:
         """The code after one proximal gradient step of length `step`."""
@@ -479,19 +502,22 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
     Both surrogates are Lipschitz quadratic models of the data term around the
     active-sign representative, with curvature L / step_scale where L is the
     Fourier bound from the current fixed block; step_scale = 1 makes them true
-    majorants. The kernel surrogate is minimized by one geodesic gradient step
-    of length step_scale / L, the code surrogate by one proximal step. Every
-    callable reads its anchor's quantities from one shared per-anchor context
-    (see the module docstring).
+    majorants. The kernel surrogate is minimized exactly over the unit sphere
+    by one geodesic step (see riemannian_step_a, with step step_scale / L),
+    the code surrogate by one proximal step. Every callable reads its
+    anchor's quantities from one shared per-anchor context (see the module
+    docstring).
     """
     if step_scale <= 0.0:
         raise ValueError(f"step_scale must be positive, got {step_scale}")
     n = problem.n
-    recent: list[_Anchor] = []  # newest last; anchors whose arrays are read-only
+    recent: list[_Anchor] = []  # most recently used last; anchors whose arrays are read-only
 
     def at(g: GrassmannPoint, x) -> _Anchor:
         for ctx in recent:
             if ctx.g is g and ctx.x is x:
+                recent.remove(ctx)
+                recent.append(ctx)
                 return ctx
         x = np.asarray(x, dtype=float)
         ctx = _Anchor(problem, g, x, recent[-1] if recent else None)

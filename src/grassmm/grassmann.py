@@ -11,17 +11,19 @@ K x N x D stacks: K unit tangents at a basis (`_unit_tangents`), the
 geodesics of K tangents over a t-grid (`_geodesics`) and the logs of K pairs
 (`_log_maps`). The geodesics and the logs take one thin SVD per stack, each
 function checks its output stack once, and member k equals, bit for bit, the
-public single call, which is the stack of one.
+public single call, which is the stack of one. The solver's extrapolation
+step takes the point past the end of a geodesic segment from `_secant_point`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import as_matrix, qr_orthonormalize, random_orthonormal, thin_svd
+from .linalg import ThinSVD, as_matrix, qr_orthonormalize, random_orthonormal, thin_svd
 
 POINT_ORTHONORMALITY_TOL = 1e-9
 TANGENCY_TOL = 1e-9
@@ -246,6 +248,20 @@ def canonical_distance(x: GrassmannPoint, y: GrassmannPoint) -> float:
     return principal_angles(x, y).norm()
 
 
+def _log_factors(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ThinSVD]:
+    """The indices of the pairs of the K x N x D stacks x and y that have a
+    unique geodesic, in order, and the thin SVD U diag(tan theta) V^T of the
+    matrix (Y - X X^T Y)(X^T Y)^-1 of each such pair. The log at x is then
+    U diag(theta) V^T: theta holds the principal angles of the pair."""
+    w = np.swapaxes(x, 1, 2) @ y
+    u, s, vt = np.linalg.svd(w)
+    keep = np.flatnonzero(s[:, -1] > UNIQUE_GEODESIC_CUTOFF)
+    resid = y[keep] - x[keep] @ w[keep]
+    # resid @ inv(w), from the same SVD
+    l = (resid @ np.swapaxes(vt[keep], 1, 2) / s[keep, None, :]) @ np.swapaxes(u[keep], 1, 2)
+    return keep, thin_svd(l)
+
+
 def _log_maps(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The logs of the K pairs of the K x N x D stacks x and y.
 
@@ -253,19 +269,50 @@ def _log_maps(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack of their logs, each at its own base; the other pairs are left out.
     Each log equals, bit for bit, log_map of its pair alone.
     """
-    w = np.swapaxes(x, 1, 2) @ y
-    u, s, vt = np.linalg.svd(w)
-    keep = np.flatnonzero(s[:, -1] > UNIQUE_GEODESIC_CUTOFF)
-    xk, wk = x[keep], w[keep]
-    resid = y[keep] - xk @ wk
-    # resid @ inv(w), from the same SVD
-    l = (resid @ np.swapaxes(vt[keep], 1, 2) / s[keep, None, :]) @ np.swapaxes(u[keep], 1, 2)
-    f = thin_svd(l)
+    keep, f = _log_factors(x, y)
+    xk = x[keep]
     h = (f.u * np.arctan(f.s)[:, None, :]) @ np.swapaxes(f.v, 1, 2)
     # Kill the numerical drift out of the tangent space left by the inverse.
     h = _project(xk, h)
     _check_tangents(xk, h)
     return keep, h
+
+
+def _secant_point(x: np.ndarray, y: np.ndarray, beta: float) -> Optional[np.ndarray]:
+    """The N x D basis of the point at time 1 + beta on the geodesic from the
+    basis x through the basis y, that is exp_map(y, log_map(y, x), -beta);
+    None when x and y have no unique geodesic between them.
+
+    The geodesic is evaluated from the thin-SVD factors the log at y already
+    took, with no second factorization. On Gr(N, 1) the log and the geodesic
+    have a closed form with no SVD: with cos(theta) = |y^T x| and u the unit
+    tangent at y toward the representative of x nearest to y, the point is
+    y cos(beta theta) - u sin(beta theta).
+    """
+    # Each path projects the unit tangent u onto the tangent space at y once
+    # more: dividing by a small sin(theta) amplifies the drift out of it left
+    # by a y that is orthonormal only to rounding.
+    if y.shape[1] == 1:
+        w = float(y[:, 0] @ x[:, 0])
+        if not abs(w) > UNIQUE_GEODESIC_CUTOFF:
+            return None
+        r = math.copysign(1.0, w) * x[:, 0] - abs(w) * y[:, 0]
+        rn = float(np.linalg.norm(r))
+        out = y.copy()
+        if rn > 0.0:
+            u = r / rn
+            u -= y[:, 0] * float(y[:, 0] @ u)
+            angle = beta * math.atan2(rn, abs(w))
+            out[:, 0] = y[:, 0] * math.cos(angle) - u * math.sin(angle)
+    else:
+        keep, f = _log_factors(y[None], x[None])
+        if not keep.size:
+            return None
+        u, v = _project(y, f.u[0]), f.v[0]
+        angles = -beta * np.arctan(f.s[0])
+        out = ((y @ v) * np.cos(angles) + u * np.sin(angles)) @ v.T
+    _check_bases(out[None])
+    return out
 
 
 def log_map(x: GrassmannPoint, y: GrassmannPoint) -> TangentVector:

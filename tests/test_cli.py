@@ -301,8 +301,12 @@ def test_run_writes_traces_and_report(tmp_path):
     assert report["kind"] == "subspace-mean"
     assert set(report["runs"]) == {"0", "1"}
     for entry in report["runs"].values():
-        assert set(entry) == {"converged", "iterations", "final_f", "final_dc", "stationarity_score"}
+        assert set(entry) == {
+            "converged", "iterations", "final_f", "final_dc", "stationarity_score", "extrapolations"
+        }
         assert entry["converged"] is True
+        # subspace-mean converges before the first extrapolation try
+        assert entry["extrapolations"] == 0
         rows = len(lines) - 1  # one trace row per iteration
     assert report["runs"]["1"]["iterations"] == rows
 

@@ -30,7 +30,7 @@ from grassmm import (
     soft_threshold,
     solve_deconv,
 )
-from grassmm import deconv
+from grassmm import deconv, engine
 from grassmm.deconv import active_sign, build_block_problem, working_state
 from grassmm.grassmann import GrassmannPoint
 
@@ -264,6 +264,30 @@ def test_riemannian_step_unit_norm_and_descent():
         a1 = riemannian_step_a(p, s, 1.0 / bound)
         assert abs(np.linalg.norm(a1.basis) - 1.0) <= 1e-12
         assert deconv_cost(p, DeconvState(a=a1, x=s.x)) <= deconv_cost(p, s) + 1e-10
+
+
+def test_riemannian_step_is_the_sphere_minimizer_of_its_model():
+    # The quadratic model with curvature 1/step, restricted to the unit sphere,
+    # is linear in b: <g - a / step, b> plus a constant, so (a - step g) over
+    # its norm minimizes it.
+    for seed in range(20):
+        inst = generate_instance(seed, 40, 0.1, 6, 0.05)
+        p = DeconvProblem(y=inst.y, lam=0.1)
+        s = working_state(p, DeconvState(a=random_point(3000 + seed, 40, 1), x=inst.true_x))
+        bound = lipschitz_bound(s.x)
+        for step in (0.01, 10.0) + ((1.0 / bound,) if bound > 0.0 else ()):
+            a = s.kernel - step * grad_a(p, s)
+            assert_allclose(riemannian_step_a(p, s, step).basis[:, 0], a / np.linalg.norm(a), atol=1e-12)
+
+
+def test_plain_kernel_step_keeps_descent_where_the_gradient_opposes_the_kernel():
+    # Here <grad, a> < -L at iteration 1: a geodesic step of angle ||P grad|| / L
+    # overshoots the model's minimizer on the sphere and raised the cost by 0.083.
+    inst = generate_instance(1439, 27, 0.0625, 8, 0.0)
+    p = DeconvProblem(y=inst.y, lam=0.5)
+    trace, report = solve_deconv(p, default_init(p, 8), SolverConfig(max_iter=60, seed=0))
+    chain = [v for r in trace for v in (r.f, r.f_after_g)] + [report.final_cost]
+    assert all(b <= a + 1e-12 for a, b in zip(chain, chain[1:]))
 
 
 def test_riemannian_step_zero_gradient_keeps_kernel():
@@ -657,10 +681,16 @@ def test_solver_trace_equals_reference_problem_exactly(seed):
 def test_work_per_iteration(monkeypatch):
     # Between two consecutive kernel steps the engine evaluates the cost at the
     # two new iterates. Each new anchor transforms only its new signal, G or x,
-    # and its residual; the rest comes from the anchor before it. So an
-    # iteration gathers two circulants (the new kernel's and the new code's)
-    # below the FFT crossover, and takes four forward real FFTs at and above
-    # it (those two signals and the residual at each of the two anchors).
+    # and its residual; the rest comes from the anchor before it. The
+    # Lipschitz bounds of the new G and x are FFTs too: below the FFT
+    # crossover they are taken on their own, at and above it they read the
+    # stored real FFTs. So an iteration without an extrapolation try gathers
+    # two circulants and takes the two Lipschitz FFTs below the crossover,
+    # and takes four forward real FFTs at and above it (the new G and x and
+    # the residual at each of the two anchors). An iteration with a try adds
+    # one cost call, at the extrapolated point, and at most three transforms:
+    # its new G and x, and, when the try is kept, the new residual at and
+    # above the crossover, the new G's Lipschitz FFT below it.
     counts = {"cost": 0, "transform": 0}
 
     def counted(fn, key):
@@ -670,10 +700,12 @@ def test_work_per_iteration(monkeypatch):
 
         return wrapper
 
-    # A transform is a circulant gather below the crossover, an rfft above it.
+    # A transform is a circulant gather below the crossover, an rfft above it;
+    # every FFT counts, so a Lipschitz bound taken with a full fft would too.
     monkeypatch.setattr(deconv, "_conv_index", counted(deconv._conv_index, "transform"))
     monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, "transform"))
-    for n, bound, max_iter in ((64, 2, 5000), (1024, 4, 100)):
+    monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft, "transform"))
+    for n, bound, max_iter in ((64, 4, 5000), (1024, 4, 100)):
         inst = generate_instance(2, n, 0.0625, 8, 0.0)
         p = DeconvProblem(y=inst.y, lam=0.1)
         init = default_init(p, 8)
@@ -691,6 +723,8 @@ def test_work_per_iteration(monkeypatch):
         )
         _, report = run_block_mm(problem, init.a, init.x, SolverConfig(max_iter=max_iter, seed=2))
         assert report.iterations >= 20
-        for before, after in zip(snapshots, snapshots[1:]):
-            assert after["cost"] - before["cost"] <= 2
-            assert after["transform"] - before["transform"] <= bound, n
+        assert report.extrapolations > 0
+        for i, (before, after) in enumerate(zip(snapshots, snapshots[1:])):
+            tried = (i + 1) % engine.EXTRAPOLATION_PERIOD == 0
+            assert after["cost"] - before["cost"] <= 2 + tried
+            assert after["transform"] - before["transform"] <= bound + 3 * tried, n

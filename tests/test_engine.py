@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from grassmm import (
 )
 from grassmm import engine
 from grassmm.deconv import build_block_problem
-from grassmm.grassmann import random_unit_tangent
+from grassmm.grassmann import _secant_point, random_unit_tangent
 
 
 def subspace_optimum(a, d):
@@ -915,3 +916,149 @@ def test_stationarity_at_leading_eigenspace():
     )
     top = make_point(np.linalg.eigh(a_sym)[1][:, -3:])
     assert stationarity_check(prob, top, np.zeros(1), 64, seed=5) >= -1e-4
+
+
+# --- extrapolation ---------------------------------------------------------------
+
+
+class TryLog:
+    """Stands in for the engine's extrapolation point: records each try, as
+    (beta, the basis returned or None), and returns the real point."""
+
+    def __init__(self):
+        self.tries = []
+
+    def __call__(self, x, y, beta):
+        out = _secant_point(x, y, beta)
+        self.tries.append((beta, out))
+        return out
+
+    def holds(self, g) -> bool:
+        """Whether g is a point this log returned."""
+        return any(g.basis is out for _, out in self.tries)
+
+    def patch(self):
+        return mock.patch.object(engine, "_secant_point", self)
+
+
+def deconv_instance(seed, n=64, lam=0.1):
+    inst = generate_instance(seed, n, 0.0625, min(8, n), 0.0)
+    p = DeconvProblem(y=inst.y, lam=lam)
+    return build_block_problem(p), default_init(p, min(8, n))
+
+
+def quadratic_pull(turn, target):
+    """A problem on Gr(2, 1) x R^2 whose Grassmann step turns the line by `turn`
+    and leaves the cost alone, and whose convex step halves the distance from
+    c to `target`. Every extrapolation try, if made, lands c on the target
+    and lowers the cost to 0."""
+    return BlockProblem(
+        cost=lambda g, c: float(np.sum((c - target) ** 2)),
+        grassmann_surrogate=SurrogateOracle(
+            evaluate=lambda cand, g, c: 0.0,
+            minimize=lambda g, c: make_point(
+                np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]]) @ g.basis
+            ),
+        ),
+        convex_surrogate=SurrogateOracle(
+            evaluate=lambda cand, g, c: 0.0, minimize=lambda g, c: 0.5 * (c + target)
+        ),
+        convex_constraint=identity_constraint,
+        dims=(2, 1, 2),
+    )
+
+
+def test_extrapolation_skips_a_pair_at_right_angles():
+    target = np.array([1.0, -2.0])
+    config = SolverConfig(max_iter=7, seed=0)
+    # Control: a turn by pi/4 leaves a unique geodesic, and the try is kept.
+    _, report = run_block_mm(quadratic_pull(np.pi / 4, target), line(0.0), np.zeros(2), config)
+    assert report.extrapolations >= 1
+    # A right-angle turn: no unique geodesic, so no try, and the run goes on.
+    log = TryLog()
+    with log.patch():
+        trace, report = run_block_mm(quadratic_pull(np.pi / 2, target), line(0.0), np.zeros(2), config)
+    # Iterations 2 and 5 skip their tries, each counted as a rejection: beta stays 1.
+    assert log.tries == [(1.0, None), (1.0, None)]
+    assert report.extrapolations == 0
+    assert report.iterations == 7
+    assert [r.dc_step for r in trace] == pytest.approx([np.pi / 2] * 7)
+    assert report.final_cost == pytest.approx(float(np.sum(target**2)) / 4**7)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(8, 300), lam=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_extrapolation_keeps_descent_on_deconv(n, lam, seed):
+    base, init = deconv_instance(seed, n, lam)
+    log = TryLog()
+    costs = []  # (g, cost) of every cost call, in order
+    anchors = []  # the g of every Grassmann step
+
+    def cost(g, c):
+        f = base.cost(g, c)
+        costs.append((g, f))
+        return f
+
+    def minimize(g, c):
+        anchors.append(g)
+        return base.grassmann_surrogate.minimize(g, c)
+
+    problem = replace(
+        base, cost=cost, grassmann_surrogate=replace(base.grassmann_surrogate, minimize=minimize)
+    )
+    with log.patch():
+        trace, report = run_block_mm(problem, init.a, init.x, SolverConfig(max_iter=60, seed=0))
+    # f_0 >= f_after_G_0 >= f_1 >= ... >= the final cost
+    chain = [v for r in trace for v in (r.f, r.f_after_g)] + [report.final_cost]
+    assert all(b <= a + 1e-10 for a, b in zip(chain, chain[1:]))
+
+    # A try is kept when the next step starts from it, or the run ends on it.
+    starts = [g.basis for g in anchors] + [report.final_g.basis]
+
+    def kept(out) -> bool:
+        return out is not None and any(b is out for b in starts)
+
+    beta = 1.0
+    for used, out in log.tries:
+        assert used == beta
+        beta = min(2.0 * beta, 64.0) if kept(out) else max(0.5 * beta, 1.0)
+    assert report.extrapolations == sum(kept(out) for _, out in log.tries)
+    # A kept try's first cost call comes right after the one at the MM output,
+    # and is lower. (The stationarity probe may call it again at the end.)
+    seen = set()
+    for k, (g, f) in enumerate(costs):
+        if log.holds(g) and kept(g.basis) and id(g.basis) not in seen:
+            seen.add(id(g.basis))
+            assert f < costs[k - 1][1]
+    assert len(seen) == report.extrapolations
+
+
+def test_rejected_extrapolation_reproduces_the_plain_trace(monkeypatch):
+    base, init = deconv_instance(0)
+    config = SolverConfig(max_iter=400, seed=0)
+    log = TryLog()
+
+    def cost(g, c):
+        # Every extrapolated point costs more than the MM output it competes with.
+        return base.cost(g, c) + (1.0 if log.holds(g) else 0.0)
+
+    with log.patch():
+        trace, report = run_block_mm(replace(base, cost=cost), init.a, init.x, config)
+    assert len(log.tries) > 10
+    assert report.extrapolations == 0
+    monkeypatch.setattr(engine, "EXTRAPOLATION_PERIOD", config.max_iter + 1)
+    plain_trace, plain = run_block_mm(deconv_instance(0)[0], init.a, init.x, config)
+    assert trace.records == plain_trace.records
+    assert report.final_cost == plain.final_cost
+    assert report.stationarity_score == plain.stationarity_score
+    assert_array_equal(report.final_g.basis, plain.final_g.basis)
+    assert_array_equal(report.final_c, plain.final_c)
+
+
+def test_non_finite_cost_at_the_extrapolated_point_raises():
+    base, init = deconv_instance(0)
+    log = TryLog()
+    problem = replace(base, cost=lambda g, c: np.nan if log.holds(g) else base.cost(g, c))
+    with log.patch(), pytest.raises(NonFiniteCostError, match="at the extrapolated iterate"):
+        run_block_mm(problem, init.a, init.x, SolverConfig(seed=0))
+    assert len(log.tries) == 1

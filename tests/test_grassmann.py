@@ -26,7 +26,9 @@ from grassmm.grassmann import (
     _check_bases,
     _check_tangents,
     _geodesics,
+    _log_factors,
     _log_maps,
+    _secant_point,
     _unit_tangents,
     random_unit_tangent,
 )
@@ -537,3 +539,63 @@ def test_stack_check_shape_messages():
     assert message_of(GrassmannPoint, np.zeros((0, 2))).startswith("matrix must have at least one row")
     assert message_of(GrassmannPoint, np.full((3, 1), np.inf)) == "matrix entries must be finite"
     _check_bases(np.zeros((0, 3, 1)))  # an empty batch holds no bad member
+
+
+# --- the extrapolation point past a geodesic segment --------------------------------
+
+
+def general_secant_point(x, y, beta):
+    """The secant point by the general path, taken at any D, Gr(N, 1) included."""
+    _, f = _log_factors(y[None], x[None])
+    angles = -beta * np.arctan(f.s[0])
+    return ((y @ f.v[0]) * np.cos(angles) + f.u[0] * np.sin(angles)) @ f.v[0].T
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (9, 1), (300, 1), (9, 3), (40, 3)])
+def test_secant_point_is_the_geodesic_past_its_end(n, d):
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x = random_point(seed, n, d)
+        h = random_unit_tangent(rng, x)
+        y = exp_map(x, TangentVector(base=x, delta=rng.uniform(0.01, 1.2) * h.delta), 1.0)
+        for beta in (1.0, 2.0, 5.0, 64.0):
+            got = _secant_point(x.basis, y.basis, beta)
+            expected = exp_map(y, log_map(y, x), -beta).basis
+            assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+            if d == 1:
+                # the closed form agrees with the general path
+                assert_allclose(got, general_secant_point(x.basis, y.basis, beta), rtol=0.0, atol=1e-12)
+            # the point sits at arc length (1 + beta) * dist(x, y) from x, modulo the period
+            angles = (1.0 + beta) * principal_angles(x, y).angles
+            expected_dist = np.linalg.norm(np.abs(np.remainder(angles + np.pi / 2, np.pi) - np.pi / 2))
+            assert canonical_distance(x, GrassmannPoint(got)) == pytest.approx(expected_dist, abs=1e-9)
+
+
+def test_secant_point_through_the_same_point_stays_there():
+    x = random_point(3, 7, 1)
+    for start in (x.basis, -x.basis):
+        assert_allclose(_secant_point(start, x.basis, 8.0), x.basis, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_secant_point_at_right_angles_is_none(d):
+    x = np.eye(5)[:, :d]
+    y = np.eye(5)[:, d : 2 * d]
+    assert _secant_point(x, y, 1.0) is None
+    tilted = make_point(y + 1e-10 * x).basis
+    assert _secant_point(x, tilted, 1.0) is None
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_secant_point_keeps_unit_norm_from_rounded_iterates(d):
+    # Iterates of norm 1 - 3e-11, inside the tolerance a deconv kernel is
+    # held to, and a short step: the tangent direction divides by
+    # sin(theta) ~ 1e-3, which would amplify the deviation past the basis check.
+    rng = np.random.default_rng(5)
+    x = random_point(5, 64, d)
+    h = random_unit_tangent(rng, x)
+    y = exp_map(x, TangentVector(base=x, delta=1e-3 * h.delta), 1.0)
+    x, y = (1.0 - 3e-11) * x.basis, (1.0 - 3e-11) * y.basis
+    for beta in (1.0, 32.0, 64.0):
+        out = _secant_point(x, y, beta)
+        assert np.abs(out.T @ out - np.eye(d)).max() <= 1e-10
