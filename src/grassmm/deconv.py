@@ -103,8 +103,7 @@ class _Signal:
 
     @property
     def lip(self) -> float:
-        """_lipschitz(v), from the transform when that is the real FFT. |DFT(v)|
-        does not depend on the sign of v, so a negated signal may share it."""
+        """_lipschitz(v), from the transform when that is the real FFT."""
         if self._lip is None:
             self._lip = _lipschitz(self.v, self.t if self.v.size >= _FFT_MIN_N else None)
         return self._lip

@@ -226,7 +226,7 @@ class ConvergenceReport:
     audit_summary: Optional[dict]
     final_g: GrassmannPoint
     final_c: np.ndarray
-    extrapolations: int = 0  # accepted extrapolation steps
+    extrapolations: int  # accepted extrapolation steps
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ step takes the point past the end of a geodesic segment from `_secant_point`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -284,33 +283,17 @@ def _secant_point(x: np.ndarray, y: np.ndarray, beta: float) -> Optional[np.ndar
     None when x and y have no unique geodesic between them.
 
     The geodesic is evaluated from the thin-SVD factors the log at y already
-    took, with no second factorization. On Gr(N, 1) the log and the geodesic
-    have a closed form with no SVD: with cos(theta) = |y^T x| and u the unit
-    tangent at y toward the representative of x nearest to y, the point is
-    y cos(beta theta) - u sin(beta theta).
+    took, with no second factorization.
     """
-    # Each path projects the unit tangent u onto the tangent space at y once
-    # more: dividing by a small sin(theta) amplifies the drift out of it left
-    # by a y that is orthonormal only to rounding.
-    if y.shape[1] == 1:
-        w = float(y[:, 0] @ x[:, 0])
-        if not abs(w) > UNIQUE_GEODESIC_CUTOFF:
-            return None
-        r = math.copysign(1.0, w) * x[:, 0] - abs(w) * y[:, 0]
-        rn = float(np.linalg.norm(r))
-        out = y.copy()
-        if rn > 0.0:
-            u = r / rn
-            u -= y[:, 0] * float(y[:, 0] @ u)
-            angle = beta * math.atan2(rn, abs(w))
-            out[:, 0] = y[:, 0] * math.cos(angle) - u * math.sin(angle)
-    else:
-        keep, f = _log_factors(y[None], x[None])
-        if not keep.size:
-            return None
-        u, v = _project(y, f.u[0]), f.v[0]
-        angles = -beta * np.arctan(f.s[0])
-        out = ((y @ v) * np.cos(angles) + u * np.sin(angles)) @ v.T
+    keep, f = _log_factors(y[None], x[None])
+    if not keep.size:
+        return None
+    # Project the unit tangent onto the tangent space at y once more: dividing
+    # by a small sin(theta) amplifies the drift out of it left by a y that is
+    # orthonormal only to rounding.
+    u, v = _project(y, f.u[0]), f.v[0]
+    angles = -beta * np.arctan(f.s[0])
+    out = ((y @ v) * np.cos(angles) + u * np.sin(angles)) @ v.T
     _check_bases(out[None])
     return out
 
