@@ -32,7 +32,8 @@ anchors whose arrays are read-only, matched by identity, so an anchor
 that follows an extrapolation the engine rejected still shares its signals
 with the iterate it continues from: the engine marks its iterates read-only,
 and an anchor with a writable array is recomputed on every call, so mutating
-it in place cannot leave a stale value.
+it in place cannot leave a stale value. The callables trust their arguments,
+which the engine has checked (see the check policy in grassmm.engine).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .engine import (
     SurrogateOracle,
     run_block_mm,
 )
-from .grassmann import GrassmannPoint, _project, _trusted, random_point
+from .grassmann import GrassmannPoint, _project, _trusted
 
 ZERO_GRAD_CUTOFF = 1e-14  # Riemannian gradient norms at or below this skip the kernel step
 _KERNEL_NORM_TOL = 1e-10
@@ -233,19 +234,6 @@ class SyntheticInstance:
         return self.y.size
 
 
-def active_sign(problem: DeconvProblem, state: DeconvState) -> float:
-    """Sign s minimizing ||y - s * (a (*) x)||; +1 on ties."""
-    u = _conv(state.kernel, state.x)
-    return 1.0 if float(problem.y @ u) >= 0.0 else -1.0
-
-
-def working_state(problem: DeconvProblem, state: DeconvState) -> DeconvState:
-    """The same state with the kernel representative flipped to its active sign."""
-    if active_sign(problem, state) >= 0.0:
-        return state
-    return _trusted(DeconvState, a=_trusted(GrassmannPoint, basis=-state.a.basis), x=state.x)
-
-
 def deconv_cost(problem: DeconvProblem, state: DeconvState) -> float:
     """Sign-invariant cost: best-sign squared residual plus lambda * ||x||_1."""
     u = _conv(state.kernel, state.x)
@@ -274,30 +262,19 @@ def prox_step_x(problem: DeconvProblem, state: DeconvState, step: float) -> np.n
     return soft_threshold(state.x - step * grad_x(problem, state), step * problem.lam)
 
 
-def riemannian_step_a(problem: DeconvProblem, state: DeconvState, step: float) -> GrassmannPoint:
-    """One geodesic step on the kernel: the exact minimizer over the unit
-    sphere of the quadratic model f(a) + <g, b - a> + ||b - a||^2 / (2 step)
-    of the data term, with g its gradient at a.
-
-    The minimizer is (a - step g) / ||a - step g||, which lies on the Gr(N, 1)
-    geodesic a cos(t) - u sin(t) along the tangent-projected gradient
-    (u = P g / ||P g||) at the angle t = atan2(step ||P g||, 1 - step <g, a>).
-    That is about step ||P g|| for a short step. The model majorizes the data
-    term when 1 / step is at least its Lipschitz constant, so the step then
-    never raises the cost. Returns the kernel unchanged when the projected
-    gradient norm is at or below ZERO_GRAD_CUTOFF.
-    """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    return _geodesic_step(state.a, grad_a(problem, state), step)
-
-
 def _geodesic_step(a: GrassmannPoint, egrad: np.ndarray, step: float) -> GrassmannPoint:
-    # egrad is this module's own gradient, so it is projected without the
-    # input checks of riemannian_gradient; the new kernel is still checked.
-    # The angle is not step * ||P g||: where <g, a> < -1 / step that angle
-    # overshoots the model's minimizer on the sphere, and the step raised the
-    # cost (deconv N=27, seed 1439, lambda 0.5, iteration 1).
+    """The kernel step from a, with egrad the data term's gradient g at a: the
+    exact minimizer over the unit sphere of the model f(a) + <g, b - a> +
+    ||b - a||^2 / (2 step), which majorizes the data term when 1 / step is at
+    least its Lipschitz constant, so the step then never raises the cost.
+
+    The minimizer (a - step g) / ||a - step g|| lies on the geodesic
+    a cos(t) - u sin(t), u = P g / ||P g||, at t = atan2(step ||P g||,
+    1 - step <g, a>). The angle step ||P g|| overshoots it where <g, a> <
+    -1 / step, and raised the cost (N=27, seed 1439, lambda 0.5, iteration 1).
+    Returns a when ||P g|| <= ZERO_GRAD_CUTOFF; the new kernel's constructor
+    checks it.
+    """
     rg = _project(a.basis, egrad[:, None])
     gn = float(np.linalg.norm(rg))
     if gn <= ZERO_GRAD_CUTOFF:
@@ -386,11 +363,6 @@ def default_init(problem: DeconvProblem, window: int) -> DeconvState:
     return DeconvState(a=GrassmannPoint((raw / nrm)[:, None]), x=np.zeros(n))
 
 
-def random_init(problem: DeconvProblem, seed: int) -> DeconvState:
-    """Seeded random unit kernel, zero code."""
-    return DeconvState(a=random_point(seed, problem.n, 1), x=np.zeros(problem.n))
-
-
 def lasso_warm_start(problem: DeconvProblem, init: DeconvState, max_iter: int = 500) -> DeconvState:
     """Refine the code by proximal gradient steps with the kernel held fixed.
 
@@ -406,7 +378,7 @@ def lasso_warm_start(problem: DeconvProblem, init: DeconvState, max_iter: int = 
     step = 1.0 / bound
     x = init.x
     for _ in range(max_iter):
-        x_next = prox_step_x(problem, DeconvState(a=init.a, x=x), step)
+        x_next = prox_step_x(problem, _trusted(DeconvState, a=init.a, x=x), step)
         done = np.max(np.abs(x_next - x)) <= 1e-12
         x = x_next
         if done:
@@ -424,19 +396,14 @@ class _Anchor:
     gradients read the residual's transform.
     An anchor whose G or x is the previous anchor's, by identity, takes that
     signal, with its transform and bound, from there, with the l1 penalty of
-    x, and checks a G only when it is new.
+    x.
     """
 
     def __init__(self, problem: DeconvProblem, g: GrassmannPoint, x: np.ndarray, prev: Optional[_Anchor]):
-        if x.shape != problem.y.shape:
-            raise ValueError(f"code has shape {x.shape}, expected {problem.y.shape}")
-        same_g = prev is not None and prev.g is g
-        if not same_g:
-            _check_kernel(g, x.size)
         self.g = g
         self.x = x
         self.lam = problem.lam
-        self.g_signal = prev.g_signal if same_g else _Signal(g.basis[:, 0])
+        self.g_signal = prev.g_signal if prev is not None and prev.g is g else _Signal(g.basis[:, 0])
         if prev is not None and prev.x is x:
             self.x_signal, self.penalty = prev.x_signal, prev.penalty
         else:
@@ -502,7 +469,7 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
     active-sign representative, with curvature L / step_scale where L is the
     Fourier bound from the current fixed block; step_scale = 1 makes them true
     majorants. The kernel surrogate is minimized exactly over the unit sphere
-    by one geodesic step (see riemannian_step_a, with step step_scale / L),
+    by one geodesic step (see _geodesic_step, with step step_scale / L),
     the code surrogate by one proximal step. Every callable reads its
     anchor's quantities from one shared per-anchor context (see the module
     docstring).
@@ -518,7 +485,6 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
                 recent.remove(ctx)
                 recent.append(ctx)
                 return ctx
-        x = np.asarray(x, dtype=float)
         ctx = _Anchor(problem, g, x, recent[-1] if recent else None)
         if not (g.basis.flags.writeable or x.flags.writeable):
             recent.append(ctx)
@@ -553,7 +519,6 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
 
     def x_evaluate(candidate: np.ndarray, g: GrassmannPoint, x: np.ndarray) -> float:
         ctx = at(g, x)
-        candidate = np.asarray(candidate, dtype=float)
         curvature = ctx.lip_a / step_scale
         diff = candidate - ctx.x
         return (
@@ -566,8 +531,7 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
     def x_smooth_along(g: GrassmannPoint, x: np.ndarray, direction: np.ndarray, h: float) -> bool:
         # The l1 term has kinks where a coordinate of x crosses zero; reject
         # directions whose +/- h sweep reaches or touches such a crossing.
-        x = np.asarray(x, dtype=float)
-        margin = np.abs(x) - h * np.abs(np.asarray(direction, dtype=float))
+        margin = np.abs(x) - h * np.abs(direction)
         return bool(np.all(margin > 1e-12))
 
     # --- diagnostics --------------------------------------------------------
@@ -587,7 +551,7 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
         convex_surrogate=SurrogateOracle(
             evaluate=x_evaluate, minimize=x_minimize, smooth_along=x_smooth_along
         ),
-        convex_constraint=lambda v: np.asarray(v, dtype=float),
+        convex_constraint=lambda v: v,  # unconstrained: c ranges over R^N
         dims=(n, 1, n),
         grassmann_grad=g_grad,
         convex_grad=c_grad,

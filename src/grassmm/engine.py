@@ -34,6 +34,14 @@ Each slice is then evaluated with one call into the problem: the optional
 BlockProblem.costs and SurrogateOracle.evaluate_many fields take the whole
 array, and a problem without them is called once per sample instead, with a
 trusted GrassmannPoint view of each member.
+
+Check policy. An anchor given to run_block_mm, stationarity_check or an audit
+is checked once against the problem's dims: a GrassmannPoint of Gr(n, d) and
+a c of shape (c_len,). Each output of the problem's callables is checked once,
+where the engine first consumes it: a Grassmann minimize returns a
+GrassmannPoint of Gr(n, d), each convex_constraint result and gradient has its
+block's shape, and each cost and gradient norm of the run is finite. A
+problem may trust all the engine passes to it.
 """
 
 from __future__ import annotations
@@ -56,7 +64,6 @@ from .grassmann import (
     _unit_tangents,
     canonical_distance,
     random_point,
-    riemannian_gradient,
 )
 from .linalg import as_matrix, random_orthonormal, thin_svd
 
@@ -97,7 +104,7 @@ class InfeasibleBlockError(RuntimeError):
 
 
 class NonFiniteCostError(ValueError):
-    """The cost at an iterate is NaN or infinite."""
+    """The cost or a gradient norm at an iterate is NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -147,6 +154,11 @@ class BlockProblem:
     finite-difference gradients use it in place of cost. As with the gradient
     callables, a dataclasses.replace that changes cost must also replace or
     clear (set to None) costs.
+
+    Check policy (see the module docstring): the engine checks each anchor it
+    is given against dims, and each output of these callables once, where it
+    first consumes it. The callables may trust their arguments: a checked
+    point or stack of Gr(n, d), and float arrays of c_len or K x c_len.
     """
 
     cost: Callable[[GrassmannPoint, np.ndarray], float]
@@ -276,6 +288,31 @@ def _floats(values, count: int, name: str) -> list[float]:
     return values
 
 
+def _checked(value, shape: tuple, what: str, error: type = ValueError) -> np.ndarray:
+    """value as a float array, which must have the given shape; the error names what it is."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise error(f"{what} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _check_anchor(problem: BlockProblem, g, c, what: str = "anchor ") -> np.ndarray:
+    """c as a float array, once (g, c) is checked against problem.dims: g must
+    be a GrassmannPoint of Gr(n, d) and c of shape (c_len,)."""
+    n, d, c_len = problem.dims
+    if not isinstance(g, GrassmannPoint):
+        raise ValueError(f"{what}g must be a GrassmannPoint, got {type(g).__name__}")
+    if g.basis.shape != (n, d):
+        raise ValueError(f"{what}g is a point of Gr{g.basis.shape}, expected Gr{(n, d)}")
+    return _checked(c, (c_len,), f"{what}c")
+
+
+def _constrained(problem: BlockProblem, v: np.ndarray) -> np.ndarray:
+    """convex_constraint(v), checked to have shape (c_len,)."""
+    c = problem.convex_constraint(v)
+    return _checked(c, (problem.dims[2],), "convex_constraint result", InfeasibleBlockError)
+
+
 def _members(samples: np.ndarray) -> list:
     """The samples of a batch one by one, for a problem without batch fields:
     a trusted point viewing each basis of a checked K x N x D array, or each
@@ -356,13 +393,16 @@ def _fd_grad_norm_convex(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray
 
 def _gradient_norms(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray) -> tuple[float, float]:
     if problem.grassmann_grad is not None:
-        gn_g = riemannian_gradient(g, problem.grassmann_grad(g, c)).norm()
+        grad = _checked(problem.grassmann_grad(g, c), g.basis.shape, "grassmann_grad result")
+        gn_g = float(np.linalg.norm(_project(g.basis, grad)))
     else:
         gn_g = _fd_grad_norm_grassmann(problem, g, c)
     if problem.convex_grad is not None:
-        gn_c = float(np.linalg.norm(problem.convex_grad(g, c)))
+        gn_c = float(np.linalg.norm(_checked(problem.convex_grad(g, c), c.shape, "convex_grad result")))
     else:
         gn_c = _fd_grad_norm_convex(problem, g, c)
+    if not (math.isfinite(gn_g) and math.isfinite(gn_c)):
+        raise NonFiniteCostError(f"gradient norms are {gn_g} (grassmann) and {gn_c} (convex)")
     return gn_g, gn_c
 
 
@@ -399,7 +439,7 @@ def run_block_mm(
     MonotonicityViolation if either half-update increases the cost by more
     than MONOTONICITY_TOL, InfeasibleBlockError (naming the block) if a
     surrogate returns a value outside its feasible set, and NonFiniteCostError
-    if the cost at an iterate is NaN or infinite.
+    if the cost or a gradient norm at an iterate is NaN or infinite.
 
     Extrapolation. On every EXTRAPOLATION_PERIOD-th iteration whose MM step
     (G_i, c_i) -> (G', c') has not met the stop test, the engine tries one
@@ -428,11 +468,7 @@ def run_block_mm(
     the end-of-run stationarity probe and the audits.
     """
     n, d, c_len = problem.dims
-    if init_g.basis.shape != (n, d):
-        raise ValueError(f"init_g has shape {init_g.basis.shape}, expected {(n, d)}")
-    c = np.array(problem.convex_constraint(np.asarray(init_c, dtype=float)), dtype=float)
-    if c.shape != (c_len,):
-        raise ValueError(f"init_c has shape {c.shape}, expected {(c_len,)}")
+    c = np.array(_constrained(problem, _check_anchor(problem, init_g, init_c, "init_")))
     c.setflags(write=False)
     g = _trusted(GrassmannPoint, basis=init_g.basis.copy())
     g.basis.setflags(write=False)
@@ -459,18 +495,14 @@ def run_block_mm(
                 f"at iteration {i}"
             )
 
-        c_raw = np.asarray(problem.convex_surrogate.minimize(g_next, c), dtype=float)
-        if c_raw.shape != (c_len,):
-            raise InfeasibleBlockError(
-                f"convex block update has shape {c_raw.shape}, expected {(c_len,)}"
-            )
-        c_proj = np.asarray(problem.convex_constraint(c_raw), dtype=float)
+        c_raw = problem.convex_surrogate.minimize(g_next, c)
+        c_raw = _checked(c_raw, (c_len,), "convex block update", InfeasibleBlockError)
+        c_next = _constrained(problem, c_raw)
         # A constraint that returns its input object leaves it exactly in place.
-        if c_proj is not c_raw and (
-            np.linalg.norm(c_proj - c_raw) > FEASIBILITY_TOL * (1.0 + np.linalg.norm(c_raw))
+        if c_next is not c_raw and (
+            np.linalg.norm(c_next - c_raw) > FEASIBILITY_TOL * (1.0 + np.linalg.norm(c_raw))
         ):
             raise InfeasibleBlockError("convex block update is infeasible")
-        c_next = c_proj
         c_next.setflags(write=False)
         f_next = _finite_cost(problem, g_next, c_next, "after the convex update", i)
         if f_next > f_after_g + MONOTONICITY_TOL:
@@ -488,7 +520,7 @@ def run_block_mm(
             if basis is not None:
                 basis.setflags(write=False)
                 g_ext = _trusted(GrassmannPoint, basis=basis)
-                c_ext = np.asarray(problem.convex_constraint(c_next + beta * (c_next - c)), dtype=float)
+                c_ext = _constrained(problem, c_next + beta * (c_next - c))
                 c_ext.setflags(write=False)
                 f_ext = _finite_cost(problem, g_ext, c_ext, "at the extrapolated iterate", i)
             if f_ext < f_next:
@@ -578,7 +610,7 @@ def stationarity_check(
     """
     if directions < 1:
         raise ValueError(f"directions must be at least 1, got {directions}")
-    c = np.asarray(c, dtype=float)
+    c = _check_anchor(problem, g, c)
     rng = np.random.default_rng(seed)
     h = STATIONARITY_FD_STEP
     f0 = float(problem.cost(g, c))
@@ -591,7 +623,7 @@ def stationarity_check(
         for k in range(size):
             direction = rng.standard_normal(c.size)
             direction /= np.linalg.norm(direction)
-            probes[k] = problem.convex_constraint(c + h * direction)
+            probes[k] = _constrained(problem, c + h * direction)
         slopes += [(f - f0) / h for f in _costs(problem, g, probes)]
     worst = _worst(slopes, min, np.inf)
     if math.isnan(worst):
@@ -603,7 +635,7 @@ def audit_tightness(problem: BlockProblem, block: str, anchors: list) -> AuditRe
     """Check g(anchor | anchor) == f(anchor) for each anchor pair."""
     oracle = _oracle_for(problem, block)
     devs = []
-    for g, c in anchors:
+    for g, c in [(g, _check_anchor(problem, g, c)) for g, c in anchors]:
         f0 = float(problem.cost(g, c))
         candidate = g if block == GRASSMANN_BLOCK else c
         devs.append(abs(float(oracle.evaluate(candidate, g, c)) - f0))
@@ -637,7 +669,7 @@ def audit_majorization(
     n, d, c_len = problem.dims
     rng = np.random.default_rng(seed)
     margins = []
-    for g, c in anchors:
+    for g, c in [(g, _check_anchor(problem, g, c)) for g, c in anchors]:
         scale = 1.0 + np.linalg.norm(c) / np.sqrt(c_len)
         for _, size in _chunks(samples, g.basis.nbytes if block == GRASSMANN_BLOCK else 8 * c_len):
             if block == GRASSMANN_BLOCK:
@@ -647,7 +679,7 @@ def audit_majorization(
             else:
                 candidates = np.empty((size, c_len))
                 for k in range(size):
-                    candidates[k] = problem.convex_constraint(c + scale * rng.standard_normal(c_len))
+                    candidates[k] = _constrained(problem, c + scale * rng.standard_normal(c_len))
                 values = _costs(problem, g, candidates)
             margins += [e - f for e, f in zip(_evaluations(oracle, candidates, g, c), values)]
     checked = len(margins)
@@ -680,7 +712,7 @@ def audit_derivative_match(
     """
     oracle = _oracle_for(problem, block)
     g, c = anchor
-    c = np.asarray(c, dtype=float)
+    c = _check_anchor(problem, g, c)
     rng = np.random.default_rng(seed)
     mismatches = []
     skipped = 0
@@ -749,7 +781,7 @@ def audit_quasiconvexity(
         raise ValueError(f"t_samples must be at least 1, got {t_samples}")
     oracle = problem.grassmann_surrogate
     g_anchor, c_anchor = anchor
-    c_anchor = np.asarray(c_anchor, dtype=float)
+    c_anchor = _check_anchor(problem, g_anchor, c_anchor)
     rng = np.random.default_rng(seed)
     excess = []
     checked = 0
@@ -798,7 +830,7 @@ def audit_homogeneity(
     """
     rng = np.random.default_rng(seed)
     devs = []
-    for g, c in anchors:
+    for g, c in [(g, _check_anchor(problem, g, c)) for g, c in anchors]:
         f0 = float(problem.cost(g, c))
         for _, size in _chunks(rotations, g.basis.nbytes):
             rotated = g.basis @ random_orthonormal(rng, g.d, g.d, count=size)
@@ -837,8 +869,8 @@ def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:
         # centred data is computed once and matched by identity.
         if newest and newest[0] is c:
             return newest[1]
-        b = a - np.asarray(c, dtype=float)[:, None]
-        if isinstance(c, np.ndarray) and not c.flags.writeable:
+        b = a - c[:, None]
+        if not c.flags.writeable:
             b.setflags(write=False)
             newest[:] = [c, b]
         return b
@@ -848,8 +880,6 @@ def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:
         # of c. Each member takes the same matmuls and the same pairwise sum
         # over its N x M residual, so a member does not depend on K.
         one_g = isinstance(g, GrassmannPoint)
-        if one_g:
-            c = np.asarray(c, dtype=float)
         step = max(1, _COST_BATCH_BYTES // a.nbytes)
         out: list[float] = []
         for lo in range(0, len(c) if one_g else len(g), step):
@@ -893,7 +923,7 @@ def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:
             minimize=minimize_c,
             evaluate_many=lambda candidates, g, c: costs(g, candidates),
         ),
-        convex_constraint=lambda v: np.asarray(v, dtype=float),
+        convex_constraint=lambda v: v,  # unconstrained: c ranges over R^N
         dims=(n, d, n),
         grassmann_grad=grad_g,
         convex_grad=grad_c,

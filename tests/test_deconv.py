@@ -22,17 +22,17 @@ from grassmm import (
     lasso_warm_start,
     lipschitz_bound,
     prox_step_x,
-    random_init,
     random_point,
     recovery_score,
-    riemannian_step_a,
     run_block_mm,
     soft_threshold,
     solve_deconv,
 )
 from grassmm import deconv, engine
-from grassmm.deconv import active_sign, build_block_problem, working_state
+from grassmm.deconv import build_block_problem
 from grassmm.grassmann import GrassmannPoint
+
+from deconv_oracles import active_sign, random_init, riemannian_step_a, working_state
 
 
 # Lengths on both sides of the direct-sum / FFT crossover deconv._FFT_MIN_N = 128.
@@ -462,6 +462,17 @@ def test_lasso_warm_start_reduces_cost_with_fixed_kernel():
     p = DeconvProblem(y=inst.y, lam=heuristic_lambda(inst.y, base.kernel))
     warm = lasso_warm_start(p, base)
     assert_array_equal(warm.a.basis, base.a.basis)
+    # The loop builds its states unchecked, and gives the same bits as a
+    # loop that checks the kernel at every step.
+    x = base.x
+    step = 1.0 / lipschitz_bound(base.kernel)
+    for _ in range(500):
+        x_next = prox_step_x(p, DeconvState(a=base.a, x=x), step)
+        done = np.max(np.abs(x_next - x)) <= 1e-12
+        x = x_next
+        if done:
+            break
+    assert_array_equal(warm.x, x)
     assert deconv_cost(p, warm) < deconv_cost(p, base)
     untouched = lasso_warm_start(p, base, max_iter=0)
     assert_array_equal(untouched.x, base.x)
@@ -690,8 +701,9 @@ def test_work_per_iteration(monkeypatch):
     # the residual at each of the two anchors). An iteration with a try adds
     # one cost call, at the extrapolated point, and at most three transforms:
     # its new G and x, and, when the try is kept, the new residual at and
-    # above the crossover, the new G's Lipschitz FFT below it.
-    counts = {"cost": 0, "transform": 0}
+    # above the crossover, the new G's Lipschitz FFT below it. The engine
+    # has checked every kernel it passes, so the solve checks none again.
+    counts = {"cost": 0, "transform": 0, "kernel_check": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -705,6 +717,7 @@ def test_work_per_iteration(monkeypatch):
     monkeypatch.setattr(deconv, "_conv_index", counted(deconv._conv_index, "transform"))
     monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, "transform"))
     monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft, "transform"))
+    monkeypatch.setattr(deconv, "_check_kernel", counted(deconv._check_kernel, "kernel_check"))
     for n, bound, max_iter in ((64, 4, 5000), (1024, 4, 100)):
         inst = generate_instance(2, n, 0.0625, 8, 0.0)
         p = DeconvProblem(y=inst.y, lam=0.1)
@@ -721,7 +734,9 @@ def test_work_per_iteration(monkeypatch):
             cost=counted(base.cost, "cost"),
             grassmann_surrogate=replace(base.grassmann_surrogate, minimize=g_step),
         )
+        checks_before = counts["kernel_check"]
         _, report = run_block_mm(problem, init.a, init.x, SolverConfig(max_iter=max_iter, seed=2))
+        assert counts["kernel_check"] == checks_before
         assert report.iterations >= 20
         assert report.extrapolations > 0
         for i, (before, after) in enumerate(zip(snapshots, snapshots[1:])):

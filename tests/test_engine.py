@@ -314,6 +314,61 @@ def test_large_data_scale_converges_without_tangency_error():
     assert abs(report.final_cost - best) <= 1e-8 * best
 
 
+def test_run_rejects_an_init_that_does_not_fit_the_dims():
+    a = np.random.default_rng(0).standard_normal((6, 20))
+    prob = builtin_subspace_plus_mean(a, 2)
+    g0, c0 = subspace_plus_mean_init(a, 2, 0)
+    with pytest.raises(ValueError, match="init_g must be a GrassmannPoint, got ndarray"):
+        run_block_mm(prob, g0.basis, c0)
+    with pytest.raises(ValueError, match=r"init_g is a point of Gr\(6, 3\), expected Gr\(6, 2\)"):
+        run_block_mm(prob, random_point(0, 6, 3), c0)
+    with pytest.raises(ValueError, match=r"init_c has shape \(5,\), expected \(6,\)"):
+        run_block_mm(prob, g0, c0[:5])
+
+
+def nan_costs(g, c):
+    """A batch cost that is NaN at every sample."""
+    return [np.nan] * (len(c) if isinstance(g, GrassmannPoint) else len(g))
+
+
+@pytest.mark.parametrize(
+    "field, value, error, match",
+    [
+        ("convex_grad", lambda g, c: np.full(c.shape, np.nan), NonFiniteCostError, "gradient norms are"),
+        ("convex_grad", lambda g, c: np.zeros(c.size + 1), ValueError, r"convex_grad result has shape \(7,\)"),
+        ("grassmann_grad", lambda g, c: np.full(g.basis.shape, np.nan), NonFiniteCostError, "gradient norms are"),
+        ("grassmann_grad", lambda g, c: g.basis[:, :1], ValueError, r"grassmann_grad result has shape \(6, 1\)"),
+        # Without convex_grad the norm is taken by finite differences, on the batch cost.
+        ("convex_grad", None, NonFiniteCostError, "gradient norms are"),
+    ],
+    ids=["convex-nan", "convex-shape", "grassmann-nan", "grassmann-shape", "fd-nan"],
+)
+def test_a_bad_gradient_raises_instead_of_converging(field, value, error, match):
+    a = np.random.default_rng(0).standard_normal((6, 20))
+    prob = replace(builtin_subspace_plus_mean(a, 2), **{field: value})
+    if value is None:
+        prob = replace(prob, costs=nan_costs)
+    g0, c0 = subspace_plus_mean_init(a, 2, 0)
+    with pytest.raises(error, match=match):
+        run_block_mm(prob, g0, c0, SolverConfig(seed=0))
+
+
+def test_extrapolated_convex_value_is_checked():
+    # The constraint's fifth call is the extrapolation try of iteration 2,
+    # after the init and the convex steps of iterations 0, 1 and 2.
+    target = np.array([1.0, -2.0])
+    calls = []
+
+    def constraint(v):
+        calls.append(v)
+        return np.append(v, 0.0) if len(calls) == 5 else v
+
+    prob = replace(quadratic_pull(np.pi / 4, target), convex_constraint=constraint)
+    with pytest.raises(InfeasibleBlockError, match=r"convex_constraint result has shape \(3,\), expected \(2,\)"):
+        run_block_mm(prob, line(0.0), np.zeros(2), SolverConfig(max_iter=7, seed=0))
+    assert len(calls) == 5
+
+
 def test_tie_oscillation_is_flagged():
     # constant cost, but the block minimizer cycles through three subspaces at
     # unequal step lengths: the distance trace oscillates without dying out
@@ -573,6 +628,30 @@ def test_non_finite_batch_member_fails_its_audit(exact_problem, exact_anchors, v
         assert res.checked > 0
     with pytest.raises(NonFiniteCostError, match="stationarity probe"):
         stationarity_check(bad_costs, *anchors[0], 10, seed=4)
+
+
+ANCHOR_ENTRIES = {
+    "stationarity_check": lambda p, g, c: stationarity_check(p, g, c, 4, seed=0),
+    "audit_tightness": lambda p, g, c: audit_tightness(p, "grassmann", [(g, c)]),
+    "audit_majorization": lambda p, g, c: audit_majorization(p, "grassmann", [(g, c)], 4, seed=0),
+    "audit_derivative_match": lambda p, g, c: audit_derivative_match(p, "convex", (g, c), 4, seed=0),
+    "audit_quasiconvexity": lambda p, g, c: audit_quasiconvexity(p, (g, c), 4, 3, seed=0),
+    "audit_homogeneity": lambda p, g, c: audit_homogeneity(p, [(g, c)], 4, seed=0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ANCHOR_ENTRIES))
+def test_anchor_that_does_not_fit_the_dims_is_rejected(entry, exact_problem, exact_anchors):
+    call = ANCHOR_ENTRIES[entry]
+    g, c = exact_anchors[0]  # a point of Gr(8, 2) and a c of length 8
+    call(exact_problem, g, c)
+    call(exact_problem, g, list(c))  # c converts to a float array
+    with pytest.raises(ValueError, match=r"anchor g is a point of Gr\(8, 3\), expected Gr\(8, 2\)"):
+        call(exact_problem, random_point(0, 8, 3), c)
+    with pytest.raises(ValueError, match=r"anchor c has shape \(7,\), expected \(8,\)"):
+        call(exact_problem, g, c[:7])
+    with pytest.raises(ValueError, match="anchor g must be a GrassmannPoint, got ndarray"):
+        call(exact_problem, g.basis, c)
 
 
 def test_stationarity_check_rejects_zero_directions(exact_problem, exact_anchors):
