@@ -42,6 +42,14 @@ where the engine first consumes it: a Grassmann minimize returns a
 GrassmannPoint of Gr(n, d), each convex_constraint result and gradient has its
 block's shape, and each cost and gradient norm of the run is finite. A
 problem may trust all the engine passes to it.
+
+Tolerance policy. Every solver decision that compares costs measures the
+difference against |f_0|, the run's initial cost, so no decision depends on
+the scale of the cost. Descent makes f_0 the largest cost the run sees, and
+for a nonnegative cost, as both built-in costs are, the largest in size. An
+absolute cutoff stays only where the quantity can be exactly zero, with a
+comment saying why; tolerances on angles and orthonormal bases are
+scale-free as they stand.
 """
 
 from __future__ import annotations
@@ -70,8 +78,8 @@ from .linalg import as_matrix, random_orthonormal, thin_svd
 GRASSMANN_BLOCK = "grassmann"
 CONVEX_BLOCK = "convex"
 
-MONOTONICITY_TOL = 1e-8        # cost increase beyond this aborts the run
-FEASIBILITY_TOL = 1e-9         # distance of a convex update from its projection
+MONOTONICITY_TOL = 64 * np.finfo(float).eps  # times |f_0|; rounding leaves rises of about 1 ulp of f
+FEASIBILITY_TOL = 1e-9  # distance of a convex update from its projection, relative to its norm
 TIGHTNESS_TOL = 1e-9
 MAJORIZATION_TOL = 1e-9
 DERIVATIVE_MATCH_TOL = 1e-4
@@ -96,7 +104,7 @@ _COST_BATCH_BYTES = 1 << 16
 
 
 class MonotonicityViolation(RuntimeError):
-    """The cost increased beyond MONOTONICITY_TOL during a surrogate update."""
+    """The cost increased beyond MONOTONICITY_TOL * |f_0| during a surrogate update."""
 
 
 class InfeasibleBlockError(RuntimeError):
@@ -174,8 +182,8 @@ class BlockProblem:
 @dataclass(frozen=True)
 class SolverConfig:
     max_iter: int = 5000
-    dist_tol: float = 1e-6
-    cost_tol: float = 1e-10
+    dist_tol: float = 1e-6  # an angle in radians, so absolute and scale-free
+    cost_tol: float = 1e-10  # relative to |f_0| (see the tolerance policy)
     audit_every: int = 0
     audit_samples: int = 50
     seed: int = 0
@@ -434,12 +442,13 @@ def run_block_mm(
 ) -> tuple[IterationTrace, ConvergenceReport]:
     """Run the alternating surrogate scheme until the iterates stagnate.
 
-    Stops as soon as the Grassmann step distance falls below dist_tol and the
-    relative cost change falls below cost_tol in the same iteration; raises
-    MonotonicityViolation if either half-update increases the cost by more
-    than MONOTONICITY_TOL, InfeasibleBlockError (naming the block) if a
-    surrogate returns a value outside its feasible set, and NonFiniteCostError
-    if the cost or a gradient norm at an iterate is NaN or infinite.
+    Stops as soon as, in one iteration, the Grassmann step distance is below
+    dist_tol and the cost change at most cost_tol * |f_0|, f_0 being the
+    initial cost (see the tolerance policy); raises MonotonicityViolation if
+    a half-update raises the cost by more than MONOTONICITY_TOL * |f_0|,
+    InfeasibleBlockError (naming the block) if a surrogate returns a value
+    outside its feasible set, and NonFiniteCostError if the cost or a
+    gradient norm at an iterate is NaN or infinite.
 
     Extrapolation. On every EXTRAPOLATION_PERIOD-th iteration whose MM step
     (G_i, c_i) -> (G', c') has not met the stop test, the engine tries one
@@ -473,6 +482,8 @@ def run_block_mm(
     g = _trusted(GrassmannPoint, basis=init_g.basis.copy())
     g.basis.setflags(write=False)
     f_curr = _finite_cost(problem, g, c, "at the initial iterate", 0)
+    rise_slack = MONOTONICITY_TOL * abs(f_curr)
+    stop_change = config.cost_tol * abs(f_curr)
 
     trace = IterationTrace()
     converged = False
@@ -489,10 +500,10 @@ def run_block_mm(
             raise InfeasibleBlockError("grassmann block update is not a point of Gr(n, d)")
         g_next.basis.setflags(write=False)
         f_after_g = _finite_cost(problem, g_next, c, "after the grassmann update", i)
-        if f_after_g > f_curr + MONOTONICITY_TOL:
+        if f_after_g - f_curr > rise_slack:
             raise MonotonicityViolation(
                 f"grassmann update increased the cost by {f_after_g - f_curr:.3e} "
-                f"at iteration {i}"
+                f"at iteration {i}, beyond the slack {rise_slack:.3e}"
             )
 
         c_raw = problem.convex_surrogate.minimize(g_next, c)
@@ -500,20 +511,19 @@ def run_block_mm(
         c_next = _constrained(problem, c_raw)
         # A constraint that returns its input object leaves it exactly in place.
         if c_next is not c_raw and (
-            np.linalg.norm(c_next - c_raw) > FEASIBILITY_TOL * (1.0 + np.linalg.norm(c_raw))
+            np.linalg.norm(c_next - c_raw) > FEASIBILITY_TOL * np.linalg.norm(c_raw)
         ):
             raise InfeasibleBlockError("convex block update is infeasible")
         c_next.setflags(write=False)
         f_next = _finite_cost(problem, g_next, c_next, "after the convex update", i)
-        if f_next > f_after_g + MONOTONICITY_TOL:
+        if f_next - f_after_g > rise_slack:
             raise MonotonicityViolation(
                 f"convex update increased the cost by {f_next - f_after_g:.3e} "
-                f"at iteration {i}"
+                f"at iteration {i}, beyond the slack {rise_slack:.3e}"
             )
 
         dc = canonical_distance(g_next, g)
-        rel_change = abs(f_curr - f_next) / max(1.0, abs(f_curr))
-        stop = dc < config.dist_tol and rel_change < config.cost_tol
+        stop = dc < config.dist_tol and abs(f_curr - f_next) <= stop_change
         if not stop and (i + 1) % EXTRAPOLATION_PERIOD == 0:
             basis = _secant_point(g.basis, g_next.basis, beta)
             f_ext = math.inf

@@ -24,9 +24,9 @@ import numpy as np
 
 from .linalg import ThinSVD, as_matrix, qr_orthonormalize, random_orthonormal, thin_svd
 
-POINT_ORTHONORMALITY_TOL = 1e-9
-TANGENCY_TOL = 1e-9
-# Smallest singular value of X.T @ Y required for a unique connecting geodesic.
+POINT_ORTHONORMALITY_TOL = 1e-9  # absolute: the Gram matrix of an orthonormal basis has no scale
+TANGENCY_TOL = 1e-9  # absolute: the engine's tangents are unit directions and log maps (angles)
+# Smallest singular value of X.T @ Y (a cosine, so absolute) required for a unique connecting geodesic.
 UNIQUE_GEODESIC_CUTOFF = 1e-8
 
 

@@ -1,11 +1,15 @@
 """Reference oracles for the deconvolution tests: the active sign, the
-working state, the plain kernel step and a random start, each computed from
-scratch with the public functions of grassmm.deconv."""
+working state, the plain kernel step, the kernel step by its geodesic angle
+and a random start, each computed from scratch with the public functions of
+grassmm.deconv."""
+
+import math
 
 import numpy as np
 
 from grassmm import DeconvProblem, DeconvState, GrassmannPoint, grad_a, random_point
 from grassmm.deconv import _conv, _geodesic_step, _trusted
+from grassmm.grassmann import _project
 
 
 def active_sign(problem: DeconvProblem, state: DeconvState) -> float:
@@ -27,6 +31,19 @@ def riemannian_step_a(problem: DeconvProblem, state: DeconvState, step: float) -
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     return _geodesic_step(state.a, grad_a(problem, state), step)
+
+
+def geodesic_angle_step(a: GrassmannPoint, egrad: np.ndarray, step: float) -> GrassmannPoint:
+    """The sphere minimizer of the kernel step's model, reached along the
+    geodesic a cos(t) - u sin(t), u = P g / ||P g||, at the angle
+    t = atan2(step ||P g||, 1 - step <g, a>); a itself when P g = 0."""
+    rg = _project(a.basis, egrad[:, None])
+    gn = float(np.linalg.norm(rg))
+    if gn == 0.0:
+        return a
+    b = a.basis[:, 0]
+    angle = math.atan2(step * gn, 1.0 - step * float(egrad @ b))
+    return GrassmannPoint((b * math.cos(angle) - rg[:, 0] * (math.sin(angle) / gn))[:, None])
 
 
 def random_init(problem: DeconvProblem, seed: int) -> DeconvState:

@@ -220,6 +220,7 @@ def test_audit_negative_controls(audited_deconv):
 
 def test_kernel_recovery_rate():
     wins = 0
+    converged = 0
     scores = []
     for seed in range(100):
         inst = generate_instance(seed, 64, 0.05, 8, 0.0)
@@ -231,7 +232,11 @@ def test_kernel_recovery_rate():
         score = recovery_score(final_state(problem, report), inst)
         scores.append(score)
         wins += score >= 0.95
+        converged += report.converged
     assert wins >= 60
+    # lambda = 0 and no noise: f -> 0, so a stop test relative to the current
+    # cost would never fire on many of these seeds.
+    assert converged == 100
     print(f"kernel recovery: PASS ({wins}/100 seeds >= 0.95, median {np.median(scores):.3f})")
 
 

@@ -29,10 +29,10 @@ from grassmm import (
     solve_deconv,
 )
 from grassmm import deconv, engine
-from grassmm.deconv import build_block_problem
+from grassmm.deconv import _geodesic_step, build_block_problem
 from grassmm.grassmann import GrassmannPoint
 
-from deconv_oracles import active_sign, random_init, riemannian_step_a, working_state
+from deconv_oracles import active_sign, geodesic_angle_step, random_init, riemannian_step_a, working_state
 
 
 # Lengths on both sides of the direct-sum / FFT crossover deconv._FFT_MIN_N = 128.
@@ -233,6 +233,17 @@ def test_soft_threshold_examples():
     assert soft_threshold(np.array([0.5]), 1.0)[0] == 0.0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [deconv_cost, grad_x, grad_a, lambda p, s: prox_step_x(p, s, 0.1), lasso_warm_start],
+    ids=["deconv_cost", "grad_x", "grad_a", "prox_step_x", "lasso_warm_start"],
+)
+def test_state_length_mismatch_is_named(call):
+    p = DeconvProblem(y=np.ones(8), lam=0.1)
+    with pytest.raises(ValueError, match=r"state has length 9, but y has length 8"):
+        call(p, random_state(0, 9))
+
+
 def test_step_functions_reject_bad_step():
     s = random_state(0, 8)
     p = DeconvProblem(y=np.ones(8), lam=0.1)
@@ -267,17 +278,16 @@ def test_riemannian_step_unit_norm_and_descent():
 
 
 def test_riemannian_step_is_the_sphere_minimizer_of_its_model():
-    # The quadratic model with curvature 1/step, restricted to the unit sphere,
-    # is linear in b: <g - a / step, b> plus a constant, so (a - step g) over
-    # its norm minimizes it.
+    # The step's closed form (a - step g) / ||a - step g|| against the same
+    # minimizer reached along the geodesic from a.
     for seed in range(20):
         inst = generate_instance(seed, 40, 0.1, 6, 0.05)
         p = DeconvProblem(y=inst.y, lam=0.1)
         s = working_state(p, DeconvState(a=random_point(3000 + seed, 40, 1), x=inst.true_x))
         bound = lipschitz_bound(s.x)
         for step in (0.01, 10.0) + ((1.0 / bound,) if bound > 0.0 else ()):
-            a = s.kernel - step * grad_a(p, s)
-            assert_allclose(riemannian_step_a(p, s, step).basis[:, 0], a / np.linalg.norm(a), atol=1e-12)
+            expected = geodesic_angle_step(s.a, grad_a(p, s), step)
+            assert_allclose(riemannian_step_a(p, s, step).basis, expected.basis, atol=1e-12)
 
 
 def test_plain_kernel_step_keeps_descent_where_the_gradient_opposes_the_kernel():
@@ -296,6 +306,8 @@ def test_riemannian_step_zero_gradient_keeps_kernel():
     s = DeconvState(a=GrassmannPoint(inst.true_a[:, None]), x=inst.true_x)
     a1 = riemannian_step_a(p, s, 0.5)
     assert_array_equal(a1.basis, s.a.basis)
+    # a = step g exactly: the model is flat on the sphere.
+    assert_array_equal(_geodesic_step(s.a, s.kernel / 0.5, 0.5).basis, s.a.basis)
 
 
 def test_lipschitz_bound_examples():
@@ -428,6 +440,9 @@ def test_default_init_zero_signal_falls_back_to_delta():
     expected = np.zeros(16)
     expected[0] = 1.0
     assert_array_equal(init.kernel, expected)
+    # f_0 = 0, so the stop test's bound cost_tol * |f_0| is 0, and the change of 0 meets it.
+    _, report = solve_deconv(DeconvProblem(y=np.zeros(16), lam=0.1), init, SolverConfig(seed=0))
+    assert (report.converged, report.iterations, report.final_cost) == (True, 1, 0.0)
 
 
 def test_default_init_window_validation():
@@ -462,13 +477,13 @@ def test_lasso_warm_start_reduces_cost_with_fixed_kernel():
     p = DeconvProblem(y=inst.y, lam=heuristic_lambda(inst.y, base.kernel))
     warm = lasso_warm_start(p, base)
     assert_array_equal(warm.a.basis, base.a.basis)
-    # The loop builds its states unchecked, and gives the same bits as a
-    # loop that checks the kernel at every step.
+    # The loop checks nothing per step, and gives the same bits as a loop
+    # that builds and checks a state at every step.
     x = base.x
     step = 1.0 / lipschitz_bound(base.kernel)
     for _ in range(500):
         x_next = prox_step_x(p, DeconvState(a=base.a, x=x), step)
-        done = np.max(np.abs(x_next - x)) <= 1e-12
+        done = np.max(np.abs(x_next - x)) <= 1e-12 * np.max(np.abs(x_next))
         x = x_next
         if done:
             break

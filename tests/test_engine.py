@@ -28,6 +28,7 @@ from grassmm import (
     default_init,
     exp_map,
     generate_instance,
+    heuristic_lambda,
     log_map,
     make_point,
     random_orthonormal,
@@ -312,6 +313,54 @@ def test_large_data_scale_converges_without_tangency_error():
     _, _, best = subspace_optimum(a, 2)
     assert report.converged
     assert abs(report.final_cost - best) <= 1e-8 * best
+
+
+def deconv_scaled_run(seed, n, scale, max_iter=5000):
+    """A deconv solve on y = scale * y_seed from default_init, with the heuristic lambda."""
+    y = scale * generate_instance(seed, n, 0.0625, 8, 0.0).y
+    init = default_init(DeconvProblem(y=y, lam=0.0), 8)
+    block = build_block_problem(DeconvProblem(y=y, lam=heuristic_lambda(y, init.kernel)))
+    return run_block_mm(block, init.a, init.x, SolverConfig(max_iter=max_iter, audit_samples=8, seed=0))[1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(8, 64),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-20, 26),
+)
+def test_deconv_run_is_bit_identical_under_power_of_two_scaling(n, seed, k):
+    # Scaling y by 2^k scales every cost by 4^k exactly, so a solver whose
+    # decisions compare costs with the initial cost makes the same ones. Only
+    # subnormal values scale inexactly: kernel entries that decay below the
+    # smallest normal float may differ there.
+    base = deconv_scaled_run(seed, n, 1.0, max_iter=500)
+    scaled = deconv_scaled_run(seed, n, np.ldexp(1.0, k), max_iter=500)
+    assert (scaled.converged, scaled.iterations) == (base.converged, base.iterations)
+    assert_allclose(scaled.final_g.basis, base.final_g.basis, rtol=0.0, atol=np.finfo(float).tiny)
+    assert np.ldexp(scaled.final_cost, -2 * k) == base.final_cost
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["deconv", "subspace-mean"]),
+    n=st.integers(8, 64),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-6.0, 12.0).filter(lambda v: v != 0.0),  # 10^0 = 1 is a power of two
+)
+def test_rescaled_data_keeps_the_outcome(kind, n, seed, log_scale):
+    def run(s):
+        if kind == "deconv":
+            return deconv_scaled_run(seed, n, s)
+        a = s * np.random.default_rng(seed).standard_normal((n, 40))
+        block = builtin_subspace_plus_mean(a, 2)
+        return run_block_mm(block, *subspace_plus_mean_init(a, 2, seed), SolverConfig(seed=0))[1]
+
+    scale = 10.0**log_scale
+
+    base, scaled = run(1.0), run(scale)
+    assert scaled.converged == base.converged
+    assert_allclose(scaled.final_cost / scale**2, base.final_cost, rtol=1e-8)
 
 
 def test_run_rejects_an_init_that_does_not_fit_the_dims():
