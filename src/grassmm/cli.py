@@ -166,9 +166,13 @@ def load_config(path) -> dict:
     seeds = doc["seeds"]
     if not isinstance(seeds, list) or not seeds:
         _fail(raw, "seeds", "seeds must be a non-empty list of integers")
+    seen = set()
     for i, s in enumerate(seeds):
         if isinstance(s, bool) or not isinstance(s, int) or s < 0:
             _fail(raw, "seeds", f"seeds[{i}] must be a nonnegative integer, got {s!r}")
+        if s in seen:
+            _fail(raw, "seeds", f"seeds[{i}] repeats the seed {s}")
+        seen.add(s)
 
     if "out" in doc and not isinstance(doc["out"], str):
         _fail(raw, "out", "out must be a string path")

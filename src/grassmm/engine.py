@@ -65,7 +65,7 @@ from .grassmann import (
     GrassmannPoint,
     _check_bases,
     _geodesics,
-    _log_maps,
+    _pair_geodesics,
     _project,
     _secant_point,
     _trusted,
@@ -307,12 +307,17 @@ def _checked(value, shape: tuple, what: str, error: type = ValueError) -> np.nda
 def _check_anchor(problem: BlockProblem, g, c, what: str = "anchor ") -> np.ndarray:
     """c as a float array, once (g, c) is checked against problem.dims: g must
     be a GrassmannPoint of Gr(n, d) and c of shape (c_len,)."""
-    n, d, c_len = problem.dims
+    _check_point(problem, g, f"{what}g")
+    return _checked(c, (problem.dims[2],), f"{what}c")
+
+
+def _check_point(problem: BlockProblem, g, what: str, error: type = ValueError) -> None:
+    """Check that g is a GrassmannPoint of Gr(n, d); the error names what it is."""
+    n, d, _ = problem.dims
     if not isinstance(g, GrassmannPoint):
-        raise ValueError(f"{what}g must be a GrassmannPoint, got {type(g).__name__}")
+        raise error(f"{what} must be a GrassmannPoint, got {type(g).__name__}")
     if g.basis.shape != (n, d):
-        raise ValueError(f"{what}g is a point of Gr{g.basis.shape}, expected Gr{(n, d)}")
-    return _checked(c, (c_len,), f"{what}c")
+        raise error(f"{what} is a point of Gr{g.basis.shape}, expected Gr{(n, d)}")
 
 
 def _constrained(problem: BlockProblem, v: np.ndarray) -> np.ndarray:
@@ -476,7 +481,7 @@ def run_block_mm(
     checked here, so for a given problem the claim stays empirical, backed by
     the end-of-run stationarity probe and the audits.
     """
-    n, d, c_len = problem.dims
+    c_len = problem.dims[2]
     c = np.array(_constrained(problem, _check_anchor(problem, init_g, init_c, "init_")))
     c.setflags(write=False)
     g = _trusted(GrassmannPoint, basis=init_g.basis.copy())
@@ -496,8 +501,7 @@ def run_block_mm(
 
     for i in range(config.max_iter):
         g_next = problem.grassmann_surrogate.minimize(g, c)
-        if not isinstance(g_next, GrassmannPoint) or g_next.basis.shape != (n, d):
-            raise InfeasibleBlockError("grassmann block update is not a point of Gr(n, d)")
+        _check_point(problem, g_next, "grassmann block update", InfeasibleBlockError)
         g_next.basis.setflags(write=False)
         f_after_g = _finite_cost(problem, g_next, c, "after the grassmann update", i)
         if f_after_g - f_curr > rise_slack:
@@ -779,41 +783,36 @@ def audit_quasiconvexity(
 
     Endpoint pairs are drawn inside the geodesic ball of the given radius
     around the anchor point, each endpoint via the exponential map along a
-    random direction. A pair is skipped and counted when log_map finds no
-    unique geodesic because the two subspaces meet near pi/2. For each other
-    pair the surrogate is evaluated on a uniform t-grid along
-    geodesic(x, log_map(x, y)) and must not exceed max(endpoint values) by
-    more than QUASICONVEXITY_TOL. The endpoints, the logs and the t-grids of
-    a batch of pairs are each built as one stack (see the module docstring),
-    and the surrogate takes the endpoints and t-grids of a batch in one call.
+    random direction. Directions and radii come from two streams spawned from
+    the seed, each drawn as one stack per batch, so the endpoints do not
+    depend on the batch size. A pair is skipped and counted when its
+    subspaces meet near pi/2, with no unique geodesic between them. For each
+    other pair the surrogate is evaluated on a uniform t-grid along the
+    geodesic from x through y and must not exceed max(endpoint values) by
+    more than QUASICONVEXITY_TOL; it takes a batch of pairs in one call.
     """
     if t_samples < 1:
         raise ValueError(f"t_samples must be at least 1, got {t_samples}")
     oracle = problem.grassmann_surrogate
     g_anchor, c_anchor = anchor
     c_anchor = _check_anchor(problem, g_anchor, c_anchor)
-    rng = np.random.default_rng(seed)
+    direction_rng, radius_rng = np.random.default_rng(seed).spawn(2)
     excess = []
-    checked = 0
     skipped = 0
     ts = np.linspace(0.0, 1.0, t_samples)
     for _, size in _chunks(pairs, t_samples * g_anchor.basis.nbytes):
-        # Each endpoint draws its direction, then its radius, from the one generator.
-        tangents, radii = [], []
-        for _ in range(2 * size):
-            tangents.append(_unit_tangents(rng, g_anchor.basis, 1))
-            radii.append(rng.uniform(0.0, radius))
-        ends = _geodesics(g_anchor.basis, np.concatenate(tangents))(np.array(radii)[:, None])
-        keep, logs = _log_maps(ends[0::2, 0], ends[1::2, 0])
+        tangents = _unit_tangents(direction_rng, g_anchor.basis, 2 * size)
+        radii = radius_rng.uniform(0.0, radius, 2 * size)
+        ends = _geodesics(g_anchor.basis, tangents)(radii[:, None])
+        keep, paths = _pair_geodesics(ends[0::2, 0], ends[1::2, 0])
         skipped += size - keep.size
-        xs, ys = ends[2 * keep], ends[2 * keep + 1]
         # Pair k takes rows k * (2 + t_samples) on: x, y, then its t-grid.
-        samples = np.concatenate([xs, ys, _geodesics(xs[:, 0], logs)(ts)], axis=1)
+        samples = np.concatenate([ends[2 * keep], ends[2 * keep + 1], paths(ts)], axis=1)
         values = _evaluations(oracle, samples.reshape(-1, *g_anchor.basis.shape), g_anchor, c_anchor)
         for lo in range(0, len(values), 2 + t_samples):
             cap = max(values[lo], values[lo + 1])
             excess += [v - cap for v in values[lo + 2 : lo + 2 + t_samples]]
-            checked += 1
+    checked = pairs - skipped
     worst = _worst(excess, max, 0.0)
     return AuditResult(
         audit="quasiconvexity",

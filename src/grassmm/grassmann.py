@@ -6,13 +6,14 @@ vectors at X are N x D matrices H with X.T @ H = 0. Distances and geodesics
 are expressed through the principal angles between subspaces, which this
 module stores in ascending order.
 
-The batch work of the sampled audits is done by private functions on plain
-K x N x D stacks: K unit tangents at a basis (`_unit_tangents`), the
-geodesics of K tangents over a t-grid (`_geodesics`) and the logs of K pairs
-(`_log_maps`). The geodesics and the logs take one thin SVD per stack, each
-function checks its output stack once, and member k equals, bit for bit, the
-public single call, which is the stack of one. The solver's extrapolation
-step takes the point past the end of a geodesic segment from `_secant_point`.
+Batch work is done by private functions on plain K x N x D stacks, and
+member k of a stack equals, bit for bit, the stack of one. `_unit_tangents`
+draws K unit tangents at a basis. One evaluator, `_walk`, turns stacked
+geodesic factors (base, U, theta, V) into the checked points over a t-grid,
+fed by two builders of one thin SVD per stack: `_geodesics`, from K
+velocities (the stack of one is the public exp_map), and `_pair_geodesics`,
+through K pairs from their log factors. The solver's extrapolation point,
+`_secant_point`, is a pair geodesic at a negative time.
 """
 
 from __future__ import annotations
@@ -261,43 +262,6 @@ def _log_factors(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ThinSVD]:
     return keep, thin_svd(l)
 
 
-def _log_maps(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The logs of the K pairs of the K x N x D stacks x and y.
-
-    Returns the indices of the pairs with a unique geodesic, in order, and the
-    stack of their logs, each at its own base; the other pairs are left out.
-    Each log equals, bit for bit, log_map of its pair alone.
-    """
-    keep, f = _log_factors(x, y)
-    xk = x[keep]
-    h = (f.u * np.arctan(f.s)[:, None, :]) @ np.swapaxes(f.v, 1, 2)
-    # Kill the numerical drift out of the tangent space left by the inverse.
-    h = _project(xk, h)
-    _check_tangents(xk, h)
-    return keep, h
-
-
-def _secant_point(x: np.ndarray, y: np.ndarray, beta: float) -> Optional[np.ndarray]:
-    """The N x D basis of the point at time 1 + beta on the geodesic from the
-    basis x through the basis y, that is exp_map(y, log_map(y, x), -beta);
-    None when x and y have no unique geodesic between them.
-
-    The geodesic is evaluated from the thin-SVD factors the log at y already
-    took, with no second factorization.
-    """
-    keep, f = _log_factors(y[None], x[None])
-    if not keep.size:
-        return None
-    # Project the unit tangent onto the tangent space at y once more: dividing
-    # by a small sin(theta) amplifies the drift out of it left by a y that is
-    # orthonormal only to rounding.
-    u, v = _project(y, f.u[0]), f.v[0]
-    angles = -beta * np.arctan(f.s[0])
-    out = ((y @ v) * np.cos(angles) + u * np.sin(angles)) @ v.T
-    _check_bases(out[None])
-    return out
-
-
 def log_map(x: GrassmannPoint, y: GrassmannPoint) -> TangentVector:
     """Tangent vector H at x with exp_map(x, H, 1) equal to y.
 
@@ -306,39 +270,38 @@ def log_map(x: GrassmannPoint, y: GrassmannPoint) -> TangentVector:
     GeodesicNotUnique is raised.
     """
     _check_same_space(x, y)
-    keep, h = _log_maps(np.array([x.basis]), np.array([y.basis]))
+    xs = np.array([x.basis])
+    keep, f = _log_factors(xs, np.array([y.basis]))
     if not keep.size:
         smallest = np.linalg.svd(x.basis.T @ y.basis, compute_uv=False)[-1]
         raise GeodesicNotUnique(
             f"subspaces meet near pi/2 (smallest cross-Gram singular value {smallest:.3e})"
         )
+    h = (f.u * np.arctan(f.s)[:, None, :]) @ np.swapaxes(f.v, 1, 2)
+    # Kill the numerical drift out of the tangent space left by the inverse.
+    h = _project(xs, h)
+    _check_tangents(xs, h)
     return _trusted(TangentVector, base=x, delta=h[0])
 
 
-def _geodesics(x: np.ndarray, deltas: np.ndarray) -> Callable:
-    """The geodesics from x with the velocities of the K x N x D stack deltas.
+def _walk(x: np.ndarray, u: np.ndarray, theta: np.ndarray, v: np.ndarray) -> Callable:
+    """The geodesics t -> (X V cos(t theta) + U sin(t theta)) V^T of K stacked
+    factors (Edelman, Arias and Smith, SIAM J. Matrix Anal. Appl. 1998).
 
-    x is one N x D basis, shared by all K, or a K x N x D stack with one base
-    per velocity. The velocities are factored once, with one stacked SVD. The
-    returned function takes a scalar t, a 1-d array of T times shared by all
-    geodesics, or a K x T array whose row k holds the times of geodesic k,
-    and returns the K x T x N x D stack of the points, checked once. Point
-    [k, i] equals, bit for bit, exp_map of velocity k at its time i alone.
+    u is K x N x D, theta K x D and v K x D x D; x is one N x D basis, shared
+    by all K, or a K x N x D stack with one base per geodesic. The returned
+    function takes a scalar t, a 1-d array of T times shared by all geodesics,
+    or a K x T array whose row k holds the times of geodesic k, and returns
+    the K x T x N x D stack of the points, checked once.
     """
-    f = thin_svd(deltas)
-    over = f.s[:, 0] > np.pi / 2 + 1e-9
-    if np.any(over):
-        raise ValueError(
-            f"tangent singular values must not exceed pi/2, largest is {f.s[np.argmax(over), 0]:.6f}"
-        )
-    xv = (x @ f.v)[:, None]
-    u = f.u[:, None]
-    vt = np.swapaxes(f.v, 1, 2)[:, None]
+    xv = (x @ v)[:, None]
+    u = u[:, None]
+    vt = np.swapaxes(v, 1, 2)[:, None]
 
     def at(t) -> np.ndarray:
         ts = np.asarray(t, dtype=float)
         grid = ts if ts.ndim == 2 else ts.reshape(1, -1)
-        st = grid[:, :, None] * f.s[:, None, :]
+        st = grid[:, :, None] * theta[:, None, :]
         c = np.cos(st)[:, :, None, :]
         s = np.sin(st)[:, :, None, :]
         stack = xv * c @ vt + (u * s) @ vt
@@ -346,6 +309,38 @@ def _geodesics(x: np.ndarray, deltas: np.ndarray) -> Callable:
         return stack
 
     return at
+
+
+def _geodesics(x: np.ndarray, deltas: np.ndarray) -> Callable:
+    """_walk of the geodesics from x with the velocities of the K x N x D
+    stack deltas, each of singular values at most pi/2. Point [k, i] equals,
+    bit for bit, exp_map of velocity k at its time i alone."""
+    f = thin_svd(deltas)
+    over = f.s[:, 0] > np.pi / 2 + 1e-9
+    if np.any(over):
+        raise ValueError(
+            f"tangent singular values must not exceed pi/2, largest is {f.s[np.argmax(over), 0]:.6f}"
+        )
+    return _walk(x, f.u, f.s, f.v)
+
+
+def _pair_geodesics(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """The indices of the pairs of the K x N x D stacks x and y that have a
+    unique geodesic, in order, and _walk of their geodesics from x through y:
+    at time t, exp_map(x, log_map(x, y), t) up to rounding."""
+    keep, f = _log_factors(x, y)
+    xk = x[keep]
+    # Project U at x once more: dividing by a small sin(theta) amplifies the
+    # drift out of the tangent space left by an x orthonormal only to rounding.
+    return keep, _walk(xk, _project(xk, f.u), np.arctan(f.s), f.v)
+
+
+def _secant_point(x: np.ndarray, y: np.ndarray, beta: float) -> Optional[np.ndarray]:
+    """The N x D basis of the point at time 1 + beta on the geodesic from the
+    basis x through the basis y, that is the pair geodesic from y through x at
+    time -beta; None when x and y have no unique geodesic between them."""
+    keep, path = _pair_geodesics(y[None], x[None])
+    return path(-beta)[0, 0] if keep.size else None
 
 
 def geodesic(x: GrassmannPoint, h: TangentVector) -> Callable[[float], GrassmannPoint]:

@@ -201,6 +201,8 @@ def test_load_config_unknown_key_with_line(tmp_path):
         ),
         # step_scale acts on the deconv surrogates only
         (subspace_payload(step_scale=2.0), r"step_scale applies only to deconv \(line 12\)"),
+        # a repeated seed would run, and be audited, twice
+        (subspace_payload(seeds=[3, 3]), r"seeds\[1\] repeats the seed 3 \(line 3\)"),
     ],
 )
 def test_load_config_rejections(tmp_path, payload, pattern):
@@ -458,7 +460,7 @@ def test_audit_subspace_summary_is_pinned(tmp_path):
         "tightness": (True, 0.0, 1e-9, 12, 0),
         "majorization": (True, 0.0, 1e-9, 600, 0),
         "derivative_match": (True, 0.0, 1e-4, 300, 0),
-        "quasiconvexity": (True, 2.842170943040401e-14, 1e-8, 150, 0),
+        "quasiconvexity": (True, 5.684341886080802e-14, 1e-8, 150, 0),
         "homogeneity": (True, 2.842170943040401e-14, 1e-9, 300, 0),
     }
     config = write_config(tmp_path, subspace_payload(seeds=[0, 1, 2], problem={"N": 8, "D": 2}))

@@ -11,7 +11,6 @@ from grassmm import (
     AuditResult,
     BlockProblem,
     DeconvProblem,
-    GeodesicNotUnique,
     GrassmannPoint,
     InfeasibleBlockError,
     MonotonicityViolation,
@@ -29,7 +28,6 @@ from grassmm import (
     exp_map,
     generate_instance,
     heuristic_lambda,
-    log_map,
     make_point,
     random_orthonormal,
     random_point,
@@ -40,7 +38,7 @@ from grassmm import (
 )
 from grassmm import engine
 from grassmm.deconv import build_block_problem
-from grassmm.grassmann import _secant_point, random_unit_tangent
+from grassmm.grassmann import _pair_geodesics, _secant_point, random_unit_tangent
 
 
 def subspace_optimum(a, d):
@@ -229,8 +227,14 @@ def test_infeasible_grassmann_block_named():
         convex_constraint=identity_constraint,
         dims=(2, 1, 1),
     )
-    with pytest.raises(InfeasibleBlockError, match="grassmann block"):
+    with pytest.raises(InfeasibleBlockError, match="grassmann block update must be a GrassmannPoint, got ndarray"):
         run_block_mm(broken, line(0.4), np.zeros(1), SolverConfig(seed=0))
+    # a point of the wrong Grassmann manifold names both
+    wrong_dims = replace(
+        broken, grassmann_surrogate=replace(broken.grassmann_surrogate, minimize=lambda g, c: random_point(0, 3, 1))
+    )
+    with pytest.raises(InfeasibleBlockError, match=r"grassmann block update is a point of Gr\(3, 1\), expected Gr\(2, 1\)"):
+        run_block_mm(wrong_dims, line(0.4), np.zeros(1), SolverConfig(seed=0))
 
 
 def test_infeasible_convex_block_named():
@@ -713,6 +717,23 @@ def test_audit_quasiconvexity_rejects_zero_t_samples(exact_problem, exact_anchor
         audit_quasiconvexity(exact_problem, exact_anchors[0], 5, 0, seed=0)
 
 
+def test_audit_quasiconvexity_counts_skipped_pairs(monkeypatch, exact_problem, exact_anchors):
+    # Turn the first pair of each batch to right angles: the route leaves it
+    # out, and the audit counts it as skipped, never as checked. Two pairs of
+    # Gr(8, 2) at 5 times fill 1280 bytes, so 7 pairs make 4 batches.
+    pair_geodesics = engine._pair_geodesics
+
+    def first_at_right_angles(x, y):
+        y = y.copy()
+        y[0] = np.linalg.qr(x[0], mode="complete")[0][:, 2:4]
+        return pair_geodesics(x, y)
+
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1536)
+    monkeypatch.setattr(engine, "_pair_geodesics", first_at_right_angles)
+    res = audit_quasiconvexity(exact_problem, exact_anchors[0], 7, 5, seed=0)
+    assert (res.checked, res.skipped) == (3, 4) and res.passed
+
+
 def test_batch_with_a_wrong_count_raises(exact_problem, exact_anchors):
     short = replace(exact_problem, costs=lambda g, c: exact_problem.costs(g, c)[:-1])
     with pytest.raises(ValueError, match="costs returned 9 values for 10 samples"):
@@ -882,19 +903,18 @@ def reference_derivative_match(problem, block, anchor, directions, seed):
 def reference_quasiconvexity(problem, anchor, pairs, t_samples, seed, radius=engine.QUASICONVEXITY_RADIUS):
     oracle = problem.grassmann_surrogate
     g_anchor, c_anchor = anchor
-    rng = np.random.default_rng(seed)
+    directions, radii = np.random.default_rng(seed).spawn(2)
     worst, checked, skipped = 0.0, 0, 0
     for _ in range(pairs):
-        x = exp_map(g_anchor, random_unit_tangent(rng, g_anchor), rng.uniform(0.0, radius))
-        y = exp_map(g_anchor, random_unit_tangent(rng, g_anchor), rng.uniform(0.0, radius))
-        try:
-            h = log_map(x, y)
-        except GeodesicNotUnique:
+        x = exp_map(g_anchor, random_unit_tangent(directions, g_anchor), radii.uniform(0.0, radius))
+        y = exp_map(g_anchor, random_unit_tangent(directions, g_anchor), radii.uniform(0.0, radius))
+        keep, path = _pair_geodesics(x.basis[None], y.basis[None])
+        if not keep.size:
             skipped += 1
             continue
         cap = max(float(oracle.evaluate(x, g_anchor, c_anchor)), float(oracle.evaluate(y, g_anchor, c_anchor)))
-        for t in np.linspace(0.0, 1.0, t_samples):
-            worst = max(worst, float(oracle.evaluate(exp_map(x, h, t), g_anchor, c_anchor)) - cap)
+        for point in path(np.linspace(0.0, 1.0, t_samples))[0]:
+            worst = max(worst, float(oracle.evaluate(GrassmannPoint(point), g_anchor, c_anchor)) - cap)
         checked += 1
     return AuditResult("quasiconvexity", "grassmann", checked > 0 and worst <= engine.QUASICONVEXITY_TOL,
                        worst, engine.QUASICONVEXITY_TOL, checked, skipped)

@@ -26,7 +26,7 @@ from grassmm.grassmann import (
     _check_bases,
     _check_tangents,
     _geodesics,
-    _log_maps,
+    _pair_geodesics,
     _secant_point,
     _unit_tangents,
     random_unit_tangent,
@@ -465,30 +465,57 @@ def test_stacked_primitives_equal_single_calls(case, seed, degenerate):
     # a scalar t gives one point per geodesic
     assert_array_equal(_geodesics(x.basis, hs)(ts[0]), _geodesics(x.basis, hs)(ts[:1]))
 
-    # logs of K pairs, with a pair meeting at pi/2 when the dimensions allow one
+    # geodesics through K pairs, with a pair meeting at pi/2 when the dimensions allow one
     xs = ends[:, 0]
     ys = random_orthonormal(rng, n, d, count=count)
     if 2 * d <= n:
         ys[-1] = np.linalg.qr(xs[-1], mode="complete")[0][:, d : 2 * d]
-    keep, logs = _log_maps(xs, ys)
-    assert logs.shape == (keep.size, n, d)
-    logs_of = dict(zip(keep.tolist(), logs))
+    keep, pairs = _pair_geodesics(xs, ys)
+    pair_paths = pairs(ts)
+    assert pair_paths.shape == (keep.size, 3, n, d)
+    logs, unique = [], []
     for k, (xk, yk) in enumerate(zip(xs, ys)):
         try:
-            single = log_map(GrassmannPoint(xk), GrassmannPoint(yk))
+            logs.append(log_map(GrassmannPoint(xk), GrassmannPoint(yk)).delta)
         except GeodesicNotUnique:
-            assert k not in logs_of
             continue
-        assert_array_equal(logs_of[k], single.delta)
+        unique.append(k)
+        single_keep, single = _pair_geodesics(xk[None], yk[None])
+        assert single_keep.tolist() == [0]
+        assert_array_equal(pair_paths[len(unique) - 1], single(ts)[0])
+    assert keep.tolist() == unique
     if 2 * d <= n:
-        assert count - 1 not in logs_of
+        assert count - 1 not in unique
 
     # geodesics with one tangent per base
-    paths = _geodesics(xs[keep], logs)(ts)
+    paths = _geodesics(xs[keep], np.reshape(logs, (-1, n, d)))(ts)
     for xk, log, path in zip(xs[keep], logs, paths):
         x_k = GrassmannPoint(xk)
         for t, point in zip(ts, path):
             assert_array_equal(point, exp_map(x_k, TangentVector(x_k, log), t).basis)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_geodesics_follow_the_log(d):
+    # the geodesic through each pair is exp_map(x, log_map(x, y), t) up to
+    # rounding, on both sides of the segment; a pair at right angles has
+    # none and is left out of the kept indices
+    n, count = 9, 12
+    rng = np.random.default_rng(d)
+    xs = random_orthonormal(rng, n, d, count=count)
+    ys = np.empty_like(xs)
+    for k, r in enumerate(np.linspace(0.05, 1.4, count)):
+        x = GrassmannPoint(xs[k])
+        ys[k] = exp_map(x, TangentVector(x, r * random_unit_tangent(rng, x).delta), 1.0).basis
+    ys[-1] = np.linalg.qr(xs[-1], mode="complete")[0][:, d : 2 * d]
+    keep, paths = _pair_geodesics(xs, ys)
+    assert keep.tolist() == list(range(count - 1))
+    ts = np.linspace(-1.0, 2.0, 13)
+    for k, path in zip(keep, paths(ts)):
+        x = GrassmannPoint(xs[k])
+        h = log_map(x, GrassmannPoint(ys[k]))
+        for t, point in zip(ts, path):
+            assert_allclose(point, exp_map(x, h, t).basis, rtol=0.0, atol=1e-12)
 
 
 def test_empty_batches():
@@ -496,8 +523,8 @@ def test_empty_batches():
     empty = np.empty((0, 5, 2))
     assert _unit_tangents(np.random.default_rng(0), x.basis, 0).shape == (0, 5, 2)
     assert _geodesics(x.basis, empty)(np.array([0.0, 1.0])).shape == (0, 2, 5, 2)
-    keep, logs = _log_maps(empty, empty)
-    assert keep.size == 0 and logs.shape == (0, 5, 2)
+    keep, paths = _pair_geodesics(empty, empty)
+    assert keep.size == 0 and paths(np.array([0.0, 1.0])).shape == (0, 2, 5, 2)
 
 
 def test_stacked_tangents_are_checked():
