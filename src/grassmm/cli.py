@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -29,16 +28,10 @@ from .deconv import (
     solve_deconv,
 )
 from .engine import (
-    CONVEX_BLOCK,
-    GRASSMANN_BLOCK,
     InfeasibleBlockError,
     MonotonicityViolation,
     SolverConfig,
-    audit_derivative_match,
-    audit_homogeneity,
-    audit_majorization,
-    audit_quasiconvexity,
-    audit_tightness,
+    audit_assumptions,
     builtin_subspace_plus_mean,
     run_block_mm,
     subspace_plus_mean_init,
@@ -266,72 +259,33 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
 # --- audit plumbing -------------------------------------------------------
 
 
-def _audit_block_problem(cfg: dict, seed: int):
-    """Build the block problem plus (init, final) anchor states for auditing.
-
-    If the solve itself breaks descent (possible with a step_scale override),
-    auditing proceeds at the initial anchor alone — the audits, not the run,
-    are the point of this command.
-    """
-    block, init, _ = _build(cfg["kind"], cfg["problem"], seed, cfg["step_scale"])
-    try:
-        _, report = run_block_mm(block, *init, SolverConfig(seed=seed, **cfg["solver"]))
-    except MonotonicityViolation:
-        return block, [init]
-    return block, [init, (report.final_g, report.final_c)]
-
-
-def _smooth_anchor(anchor: tuple, seed: int) -> tuple:
-    """Shift the convex part off any exact zeros so kink guards don't fire."""
-    g, c = anchor
-    c = np.asarray(c, dtype=float)
-    rng = np.random.default_rng(seed)
-    scale = 0.1 * (1.0 + np.linalg.norm(c) / np.sqrt(c.size))
-    return (g, c + scale * rng.standard_normal(c.size))
-
-
-_MIN_WORST = {"majorization"}
-
-
-def _merge(entry: dict, name: str, result) -> dict:
-    if not entry:
-        return {
-            "passed": bool(result.passed),
-            "worst": float(result.worst),
-            "threshold": float(result.threshold),
-            "checked": int(result.checked),
-            "skipped": int(result.skipped),
-        }
-    entry["passed"] = bool(entry["passed"] and result.passed)
-    pick = min if name in _MIN_WORST else max
-    worst = float(result.worst)
-    # A NaN worst (a non-finite sample) stays NaN: min and max keep a NaN first argument.
-    entry["worst"] = worst if math.isnan(worst) else float(pick(entry["worst"], worst))
-    entry["checked"] += int(result.checked)
-    entry["skipped"] += int(result.skipped)
-    return entry
+def _audit_json(summary: dict) -> dict:
+    """{audit name: AuditResult} in audit.json's shape."""
+    fields = {"passed": bool, "worst": float, "threshold": float, "checked": int, "skipped": int}
+    return {name: {key: cast(getattr(r, key)) for key, cast in fields.items()} for name, r in summary.items()}
 
 
 def cmd_audit(cfg: dict, out_dir: Path) -> int:
+    """Solve each seed, audit its initial and final anchors, and write the
+    results merged over the seeds. If the solve itself breaks descent
+    (possible with a step_scale override), the seed is audited at its initial
+    anchor alone: the audits, not the run, are the point of this command."""
     out_dir.mkdir(parents=True, exist_ok=True)
     samples = SolverConfig(**cfg["solver"]).audit_samples
     summary: dict = {}
     for seed in cfg["seeds"]:
-        block, anchors = _audit_block_problem(cfg, seed)
-        final_anchor = anchors[-1]
-        smooth = _smooth_anchor(final_anchor, seed)
-        results = []
-        for name in (GRASSMANN_BLOCK, CONVEX_BLOCK):
-            anchor = final_anchor if name == GRASSMANN_BLOCK else smooth
-            results.append(("tightness", audit_tightness(block, name, anchors)))
-            results.append(("majorization", audit_majorization(block, name, anchors, samples, seed)))
-            results.append(("derivative_match", audit_derivative_match(block, name, anchor, samples, seed)))
-        results.append(("quasiconvexity", audit_quasiconvexity(block, final_anchor, samples, 11, seed)))
-        results.append(("homogeneity", audit_homogeneity(block, anchors, samples, seed)))
-        for name, res in results:
-            summary[name] = _merge(summary.get(name, {}), name, res)
-    overall = all(entry["passed"] for entry in summary.values())
-    _write_json(out_dir / "audit.json", {"kind": cfg["kind"], "audits": summary, "overall_pass": overall})
+        block, init, _ = _build(cfg["kind"], cfg["problem"], seed, cfg["step_scale"])
+        try:
+            _, report = run_block_mm(block, *init, SolverConfig(seed=seed, **cfg["solver"]))
+        except MonotonicityViolation:
+            anchors = [init]
+        else:
+            anchors = [init, (report.final_g, report.final_c)]
+        for name, result in audit_assumptions(block, anchors, samples, seed).items():
+            summary[name] = summary[name].merged(result) if name in summary else result
+    overall = all(r.passed for r in summary.values())
+    audits = _audit_json(summary)
+    _write_json(out_dir / "audit.json", {"kind": cfg["kind"], "audits": audits, "overall_pass": overall})
     return 0 if overall else 3
 
 

@@ -180,8 +180,8 @@ class DeconvProblem:
     def __post_init__(self):
         y = _as_signal(self.y, "y")
         object.__setattr__(self, "y", y)
-        if self.lam < 0.0:
-            raise ValueError(f"lambda must be non-negative, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:  # NaN fails too
+            raise ValueError(f"lambda must be a finite number >= 0, got {self.lam}")
 
     @property
     def n(self) -> int:
@@ -477,8 +477,8 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
     anchor's quantities from one shared per-anchor context (see the module
     docstring).
     """
-    if step_scale <= 0.0:
-        raise ValueError(f"step_scale must be positive, got {step_scale}")
+    if not 0.0 < step_scale < np.inf:  # NaN fails too
+        raise ValueError(f"step_scale must be a finite number > 0, got {step_scale}")
     n = problem.n
     recent: list[_Anchor] = []  # most recently used last; anchors whose arrays are read-only
 

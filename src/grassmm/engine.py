@@ -50,6 +50,18 @@ for a nonnegative cost, as both built-in costs are, the largest in size. An
 absolute cutoff stays only where the quantity can be exactly zero, with a
 comment saying why; tolerances on angles and orthonormal bases are
 scale-free as they stand.
+
+Audit policy. audit_assumptions runs the suite of grassmm audit over a run's
+anchors, its start and its final iterate: tightness and majorization of both
+blocks and homogeneity at every anchor; derivative match of both blocks
+(the convex one with c shifted off exact zeros, where kink guards skip) and
+quasiconvexity at the final anchor. The table _AUDITS gives each audit's
+threshold and worst direction: the largest value, or for majorization the
+smallest margin. _verdict builds every AuditResult, and AuditResult.merged
+combines two. The in-run audits (audit_every) merge tightness and
+majorization into ConvergenceReport.audit_summary and leave out
+quasiconvexity on purpose: it can fail far from a minimizer, as at
+subspace-mean's random start (worst 2.54 on Gr(8, 2)).
 """
 
 from __future__ import annotations
@@ -87,6 +99,15 @@ DERIVATIVE_FD_STEPS = (1e-4, 1e-5)
 QUASICONVEXITY_TOL = 1e-8
 QUASICONVEXITY_RADIUS = np.pi / 4   # default geodesic sampling radius around anchors
 HOMOGENEITY_TOL = 1e-9
+# The audit policy (see the module docstring): each audit's threshold, and
+# the pick that makes its worst value and merges two results.
+_AUDITS = {
+    "tightness": (TIGHTNESS_TOL, max),
+    "majorization": (MAJORIZATION_TOL, min),
+    "derivative_match": (DERIVATIVE_MATCH_TOL, max),
+    "quasiconvexity": (QUASICONVEXITY_TOL, max),
+    "homogeneity": (HOMOGENEITY_TOL, max),
+}
 # The extrapolation step of run_block_mm: tried on every EXTRAPOLATION_PERIOD-th
 # iteration, at a length factor beta that starts at 1, doubles on acceptance
 # up to EXTRAPOLATION_BETA_MAX and halves on rejection down to 1.
@@ -243,7 +264,7 @@ class ConvergenceReport:
     stationarity_directions: int
     stationarity_seed: int
     tie_suspected: bool
-    audit_summary: Optional[dict]
+    audit_summary: Optional[dict[str, AuditResult]]  # the in-run audits; None without them
     final_g: GrassmannPoint
     final_c: np.ndarray
     extrapolations: int  # accepted extrapolation steps
@@ -253,9 +274,8 @@ class ConvergenceReport:
 class AuditResult:
     """Outcome of one sampled audit.
 
-    `worst` is the headline number: max deviation for tightness, derivative
-    match and homogeneity; min margin for majorization; max interior excess
-    for quasiconvexity.
+    `worst` is the headline number: the worst sampled value, the largest or
+    the smallest as the audit policy gives it (see the module docstring).
     """
 
     audit: str
@@ -265,6 +285,33 @@ class AuditResult:
     threshold: float
     checked: int
     skipped: int = 0
+
+    def merged(self, other: AuditResult) -> AuditResult:
+        """This result and another of the same audit as one: passed if both
+        passed, the worse of the two worsts (NaN if either is NaN), the counts
+        summed, and block None unless both name the same block."""
+        if other.audit != self.audit:
+            raise ValueError(f"cannot merge a {other.audit} result into a {self.audit} result")
+        pick = _AUDITS[self.audit][1]
+        # min and max keep a NaN first argument, so only the second needs a test.
+        worst = other.worst if math.isnan(other.worst) else pick(self.worst, other.worst)
+        block = self.block if self.block == other.block else None
+        counts = (self.checked + other.checked, self.skipped + other.skipped)
+        return AuditResult(self.audit, block, self.passed and other.passed, worst, self.threshold, *counts)
+
+
+def _fold(summary: dict, results) -> dict:
+    """summary, one AuditResult per audit name, with each result merged into
+    the entry of its audit."""
+    for r in results:
+        summary[r.audit] = summary[r.audit].merged(r) if r.audit in summary else r
+    return summary
+
+
+def _check_count(name: str, count: int) -> None:
+    """Raise a ValueError naming a sample count below 1."""
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
 
 
 def _oracle_for(problem: BlockProblem, block: str) -> SurrogateOracle:
@@ -361,12 +408,23 @@ def _evaluations(oracle: SurrogateOracle, candidates: np.ndarray, g: GrassmannPo
     return _floats(values, len(candidates), "evaluate_many")
 
 
-def _worst(values: list[float], pick: Callable, start: float) -> float:
-    """pick (max or min) of start and the values, first on ties; NaN if any
-    value is not finite, so every comparison with a threshold fails."""
+def _worst(values: list[float], pick: Callable) -> float:
+    """pick (max or min) of the values, first on ties, where max starts from
+    0.0 and no values give 0.0; NaN if any value is not finite, so every
+    comparison with a threshold fails."""
     if not all(map(math.isfinite, values)):
         return math.nan
-    return float(pick([start, *values]))
+    return float(pick([0.0, *values] if pick is max else values, default=0.0))
+
+
+def _verdict(audit: str, block: Optional[str], values: list[float], checked: int, skipped: int = 0) -> AuditResult:
+    """The AuditResult of an audit's sampled values: it passes when a sample
+    was checked and the worst value, picked as the audit policy says, lies
+    within the threshold."""
+    threshold, pick = _AUDITS[audit]
+    worst = _worst(values, pick)
+    within = worst >= -threshold if pick is min else worst <= threshold
+    return AuditResult(audit, block, checked > 0 and within, worst, threshold, checked, skipped)
 
 
 def _fd_grad_norm_grassmann(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray) -> float:
@@ -494,8 +552,7 @@ def run_block_mm(
     converged = False
     iterations = 0
     final_dc = float("inf")
-    audit_flags: list[bool] = []
-    audit_worsts: list[float] = []
+    audit_summary: dict[str, AuditResult] = {}
     beta = 1.0
     extrapolations = 0
 
@@ -547,19 +604,12 @@ def run_block_mm(
 
         audit_ok: Optional[bool] = None
         if config.audit_every > 0 and i % config.audit_every == 0:
-            anchor = [(g, c)]
-            tight_g = audit_tightness(problem, GRASSMANN_BLOCK, anchor)
-            tight_c = audit_tightness(problem, CONVEX_BLOCK, anchor)
-            major_g = audit_majorization(
-                problem, GRASSMANN_BLOCK, anchor, config.audit_samples, config.seed + i
-            )
-            major_c = audit_majorization(
-                problem, CONVEX_BLOCK, anchor, config.audit_samples, config.seed + i
-            )
-            checks = [tight_g, tight_c, major_g, major_c]
+            # Tightness and majorization only: see the audit policy.
+            anchor, blocks = [(g, c)], (GRASSMANN_BLOCK, CONVEX_BLOCK)
+            checks = [audit_tightness(problem, b, anchor) for b in blocks]
+            checks += [audit_majorization(problem, b, anchor, config.audit_samples, config.seed + i) for b in blocks]
             audit_ok = all(r.passed for r in checks)
-            audit_flags.append(audit_ok)
-            audit_worsts.append(max(tight_g.worst, tight_c.worst))
+            _fold(audit_summary, checks)
 
         trace.append(
             IterationRecord(
@@ -582,13 +632,6 @@ def run_block_mm(
 
     stat_dirs = config.audit_samples
     stat_score = stationarity_check(problem, g, c, stat_dirs, config.seed)
-    summary = None
-    if audit_flags:
-        summary = {
-            "runs": len(audit_flags),
-            "all_passed": all(audit_flags),
-            "worst_tightness": max(audit_worsts),
-        }
     report = ConvergenceReport(
         converged=converged,
         iterations=iterations,
@@ -598,7 +641,7 @@ def run_block_mm(
         stationarity_directions=stat_dirs,
         stationarity_seed=config.seed,
         tie_suspected=_tie_suspected([r.dc_step for r in trace], converged, config.dist_tol),
-        audit_summary=summary,
+        audit_summary=audit_summary or None,
         final_g=g,
         final_c=c,
         extrapolations=extrapolations,
@@ -622,8 +665,7 @@ def stationarity_check(
     along their geodesics in stacks (see the module docstring). Raises
     NonFiniteCostError if the cost at g or at a probe is NaN or infinite.
     """
-    if directions < 1:
-        raise ValueError(f"directions must be at least 1, got {directions}")
+    _check_count("directions", directions)
     c = _check_anchor(problem, g, c)
     rng = np.random.default_rng(seed)
     h = STATIONARITY_FD_STEP
@@ -639,7 +681,7 @@ def stationarity_check(
             direction /= np.linalg.norm(direction)
             probes[k] = _constrained(problem, c + h * direction)
         slopes += [(f - f0) / h for f in _costs(problem, g, probes)]
-    worst = _worst(slopes, min, np.inf)
+    worst = _worst(slopes, min)
     if math.isnan(worst):
         raise NonFiniteCostError(f"cost is not finite at the stationarity probe (f at the iterate is {f0})")
     return worst
@@ -653,16 +695,7 @@ def audit_tightness(problem: BlockProblem, block: str, anchors: list) -> AuditRe
         f0 = float(problem.cost(g, c))
         candidate = g if block == GRASSMANN_BLOCK else c
         devs.append(abs(float(oracle.evaluate(candidate, g, c)) - f0))
-    worst = _worst(devs, max, 0.0)
-    checked = len(devs)
-    return AuditResult(
-        audit="tightness",
-        block=block,
-        passed=checked > 0 and worst <= TIGHTNESS_TOL,
-        worst=worst,
-        threshold=TIGHTNESS_TOL,
-        checked=checked,
-    )
+    return _verdict("tightness", block, devs, len(devs))
 
 
 def audit_majorization(
@@ -676,9 +709,10 @@ def audit_majorization(
 
     The candidates of one anchor are drawn (Grassmann candidates as one
     factored and checked stack of bases) and evaluated in batches, which
-    consume the generator exactly as one draw at a time would. Reports the worst (smallest) margin; margins
-    below -MAJORIZATION_TOL fail.
+    consume the generator exactly as one draw at a time would. Reports the
+    worst (smallest) margin; margins below -MAJORIZATION_TOL fail.
     """
+    _check_count("samples", samples)
     oracle = _oracle_for(problem, block)
     n, d, c_len = problem.dims
     rng = np.random.default_rng(seed)
@@ -696,16 +730,7 @@ def audit_majorization(
                     candidates[k] = _constrained(problem, c + scale * rng.standard_normal(c_len))
                 values = _costs(problem, g, candidates)
             margins += [e - f for e, f in zip(_evaluations(oracle, candidates, g, c), values)]
-    checked = len(margins)
-    worst = _worst(margins, min, np.inf) if margins else 0.0
-    return AuditResult(
-        audit="majorization",
-        block=block,
-        passed=checked > 0 and worst >= -MAJORIZATION_TOL,
-        worst=worst,
-        threshold=MAJORIZATION_TOL,
-        checked=checked,
-    )
+    return _verdict("majorization", block, margins, len(margins))
 
 
 def audit_derivative_match(
@@ -724,6 +749,7 @@ def audit_derivative_match(
     every +/-h at once and as one batch. Directions flagged non-smooth by the
     oracle's smooth_along guard are skipped and counted.
     """
+    _check_count("directions", directions)
     oracle = _oracle_for(problem, block)
     g, c = anchor
     c = _check_anchor(problem, g, c)
@@ -758,17 +784,7 @@ def audit_derivative_match(
             sg = (surrogate[i] - surrogate[i + 1]) / (2 * h)
             sf = (values[i] - values[i + 1]) / (2 * h)
             mismatches.append(abs(sg - sf) / max(1.0, abs(sf)))
-    checked = len(mismatches) // len(DERIVATIVE_FD_STEPS)
-    worst = _worst(mismatches, max, 0.0)
-    return AuditResult(
-        audit="derivative_match",
-        block=block,
-        passed=checked > 0 and worst <= DERIVATIVE_MATCH_TOL,
-        worst=worst,
-        threshold=DERIVATIVE_MATCH_TOL,
-        checked=checked,
-        skipped=skipped,
-    )
+    return _verdict("derivative_match", block, mismatches, len(mismatches) // len(DERIVATIVE_FD_STEPS), skipped)
 
 
 def audit_quasiconvexity(
@@ -791,8 +807,8 @@ def audit_quasiconvexity(
     geodesic from x through y and must not exceed max(endpoint values) by
     more than QUASICONVEXITY_TOL; it takes a batch of pairs in one call.
     """
-    if t_samples < 1:
-        raise ValueError(f"t_samples must be at least 1, got {t_samples}")
+    _check_count("pairs", pairs)
+    _check_count("t_samples", t_samples)
     oracle = problem.grassmann_surrogate
     g_anchor, c_anchor = anchor
     c_anchor = _check_anchor(problem, g_anchor, c_anchor)
@@ -812,17 +828,7 @@ def audit_quasiconvexity(
         for lo in range(0, len(values), 2 + t_samples):
             cap = max(values[lo], values[lo + 1])
             excess += [v - cap for v in values[lo + 2 : lo + 2 + t_samples]]
-    checked = pairs - skipped
-    worst = _worst(excess, max, 0.0)
-    return AuditResult(
-        audit="quasiconvexity",
-        block=GRASSMANN_BLOCK,
-        passed=checked > 0 and worst <= QUASICONVEXITY_TOL,
-        worst=worst,
-        threshold=QUASICONVEXITY_TOL,
-        checked=checked,
-        skipped=skipped,
-    )
+    return _verdict("quasiconvexity", GRASSMANN_BLOCK, excess, pairs - skipped, skipped)
 
 
 def audit_homogeneity(
@@ -837,6 +843,7 @@ def audit_homogeneity(
     The rotations of one anchor are drawn, applied, checked and evaluated in
     batches.
     """
+    _check_count("rotations", rotations)
     rng = np.random.default_rng(seed)
     devs = []
     for g, c in [(g, _check_anchor(problem, g, c)) for g, c in anchors]:
@@ -845,16 +852,29 @@ def audit_homogeneity(
             rotated = g.basis @ random_orthonormal(rng, g.d, g.d, count=size)
             _check_bases(rotated)
             devs += [abs(f - f0) for f in _costs(problem, rotated, c)]
-    worst = _worst(devs, max, 0.0)
-    checked = len(devs)
-    return AuditResult(
-        audit="homogeneity",
-        block=None,
-        passed=checked > 0 and worst <= HOMOGENEITY_TOL,
-        worst=worst,
-        threshold=HOMOGENEITY_TOL,
-        checked=checked,
-    )
+    return _verdict("homogeneity", None, devs, len(devs))
+
+
+def audit_assumptions(problem: BlockProblem, anchors: list, samples: int, seed: int) -> dict[str, AuditResult]:
+    """The audit suite of grassmm audit (see the audit policy) over a run's
+    anchors, the last its final iterate: one merged AuditResult per audit,
+    each drawing `samples` samples per anchor and block from `seed`."""
+    if not anchors:
+        raise ValueError("anchors must hold at least one (g, c) pair")
+    g, c = anchors[-1]
+    c = _check_anchor(problem, g, c)
+    scale = 0.1 * (1.0 + np.linalg.norm(c) / np.sqrt(c.size))
+    shifted = c + scale * np.random.default_rng(seed).standard_normal(c.size)
+    results = []
+    for block, anchor in ((GRASSMANN_BLOCK, (g, c)), (CONVEX_BLOCK, (g, shifted))):
+        results += [
+            audit_tightness(problem, block, anchors),
+            audit_majorization(problem, block, anchors, samples, seed),
+            audit_derivative_match(problem, block, anchor, samples, seed),
+        ]
+    results.append(audit_quasiconvexity(problem, (g, c), samples, 11, seed))
+    results.append(audit_homogeneity(problem, anchors, samples, seed))
+    return _fold({}, results)
 
 
 def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:

@@ -9,7 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grassmm import AuditResult, SolverConfig, cli, deconv
+from grassmm import (
+    AuditResult,
+    SolverConfig,
+    audit_assumptions,
+    audit_derivative_match,
+    audit_homogeneity,
+    audit_majorization,
+    audit_quasiconvexity,
+    audit_tightness,
+    cli,
+    deconv,
+    run_block_mm,
+)
 from grassmm.cli import ConfigError, load_config, main
 
 NAN, INF = float("nan"), float("inf")
@@ -475,12 +487,87 @@ def test_audit_subspace_summary_is_pinned(tmp_path):
 
 
 def test_audit_summary_keeps_a_non_finite_worst():
-    finite = AuditResult("majorization", "grassmann", True, -1e-12, 1e-9, 5)
-    broken = dataclasses.replace(finite, passed=False, worst=math.nan)
+    # AuditResult.merged folds the results of grassmm audit and of the in-run audits
+    finite = AuditResult("majorization", "grassmann", True, -1e-12, 1e-9, 5, 1)
+    broken = dataclasses.replace(finite, block="convex", passed=False, worst=math.nan, skipped=2)
     for first, second in ((finite, broken), (broken, finite)):
-        entry = cli._merge(cli._merge({}, "majorization", first), "majorization", second)
-        assert entry["passed"] is False and math.isnan(entry["worst"])
-        assert entry["checked"] == 10
+        merged = first.merged(second)
+        assert merged.passed is False and math.isnan(merged.worst)
+        assert (merged.checked, merged.skipped, merged.block, merged.threshold) == (10, 3, None, 1e-9)
+    assert finite.merged(finite).block == "grassmann"
+    # majorization keeps the smallest margin, every other audit the largest value
+    lower = dataclasses.replace(finite, worst=-1e-6)
+    assert finite.merged(lower).worst == lower.merged(finite).worst == -1e-6
+    tight = AuditResult("tightness", "grassmann", True, 1e-12, 1e-9, 1)
+    larger = dataclasses.replace(tight, worst=1e-6, passed=False)
+    assert tight.merged(larger) == larger.merged(tight) == dataclasses.replace(larger, checked=2)
+    with pytest.raises(ValueError, match="cannot merge a tightness result into a majorization result"):
+        finite.merged(tight)
+
+
+# --- the parent assembly of grassmm audit, kept as the reference for audit_assumptions
+
+
+def reference_smooth_anchor(anchor, seed):
+    """Shift the convex part off any exact zeros so kink guards don't fire."""
+    g, c = anchor
+    c = np.asarray(c, dtype=float)
+    rng = np.random.default_rng(seed)
+    scale = 0.1 * (1.0 + np.linalg.norm(c) / np.sqrt(c.size))
+    return (g, c + scale * rng.standard_normal(c.size))
+
+
+def reference_merge(entry, name, result):
+    if not entry:
+        return {
+            "passed": bool(result.passed),
+            "worst": float(result.worst),
+            "threshold": float(result.threshold),
+            "checked": int(result.checked),
+            "skipped": int(result.skipped),
+        }
+    entry["passed"] = bool(entry["passed"] and result.passed)
+    pick = min if name == "majorization" else max
+    worst = float(result.worst)
+    entry["worst"] = worst if math.isnan(worst) else float(pick(entry["worst"], worst))
+    entry["checked"] += int(result.checked)
+    entry["skipped"] += int(result.skipped)
+    return entry
+
+
+def reference_audit(block, anchors, samples, seed):
+    final_anchor = anchors[-1]
+    smooth = reference_smooth_anchor(final_anchor, seed)
+    results = []
+    for name in ("grassmann", "convex"):
+        anchor = final_anchor if name == "grassmann" else smooth
+        results.append(("tightness", audit_tightness(block, name, anchors)))
+        results.append(("majorization", audit_majorization(block, name, anchors, samples, seed)))
+        results.append(("derivative_match", audit_derivative_match(block, name, anchor, samples, seed)))
+    results.append(("quasiconvexity", audit_quasiconvexity(block, final_anchor, samples, 11, seed)))
+    results.append(("homogeneity", audit_homogeneity(block, anchors, samples, seed)))
+    return results
+
+
+@pytest.mark.parametrize(
+    "kind, problem, seeds",
+    [
+        ("subspace-mean", {"N": 10, "D": 2, "M": 40}, [0, 1, 2, 3]),
+        ("deconv", {"N": 64, "sparsity": 0.0625, "kernel_support": 8, "noise_sigma": 0.0, "lambda": None}, [0, 1]),
+    ],
+)
+def test_audit_assumptions_matches_the_reference_assembly(kind, problem, seeds):
+    expected, summary = {}, {}
+    for seed in seeds:
+        block, init, _ = cli._build(kind, problem, seed)
+        _, report = run_block_mm(block, *init, SolverConfig(seed=seed))
+        anchors = [init, (report.final_g, report.final_c)]
+        for name, result in reference_audit(block, anchors, 10, seed):
+            expected[name] = reference_merge(expected.get(name, {}), name, result)
+        for name, result in audit_assumptions(block, anchors, 10, seed).items():
+            summary[name] = summary[name].merged(result) if name in summary else result
+        # the JSON text holds every bit of each float, and the sign of a zero
+        assert json.dumps(cli._audit_json(summary), sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_audit_flags_broken_curvature(tmp_path):

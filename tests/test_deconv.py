@@ -508,6 +508,24 @@ def test_problem_and_state_validation():
         build_block_problem(DeconvProblem(y=np.ones(8), lam=0.0), step_scale=0.0)
 
 
+@pytest.mark.parametrize(
+    "make, pattern",
+    [
+        (lambda: DeconvProblem(y=np.ones(8), lam=np.nan), r"lambda must be a finite number >= 0, got nan"),
+        (lambda: DeconvProblem(y=np.ones(8), lam=np.inf), r"lambda must be a finite number >= 0, got inf"),
+        (lambda: DeconvProblem(y=np.ones(8), lam=-0.1), r"lambda must be a finite number >= 0, got -0\.1"),
+        (lambda: build_block_problem(DeconvProblem(y=np.ones(8), lam=0.0), np.nan), r"step_scale .* got nan"),
+        (lambda: build_block_problem(DeconvProblem(y=np.ones(8), lam=0.0), np.inf), r"step_scale .* got inf"),
+        (lambda: build_block_problem(DeconvProblem(y=np.ones(8), lam=0.0), -1.0), r"step_scale .* got -1\.0"),
+    ],
+)
+def test_boundary_names_a_non_finite_input(make, pattern):
+    # Without these checks a NaN or infinite lambda or step_scale surfaces
+    # only in the solver, as a NonFiniteCostError that names neither.
+    with pytest.raises(ValueError, match=pattern):
+        make()
+
+
 # --- end to end -----------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from grassmm import (
     NonFiniteCostError,
     SolverConfig,
     SurrogateOracle,
+    audit_assumptions,
     audit_derivative_match,
     audit_homogeneity,
     audit_majorization,
@@ -145,9 +146,15 @@ def test_in_run_audits_recorded():
     prob = builtin_subspace_plus_mean(a, 2)
     g0, c0 = subspace_plus_mean_init(a, 2, 9)
     trace, report = run_block_mm(prob, g0, c0, SolverConfig(seed=9, audit_every=1, audit_samples=10))
-    assert report.audit_summary is not None
-    assert report.audit_summary["all_passed"]
-    assert report.audit_summary["worst_tightness"] <= 1e-12
+    # Only tightness and majorization run in-run, on purpose: quasiconvexity
+    # fails at this run's random start (worst 2.54 over 10 pairs, seed 9), so
+    # grassmm audit samples it only at the final anchor.
+    summary = report.audit_summary
+    assert set(summary) == {"tightness", "majorization"}
+    assert all(r.passed for r in summary.values())
+    assert summary["tightness"].worst <= 1e-12
+    # One anchor per iteration, merged over both blocks and every iteration.
+    assert (summary["tightness"].checked, summary["tightness"].block) == (2 * report.iterations, None)
     assert trace.records[0].audit_ok is True
 
 
@@ -715,6 +722,26 @@ def test_stationarity_check_rejects_zero_directions(exact_problem, exact_anchors
 def test_audit_quasiconvexity_rejects_zero_t_samples(exact_problem, exact_anchors):
     with pytest.raises(ValueError, match="t_samples must be at least 1"):
         audit_quasiconvexity(exact_problem, exact_anchors[0], 5, 0, seed=0)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("samples", lambda problem, anchor, n: audit_majorization(problem, "grassmann", [anchor], n, 0)),
+        ("directions", lambda problem, anchor, n: audit_derivative_match(problem, "convex", anchor, n, 0)),
+        ("pairs", lambda problem, anchor, n: audit_quasiconvexity(problem, anchor, n, 11, 0)),
+        ("rotations", lambda problem, anchor, n: audit_homogeneity(problem, [anchor], n, 0)),
+    ],
+)
+def test_audit_rejects_a_sample_count_below_one(exact_problem, exact_anchors, name, call, count):
+    with pytest.raises(ValueError, match=rf"{name} must be at least 1, got {count}"):
+        call(exact_problem, exact_anchors[0], count)
+
+
+def test_audit_assumptions_rejects_no_anchors(exact_problem):
+    with pytest.raises(ValueError, match=r"anchors must hold at least one \(g, c\) pair"):
+        audit_assumptions(exact_problem, [], 5, 0)
 
 
 def test_audit_quasiconvexity_counts_skipped_pairs(monkeypatch, exact_problem, exact_anchors):
