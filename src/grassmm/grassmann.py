@@ -13,11 +13,14 @@ geodesic factors (base, U, theta, V) into the checked points over a t-grid,
 fed by two builders of one thin SVD per stack: `_geodesics`, from K
 velocities (the stack of one is the public exp_map), and `_pair_geodesics`,
 through K pairs from their log factors. The solver's extrapolation point,
-`_secant_point`, is a pair geodesic at a negative time.
+`_secant_point`, is a pair geodesic at a negative time. For D >= 2 it is
+taken through `_pair_geodesics`; on Gr(N, 1), where every geodesic is a great
+circle of the unit sphere, it is taken in closed form, with no SVD.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -338,9 +341,31 @@ def _pair_geodesics(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Callable]
 def _secant_point(x: np.ndarray, y: np.ndarray, beta: float) -> Optional[np.ndarray]:
     """The N x D basis of the point at time 1 + beta on the geodesic from the
     basis x through the basis y, that is the pair geodesic from y through x at
-    time -beta; None when x and y have no unique geodesic between them."""
-    keep, path = _pair_geodesics(y[None], x[None])
-    return path(-beta)[0, 0] if keep.size else None
+    time -beta; None when x and y have no unique geodesic between them.
+
+    For D >= 2 the point comes from _pair_geodesics. On Gr(N, 1) every
+    geodesic is a great circle, and the same point is taken in closed form
+    with no SVD: with w = y^T x, the direction r = sign(w) x - |w| y points
+    from y toward x on the sphere, at the angle theta = atan2(|r|, |w|), and
+    the point is cos(beta theta) y - sin(beta theta) r / |r|.
+    """
+    if x.shape[1] > 1:
+        keep, path = _pair_geodesics(y[None], x[None])
+        return path(-beta)[0, 0] if keep.size else None
+    w = float(y[:, 0] @ x[:, 0])
+    # |w| is the singular value _log_factors tests on the 1 x 1 cross-Gram.
+    if not abs(w) > UNIQUE_GEODESIC_CUTOFF:
+        return None
+    r = math.copysign(1.0, w) * x - abs(w) * y
+    # Project r off y once more, as _pair_geodesics does for rounded iterates.
+    r -= y * (y[:, 0] @ r[:, 0])
+    r_norm = float(np.linalg.norm(r))
+    if r_norm == 0.0:
+        return y.copy()
+    theta = math.atan2(r_norm, abs(w))
+    out = math.cos(beta * theta) * y - (math.sin(beta * theta) / r_norm) * r
+    _check_bases(out[None])
+    return out
 
 
 def geodesic(x: GrassmannPoint, h: TangentVector) -> Callable[[float], GrassmannPoint]:

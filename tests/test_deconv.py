@@ -736,7 +736,9 @@ def test_work_per_iteration(monkeypatch):
     # its new G and x, and, when the try is kept, the new residual at and
     # above the crossover, the new G's Lipschitz FFT below it. The engine
     # has checked every kernel it passes, so the solve checks none again.
-    counts = {"cost": 0, "transform": 0, "kernel_check": 0}
+    # On Gr(N, 1) an iteration takes one SVD, for the stop-test distance: the
+    # extrapolation point of a try is taken in closed form.
+    counts = {"cost": 0, "transform": 0, "kernel_check": 0, "svd": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -751,6 +753,7 @@ def test_work_per_iteration(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, "transform"))
     monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft, "transform"))
     monkeypatch.setattr(deconv, "_check_kernel", counted(deconv._check_kernel, "kernel_check"))
+    monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd, "svd"))
     for n, bound, max_iter in ((64, 4, 5000), (1024, 4, 100)):
         inst = generate_instance(2, n, 0.0625, 8, 0.0)
         p = DeconvProblem(y=inst.y, lam=0.1)
@@ -776,3 +779,4 @@ def test_work_per_iteration(monkeypatch):
             tried = (i + 1) % engine.EXTRAPOLATION_PERIOD == 0
             assert after["cost"] - before["cost"] <= 2 + tried
             assert after["transform"] - before["transform"] <= bound + 3 * tried, n
+            assert after["svd"] - before["svd"] <= 1, (n, i)

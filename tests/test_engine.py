@@ -1237,3 +1237,27 @@ def test_non_finite_cost_at_the_extrapolated_point_raises():
     with log.patch(), pytest.raises(NonFiniteCostError, match="at the extrapolated iterate"):
         run_block_mm(problem, init.a, init.x, SolverConfig(seed=0))
     assert len(log.tries) == 1
+
+
+def pair_geodesic_secant(x, y, beta):
+    """The general extrapolation point: the pair geodesic from y through x at -beta."""
+    keep, path = _pair_geodesics(y[None], x[None])
+    return path(-beta)[0, 0] if keep.size else None
+
+
+def test_closed_form_extrapolation_keeps_the_deconv_runs():
+    # The kernel block is Gr(N, 1), where the extrapolation point is taken in
+    # closed form. With the general builder in its place, every run keeps its
+    # iteration and accepted-try counts, and its final cost up to rounding.
+    cases = [(64, seed, SolverConfig(seed=seed)) for seed in range(20)]
+    cases += [(1024, seed, SolverConfig(max_iter=100, seed=seed)) for seed in range(2)]
+    for n, seed, config in cases:
+        problem, init = deconv_instance(seed, n)
+        _, shipped = run_block_mm(problem, init.a, init.x, config)
+        with mock.patch.object(engine, "_secant_point", pair_geodesic_secant):
+            _, general = run_block_mm(problem, init.a, init.x, config)
+        assert shipped.iterations == general.iterations, (n, seed)
+        assert shipped.extrapolations == general.extrapolations, (n, seed)
+        assert shipped.final_cost == pytest.approx(general.final_cost, rel=1e-13, abs=0.0), (n, seed)
+        if n == 1024:
+            assert shipped.extrapolations > 0, seed

@@ -588,9 +588,10 @@ def test_secant_point_is_the_geodesic_past_its_end(n, d):
 
 
 def test_secant_point_through_the_same_point_stays_there():
-    x = random_point(3, 7, 1)
-    for start in (x.basis, -x.basis):
-        assert_allclose(_secant_point(start, x.basis, 8.0), x.basis, rtol=0.0, atol=1e-14)
+    # A basis vector meets itself at w = 1 exactly, so the direction toward it is exactly 0.
+    for x in (random_point(3, 7, 1).basis, np.eye(7)[:, :1]):
+        for start in (x, -x):
+            assert_allclose(_secant_point(start, x, 8.0), x, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -615,3 +616,39 @@ def test_secant_point_keeps_unit_norm_from_rounded_iterates(d):
     for beta in (1.0, 32.0, 64.0):
         out = _secant_point(x, y, beta)
         assert np.abs(out.T @ out - np.eye(d)).max() <= 1e-10
+
+
+def pair_geodesic_secant(x, y, beta):
+    """The general extrapolation point: the pair geodesic from y through x at -beta."""
+    keep, path = _pair_geodesics(y[None], x[None])
+    return path(-beta)[0, 0] if keep.size else None
+
+
+def line_at(y, cos_angle, seed):
+    """The basis of a line at the angle arccos(cos_angle) from the line y."""
+    rng = np.random.default_rng(seed)
+    d = _unit_tangents(rng, y, 1)[0]
+    return cos_angle * y + np.sqrt(1.0 - cos_angle**2) * d
+
+
+@pytest.mark.parametrize("n", [2, 9, 64, 1024])
+def test_secant_point_on_lines_matches_the_pair_geodesic(n):
+    # On Gr(N, 1) the point is taken in closed form; the general builder is its reference.
+    angles = [1e-9, 1e-7, 1e-4, 0.1, 0.7, 1.2, 1.5, np.pi / 2 - 1e-4, np.pi / 2 - 1e-7]
+    for seed in range(3):
+        y = random_point(seed, n, 1).basis
+        for k, angle in enumerate(angles):
+            x = line_at(y, np.cos(angle), 100 * seed + k)
+            for start in (x, -x):
+                for beta in (1.0, 2.0, 5.0, 64.0):
+                    got = _secant_point(start, y, beta)
+                    assert_allclose(got, pair_geodesic_secant(start, y, beta), rtol=0.0, atol=1e-13)
+        # None exactly where the general builder keeps no pair, at the cutoff.
+        for scale, kept in ((1.0 - 1e-3, False), (1.0 + 1e-3, True)):
+            x = line_at(y, 1e-8 * scale, seed)
+            for start in (x, -x):
+                got, expected = _secant_point(start, y, 2.0), pair_geodesic_secant(start, y, 2.0)
+                assert (got is not None) is kept
+                assert (expected is not None) is kept
+                if kept:
+                    assert_allclose(got, expected, rtol=0.0, atol=1e-13)
