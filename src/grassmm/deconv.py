@@ -34,6 +34,13 @@ with the iterate it continues from: the engine marks its iterates read-only,
 and an anchor with a writable array is recomputed on every call, so mutating
 it in place cannot leave a stale value. The callables trust their arguments,
 which the engine has checked (see the check policy in grassmm.engine).
+
+The batch cost, BlockProblem.costs, takes K kernels with one code or one
+kernel with K codes, builds no context and leaves the kept ones alone. It
+convolves all K pairs in one call (_convolve_rows: stacked circulant products
+below _FFT_MIN_N, in slices of at most _COST_BATCH_BYTES of circulants, and
+row-wise real FFTs at and above it), and shares with the context the one
+cost formula, _fit. Member k equals the cost call at its pair bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import (
+    _COST_BATCH_BYTES,
     BlockProblem,
     ConvergenceReport,
     IterationTrace,
@@ -120,6 +128,43 @@ def _correlate(v: _Signal, w: _Signal) -> np.ndarray:
     if n < _FFT_MIN_N:
         return w.v @ v.t
     return np.fft.irfft(np.conj(v.t) * w.t, n)
+
+
+def _convolve_rows(kernels: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The K x N stack of the convolutions a_k (*) x_k of the rows of two
+    stacks: K kernels and one code, or one kernel and K codes. Row k equals
+    _convolve of its pair bit for bit: the circulants are C-contiguous, as
+    _Signal's, so each takes the same matrix-vector product, and the real
+    FFTs are taken row by row. Below _FFT_MIN_N each of K codes builds its
+    own N x N circulant, at most _COST_BATCH_BYTES of them at a time."""
+    n = kernels.shape[1]
+    if n >= _FFT_MIN_N:
+        return np.fft.irfft(np.fft.rfft(kernels) * np.fft.rfft(codes), n)
+    index = _conv_index(n)
+    if len(codes) == 1:
+        return (np.take(codes, index, axis=1) @ kernels[:, :, None])[:, :, 0]
+    out = np.empty(codes.shape)
+    step = max(1, _COST_BATCH_BYTES // (8 * n * n))
+    for lo in range(0, len(codes), step):
+        circulants = np.take(codes[lo : lo + step], index, axis=1)
+        out[lo : lo + step] = (circulants @ kernels[:, :, None])[:, :, 0]
+    return out
+
+
+def _fit(y: np.ndarray, u: np.ndarray, penalty) -> tuple:
+    """The cost min(||y - u||^2, ||y + u||^2) + penalty at a convolution u,
+    with penalty = lambda ||x||_1; u is one convolution or a K x N stack of
+    them, with K penalties or one shared. Also returns the residuals y - u and
+    y + u, stacked on a new first axis, and their squared norms. Each norm is
+    a stacked (1 x N) @ (N x 1) product, the dot product r @ r, so member k
+    does not depend on K."""
+    r = np.empty((2, *u.shape))
+    np.subtract(y, u, out=r[0])
+    # y + u is y - (-a) (*) x bit for bit: negating a negates every product
+    # of the direct sum and every coefficient of the FFT path.
+    np.add(y, u, out=r[1])
+    d = (r[..., None, :] @ r[..., None])[..., 0, 0]
+    return np.minimum(d[0], d[1]) + penalty, r, d
 
 
 def _conv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -413,19 +458,11 @@ class _Anchor:
             self.x_signal, self.penalty = _Signal(x), problem.lam * float(np.abs(x).sum())
         y = problem.y
         u = _convolve(self.g_signal, self.x_signal)
-        # y + u is y - (-a) (*) x bit for bit: negating a negates every product
-        # of the direct sum and every coefficient of the FFT path.
-        r_plus = y - u
-        r_minus = y + u
-        d_plus = float(r_plus @ r_plus)
-        d_minus = float(r_minus @ r_minus)
-        self.cost = min(d_plus, d_minus) + self.penalty
-        if float(y @ u) >= 0.0:
-            self.ws_a, resid, self.base = g, r_plus, d_plus
-        else:
-            self.ws_a = _trusted(GrassmannPoint, basis=-g.basis)
-            resid, self.base = r_minus, d_minus
-        self.resid = _Signal(resid)
+        cost, r, d = _fit(y, u, self.penalty)
+        self.cost = float(cost)
+        sign = 0 if float(y @ u) >= 0.0 else 1
+        self.ws_a = g if sign == 0 else _trusted(GrassmannPoint, basis=-g.basis)
+        self.resid, self.base = _Signal(r[sign]), float(d[sign])
         self.kernel = self.ws_a.basis[:, 0]
 
     @cached_property
@@ -473,9 +510,9 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
     Fourier bound from the current fixed block; step_scale = 1 makes them true
     majorants. The kernel surrogate is minimized exactly over the unit sphere
     by one geodesic step (see _geodesic_step, with step step_scale / L),
-    the code surrogate by one proximal step. Every callable reads its
-    anchor's quantities from one shared per-anchor context (see the module
-    docstring).
+    the code surrogate by one proximal step. Every callable but costs reads
+    its anchor's quantities from one shared per-anchor context (see the
+    module docstring).
     """
     if not 0.0 < step_scale < np.inf:  # NaN fails too
         raise ValueError(f"step_scale must be a finite number > 0, got {step_scale}")
@@ -496,6 +533,16 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
 
     def cost(g: GrassmannPoint, x: np.ndarray) -> float:
         return at(g, x).cost
+
+    def costs(g, c) -> list[float]:
+        # K kernels (a K x N x 1 stack) with one code, or one kernel with K
+        # codes; _fit and _convolve_rows keep each member equal to cost. No
+        # anchor context is built or kept.
+        one_g = isinstance(g, GrassmannPoint)
+        kernels = g.basis[None, :, 0] if one_g else g[:, :, 0]
+        codes = c if one_g else c[None]
+        penalty = problem.lam * np.abs(codes).sum(axis=1)
+        return _fit(problem.y, _convolve_rows(kernels, codes), penalty)[0].tolist()
 
     # --- kernel block -----------------------------------------------------
     def a_minimize(g: GrassmannPoint, x: np.ndarray) -> GrassmannPoint:
@@ -558,6 +605,7 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
         dims=(n, 1, n),
         grassmann_grad=g_grad,
         convex_grad=c_grad,
+        costs=costs,
     )
 
 

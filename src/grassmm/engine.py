@@ -33,7 +33,9 @@ values), and give the same results, bit for bit, as one sample at a time.
 Each slice is then evaluated with one call into the problem: the optional
 BlockProblem.costs and SurrogateOracle.evaluate_many fields take the whole
 array, and a problem without them is called once per sample instead, with a
-trusted GrassmannPoint view of each member.
+trusted GrassmannPoint view of each member. Both built-in problems give
+costs, so for them the probe makes one cost call, at the iterate, and one
+costs call per slice.
 
 Check policy. An anchor given to run_block_mm, stationarity_check or an audit
 is checked once against the problem's dims: a GrassmannPoint of Gr(n, d) and
@@ -120,7 +122,8 @@ _ZERO_GRAD_FALLBACK_FD = 1e-6  # step for the finite-difference gradient fallbac
 # holds at a time, its stacks and their temporaries: unsplit, the 50 probe
 # points of Gr(1024, 1) alone would take 400 KiB.
 _CHUNK_BYTES = 1 << 14
-# Largest K x N x M temporary the subspace-mean batch cost builds at once.
+# Largest temporary a built-in batch cost builds at once: subspace-mean's
+# K x N x M residuals, deconv's K N x N circulants.
 _COST_BATCH_BYTES = 1 << 16
 
 
@@ -179,10 +182,12 @@ class BlockProblem:
     costs, when given, evaluates the cost at K samples in one call: costs(gs,
     c) with a K x N x D array of checked bases and one c, or costs(g, cs) with
     one point and a K x c_len array. It returns K floats, member k equal bit
-    for bit to the cost call at that sample. The audits, the stationarity probe and the
-    finite-difference gradients use it in place of cost. As with the gradient
-    callables, a dataclasses.replace that changes cost must also replace or
-    clear (set to None) costs.
+    for bit to the cost call at that sample. The audits, the stationarity
+    probe and the finite-difference gradients use it in place of cost; K may
+    be 0, as when the derivative-match guard skips every direction of a
+    slice. Both built-in problems give it. As with the gradient callables, a
+    dataclasses.replace that changes cost must also replace or clear (set to
+    None) costs.
 
     Check policy (see the module docstring): the engine checks each anchor it
     is given against dims, and each output of these callables once, where it

@@ -16,6 +16,11 @@ through K pairs from their log factors. The solver's extrapolation point,
 `_secant_point`, is a pair geodesic at a negative time. For D >= 2 it is
 taken through `_pair_geodesics`; on Gr(N, 1), where every geodesic is a great
 circle of the unit sphere, it is taken in closed form, with no SVD.
+
+On Gr(N, 1) the solver's other per-iteration geometry takes no SVD either:
+principal_angles takes its one angle as atan2(|y - x w|, |w|) with
+w = x^T y, and _check_bases passes a one-column stack on |x^T x - 1| alone,
+leaving a failing stack to the general check.
 """
 
 from __future__ import annotations
@@ -54,8 +59,19 @@ def _check_bases(b: np.ndarray) -> None:
     This is the one basis check in the package; GrassmannPoint runs it on a
     stack of one. A failing stack raises the message its first failing member
     raises on its own.
+
+    A one-column stack with N >= 2 first takes a shortcut: its Gram matrices
+    are the 1 x 1 products x^T x, finite only when x is (a sum of squares
+    cannot cancel an infinity or a NaN), so it passes when each lies within
+    POINT_ORTHONORMALITY_TOL of 1. Otherwise the general check below decides,
+    and raises its own message.
     """
     _, n, d = b.shape
+    if d == 1 and n >= 2:
+        # The same products as the general Gram matrix, so the same verdicts.
+        gram = (np.swapaxes(b, 1, 2) @ b).ravel().tolist()
+        if all(abs(s - 1.0) <= POINT_ORTHONORMALITY_TOL for s in gram):
+            return
     if n < 1 or d < 1:
         raise ValueError(f"matrix must have at least one row and column, got shape {(n, d)}")
     if not np.all(np.isfinite(b)):
@@ -223,22 +239,27 @@ def principal_angles(x: GrassmannPoint, y: GrassmannPoint) -> PrincipalAngles:
     small angles accurate they are evaluated as arctan2 of paired sine/cosine
     singular values (the sines coming from the projection residual
     Y - X X^T Y), which is the same quantity without the precision loss of
-    arccos near 1. On Gr(N, 1) the cosine is |X^T Y| itself, with no SVD.
-    Operands are ordered canonically first so the result is exactly
-    symmetric in (x, y).
+    arccos near 1. On Gr(N, 1) the one angle is atan2(|y - x w|, |w|) with
+    w = x^T y, and no SVD is taken. Operands are ordered canonically first
+    so the result is exactly symmetric in (x, y).
     """
     _check_same_space(x, y)
     x_bytes, y_bytes = x.basis.tobytes(), y.basis.tobytes()
     if x_bytes == y_bytes:
         return _trusted(PrincipalAngles, angles=np.zeros(x.d))
     a, b = (x, y) if x_bytes <= y_bytes else (y, x)
+    if x.d == 1:
+        # The singular value of the 1 x 1 cross-Gram is |w|, and that of the
+        # N x 1 residual its 2-norm. Both are non-negative, so only the upper
+        # clamps can act, and atan2 of them lies in [0, pi/2].
+        a0, b0 = a.basis[:, 0], b.basis[:, 0]
+        w = float(a0 @ b0)
+        r = b0 - a0 * w
+        angle = math.atan2(min(math.sqrt(float(r @ r)), 1.0), min(abs(w), 1.0))
+        return _trusted(PrincipalAngles, angles=np.array([angle]))
     w = a.basis.T @ b.basis
     # Singular values are non-negative, so only the upper clamp can act.
     sin_vals = np.minimum(np.linalg.svd(b.basis - a.basis @ w, compute_uv=False), 1.0)
-    if x.d == 1:
-        # The singular value of the 1 x 1 w is |w| bit for bit, and the one
-        # angle arctan2 gives for non-negative operands lies in [0, pi/2].
-        return _trusted(PrincipalAngles, angles=np.arctan2(sin_vals, np.minimum(np.abs(w[0]), 1.0)))
     cos_vals = np.minimum(np.linalg.svd(w, compute_uv=False), 1.0)
     theta = np.arctan2(np.sort(sin_vals), cos_vals)
     # Sorted and clamped to [0, pi/2] here, so the result is valid as built.

@@ -184,14 +184,28 @@ def two_svd_distance(x, y):
     return float(np.linalg.norm(theta))
 
 
+def longdouble_line_distance(x, y):
+    """The angle between two lines of R^N, evaluated in np.longdouble from
+    the bases normalized in that precision: atan2(||b - a w||, |w|), w = a^T b."""
+    a, b = (p.basis[:, 0].astype(np.longdouble) for p in (x, y))
+    a, b = a / np.sqrt(np.sum(a * a)), b / np.sqrt(np.sum(b * b))
+    w = np.sum(a * b)
+    r = b - a * w
+    return np.arctan2(np.sqrt(np.sum(r * r)), abs(w))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    n=st.integers(2, 1024),
+    n=st.integers(2, 1100),
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["random", "identical", "negated", "near", "orthogonal"]),
+    kind=st.sampled_from(["random", "identical", "negated", "near", "orthogonal", "angle"]),
+    log_angle=st.floats(-14.0, float(np.log10(np.pi / 2))),
 )
-def test_line_distance_equals_two_svd_route(n, seed, kind):
-    # On Gr(N, 1) the cosine is |X^T Y| without an SVD; the bits must not move.
+def test_line_distance_matches_two_svd_route(n, seed, kind, log_angle):
+    # On Gr(N, 1) the sine is the 2-norm of the residual, with no SVD. It is
+    # rounded along another sequence of operations than the SVD's singular
+    # value, so the two routes agree to a few eps, as both agree with a
+    # long-double evaluation of the same angle.
     x = random_point(seed, n, 1)
     rng = np.random.default_rng(seed + 1)
     if kind == "random":
@@ -206,9 +220,16 @@ def test_line_distance_equals_two_svd_route(n, seed, kind):
     else:
         v = rng.standard_normal((n, 1))
         v -= x.basis @ (x.basis.T @ v)
+        v /= np.linalg.norm(v)
+        if kind == "angle":
+            angle = 10.0**log_angle
+            v = np.cos(angle) * x.basis + np.sin(angle) * v
         y = GrassmannPoint(v / np.linalg.norm(v))
     dist = canonical_distance(x, y)
-    assert dist == two_svd_distance(x, y) == canonical_distance(y, x)
+    assert dist == canonical_distance(y, x)
+    eps = np.finfo(float).eps
+    assert abs(dist - two_svd_distance(x, y)) <= 4 * eps
+    assert abs(dist - longdouble_line_distance(x, y)) <= 4 * eps
     if kind == "identical":
         assert dist == 0.0
     elif kind == "negated":
@@ -557,6 +578,61 @@ def test_stack_check_rejects_its_last_member(shape, count, seed):
         expected = message_of(GrassmannPoint, bad_value)
         assert expected.startswith(("basis is not orthonormal", "matrix entries must be finite"))
         assert message_of(_check_bases, bad) == expected
+
+
+def general_check_bases(b):
+    """The general basis check, for every D: the reference for the
+    one-column shortcut of _check_bases."""
+    _, n, d = b.shape
+    if n < 1 or d < 1:
+        raise ValueError(f"matrix must have at least one row and column, got shape {(n, d)}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("matrix entries must be finite")
+    if not 1 <= d < n:
+        raise ValueError(f"need 1 <= D < N, got N={n}, D={d}")
+    dev = np.abs(np.swapaxes(b, 1, 2) @ b - np.eye(d))
+    if not dev.max(initial=0.0) <= POINT_ORTHONORMALITY_TOL:
+        per_member = dev.max(axis=(1, 2))
+        err = per_member[np.argmin(per_member <= POINT_ORTHONORMALITY_TOL)]
+        raise ValueError(f"basis is not orthonormal (max Gram deviation {err:.3e})")
+
+
+def check_outcome(check, stack):
+    """None when the check passes the stack, else the message it raises."""
+    try:
+        with np.errstate(over="ignore"):  # the overflowing member's Gram matrix
+            check(stack)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1024])
+def test_one_column_check_matches_the_general_check(n):
+    rng = np.random.default_rng(n)
+    good = random_orthonormal(rng, n, 1, count=3) if n > 1 else np.ones((3, 1, 1))
+    members = {"unit": good[1]}
+    for name, scale in (("long", 1 + 1e-8), ("short", 1 - 1e-8), ("inside", 1 + 1e-10), ("overflow", 1e200)):
+        members[name] = scale * good[1]
+    for name, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
+        members[name] = good[1].copy()
+        members[name][n // 2, 0] = value
+    members["zero"] = np.zeros((n, 1))
+    for name, member in members.items():
+        for stack in (member[None], np.stack([good[0], member, good[2]]), np.stack([member, good[0], member])):
+            expected = check_outcome(general_check_bases, stack)
+            assert check_outcome(_check_bases, stack) == expected, (n, name)
+            if n == 1:
+                assert expected == "need 1 <= D < N, got N=1, D=1" or expected.startswith("matrix entries"), name
+            elif name in ("unit", "inside"):
+                assert expected is None
+            else:
+                assert expected is not None, name
+    # The verdicts at the tolerance itself, where the shortcut decides alone.
+    if n > 1:
+        for dev in np.linspace(0.99, 1.01, 81) * POINT_ORTHONORMALITY_TOL:
+            stack = np.sqrt(1.0 + dev) * good
+            assert check_outcome(_check_bases, stack) == check_outcome(general_check_bases, stack), dev
 
 
 def test_stack_check_shape_messages():
