@@ -269,7 +269,9 @@ def cmd_audit(cfg: dict, out_dir: Path) -> int:
     """Solve each seed, audit its initial and final anchors, and write the
     results merged over the seeds. If the solve itself breaks descent
     (possible with a step_scale override), the seed is audited at its initial
-    anchor alone: the audits, not the run, are the point of this command."""
+    anchor alone: the audits, not the run, are the point of this command.
+    It never reads a report's stationarity_score, so no end-of-run probe is
+    taken (the score is computed when first read; see ConvergenceReport)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     samples = SolverConfig(**cfg["solver"]).audit_samples
     summary: dict = {}

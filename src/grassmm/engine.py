@@ -24,18 +24,22 @@ at the kept point, whose cost is the next record's f and from which the next
 iteration starts. The rule, and what it does to the limit-point argument,
 are in run_block_mm.
 
-The audits and the stationarity probe sample in batches. A batch of
-Grassmann samples is one checked K x N x D array of bases from the moment it
-is drawn until the problem evaluates it: the tangents are drawn, factored and
-moved along their geodesics by the private stack functions of
-grassmm.grassmann, in slices of at most _CHUNK_BYTES of members (or of convex
-values), and give the same results, bit for bit, as one sample at a time.
-Each slice is then evaluated with one call into the problem: the optional
-BlockProblem.costs and SurrogateOracle.evaluate_many fields take the whole
-array, and a problem without them is called once per sample instead, with a
-trusted GrassmannPoint view of each member. Both built-in problems give
-costs, so for them the probe makes one cost call, at the iterate, and one
-costs call per slice.
+The audits and the stationarity probe sample in batches, in slices of at
+most _CHUNK_BYTES (32 KiB) of members, and give the same results, bit for
+bit, as one sample at a time. A batch of Grassmann samples is one checked
+K x N x D array of bases from the moment it is drawn until the problem
+evaluates it: the tangents are drawn, factored and moved along their
+geodesics by the private stack functions of grassmm.grassmann. A batch of
+convex samples is drawn as one K x c_len array by _convex_directions and
+passed through convex_constraint one row at a time. Each slice is then
+evaluated with one call into the problem: the optional BlockProblem.costs
+and SurrogateOracle.evaluate_many fields take the whole array, and a problem
+without them is called once per sample instead, with a trusted
+GrassmannPoint view of each member. Both built-in problems give costs, so
+for them the probe makes one cost call, at the iterate, and one costs call
+per slice. run_block_mm leaves the end-of-run probe to the first read of
+ConvergenceReport.stationarity_score, so a caller that never reads it, as
+grassmm audit, does not pay for it.
 
 Check policy. An anchor given to run_block_mm, stationarity_check or an audit
 is checked once against the problem's dims: a GrassmannPoint of Gr(n, d) and
@@ -70,6 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral, Real
 from typing import Callable, Optional
 
@@ -120,10 +125,17 @@ STATIONARITY_PASS = -1e-4      # scores at or above this count as stationary
 _ZERO_GRAD_FALLBACK_FD = 1e-6  # step for the finite-difference gradient fallback
 # Largest stack of sampled N x D points built at once. It bounds what a batch
 # holds at a time, its stacks and their temporaries: unsplit, the 50 probe
-# points of Gr(1024, 1) alone would take 400 KiB.
-_CHUNK_BYTES = 1 << 14
+# points of Gr(1024, 1) alone would take 400 KiB. Each slice pays a fixed
+# Python and LAPACK cost, so the budget trades slices against memory.
+# Measured on the audits of grassmm audit over 20 seeds of subspace-mean
+# Gr(10, 2), M=40: 16 KiB splits a seed's 50 quasiconvexity pairs into 6
+# stacks and took about a quarter longer than 32 KiB (3 stacks); 64 and
+# 256 KiB were no faster than 32 KiB, and 256 KiB added 1.5 to 2 MB to the
+# peak RSS of grassmm run at N=1024.
+_CHUNK_BYTES = 1 << 15
 # Largest temporary a built-in batch cost builds at once: subspace-mean's
-# K x N x M residuals, deconv's K N x N circulants.
+# K x N x M residuals, deconv's K N x N circulants. 256 KiB slices made the
+# audits above about 30% slower and added 0.7 MB to their peak RSS.
 _COST_BATCH_BYTES = 1 << 16
 
 
@@ -261,11 +273,20 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """The outcome of run_block_mm.
+
+    stationarity_score is the end-of-run probe: stationarity_check at
+    (final_g, final_c) over stationarity_directions directions drawn from
+    stationarity_seed. It is computed on its first read and then kept, so a
+    caller that never reads it, as grassmm audit, pays nothing for it. A cost
+    that is NaN or infinite at a probe point raises NonFiniteCostError at
+    that read, not in run_block_mm.
+    """
+
     converged: bool
     iterations: int
     final_cost: float
     final_dc: float
-    stationarity_score: float
     stationarity_directions: int
     stationarity_seed: int
     tie_suspected: bool
@@ -273,6 +294,13 @@ class ConvergenceReport:
     final_g: GrassmannPoint
     final_c: np.ndarray
     extrapolations: int  # accepted extrapolation steps
+    _problem: BlockProblem = field(repr=False, compare=False)  # the problem the probe reads
+
+    @cached_property
+    def stationarity_score(self) -> float:
+        return stationarity_check(
+            self._problem, self.final_g, self.final_c, self.stationarity_directions, self.stationarity_seed
+        )
 
 
 @dataclass(frozen=True)
@@ -378,6 +406,24 @@ def _constrained(problem: BlockProblem, v: np.ndarray) -> np.ndarray:
     return _checked(c, (problem.dims[2],), "convex_constraint result", InfeasibleBlockError)
 
 
+def _convex_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """A count x n stack of random unit directions in R^n: one
+    standard_normal((count, n)), which equals `count` draws of n, with each
+    row divided by its norm as np.linalg.norm takes it."""
+    rows = rng.standard_normal((count, n))
+    flat = rows[:, None, :]
+    # Each (1 x n) @ (n x 1) product is the dot product np.linalg.norm takes.
+    return rows / np.sqrt(flat @ np.swapaxes(flat, 1, 2))[:, 0]
+
+
+def _constrained_rows(problem: BlockProblem, rows: np.ndarray) -> np.ndarray:
+    """convex_constraint applied to each row of a K x c_len array, one call per row."""
+    out = np.empty_like(rows)
+    for k, row in enumerate(rows):
+        out[k] = _constrained(problem, row)
+    return out
+
+
 def _members(samples: np.ndarray) -> list:
     """The samples of a batch one by one, for a problem without batch fields:
     a trusted point viewing each basis of a checked K x N x D array, or each
@@ -467,14 +513,26 @@ def _fd_grad_norm_convex(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray
     return float(np.sqrt(total))
 
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of x, sqrt(x . x) where that is finite. A gradient scales as
+    the square of the data, so x . x can overflow though every entry is
+    finite; then the norm is taken as max|x| * |x / max|x||."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if math.isinf(norm) and np.isfinite(x).all():
+        big = float(np.max(np.abs(x)))
+        norm = big * float(np.linalg.norm(x / big))
+    return norm
+
+
 def _gradient_norms(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray) -> tuple[float, float]:
     if problem.grassmann_grad is not None:
         grad = _checked(problem.grassmann_grad(g, c), g.basis.shape, "grassmann_grad result")
-        gn_g = float(np.linalg.norm(_project(g.basis, grad)))
+        gn_g = _norm(_project(g.basis, grad))
     else:
         gn_g = _fd_grad_norm_grassmann(problem, g, c)
     if problem.convex_grad is not None:
-        gn_c = float(np.linalg.norm(_checked(problem.convex_grad(g, c), c.shape, "convex_grad result")))
+        gn_c = _norm(_checked(problem.convex_grad(g, c), c.shape, "convex_grad result"))
     else:
         gn_c = _fd_grad_norm_convex(problem, g, c)
     if not (math.isfinite(gn_g) and math.isfinite(gn_c)):
@@ -516,7 +574,10 @@ def run_block_mm(
     a half-update raises the cost by more than MONOTONICITY_TOL * |f_0|,
     InfeasibleBlockError (naming the block) if a surrogate returns a value
     outside its feasible set, and NonFiniteCostError if the cost or a
-    gradient norm at an iterate is NaN or infinite.
+    gradient norm at an iterate is NaN or infinite. The end-of-run
+    stationarity probe is not taken here but on the first read of the
+    report's stationarity_score, which raises NonFiniteCostError if a probe
+    cost is not finite (see ConvergenceReport).
 
     Extrapolation. On every EXTRAPOLATION_PERIOD-th iteration whose MM step
     (G_i, c_i) -> (G', c') has not met the stop test, the engine tries one
@@ -635,21 +696,19 @@ def run_block_mm(
             converged = True
             break
 
-    stat_dirs = config.audit_samples
-    stat_score = stationarity_check(problem, g, c, stat_dirs, config.seed)
     report = ConvergenceReport(
         converged=converged,
         iterations=iterations,
         final_cost=f_curr,
         final_dc=final_dc,
-        stationarity_score=stat_score,
-        stationarity_directions=stat_dirs,
+        stationarity_directions=config.audit_samples,
         stationarity_seed=config.seed,
         tie_suspected=_tie_suspected([r.dc_step for r in trace], converged, config.dist_tol),
         audit_summary=audit_summary or None,
         final_g=g,
         final_c=c,
         extrapolations=extrapolations,
+        _problem=problem,
     )
     return trace, report
 
@@ -680,11 +739,7 @@ def stationarity_check(
         probes = _geodesics(g.basis, _unit_tangents(rng, g.basis, size))(h)
         slopes += [(f - f0) / h for f in _costs(problem, probes[:, 0], c)]
     for _, size in _chunks(directions, c.nbytes):
-        probes = np.empty((size, c.size))
-        for k in range(size):
-            direction = rng.standard_normal(c.size)
-            direction /= np.linalg.norm(direction)
-            probes[k] = _constrained(problem, c + h * direction)
+        probes = _constrained_rows(problem, c + h * _convex_directions(rng, size, c.size))
         slopes += [(f - f0) / h for f in _costs(problem, g, probes)]
     worst = _worst(slopes, min)
     if math.isnan(worst):
@@ -730,9 +785,7 @@ def audit_majorization(
                 _check_bases(candidates)
                 values = _costs(problem, candidates, c)
             else:
-                candidates = np.empty((size, c_len))
-                for k in range(size):
-                    candidates[k] = _constrained(problem, c + scale * rng.standard_normal(c_len))
+                candidates = _constrained_rows(problem, c + scale * rng.standard_normal((size, c_len)))
                 values = _costs(problem, g, candidates)
             margins += [e - f for e, f in zip(_evaluations(oracle, candidates, g, c), values)]
     return _verdict("majorization", block, margins, len(margins))
@@ -768,19 +821,16 @@ def audit_derivative_match(
     sample_bytes = fd_ts.size * (g.basis.nbytes if block == GRASSMANN_BLOCK else c.nbytes)
     for _, size in _chunks(directions, sample_bytes):
         if block == GRASSMANN_BLOCK:
-            deltas = _unit_tangents(rng, g.basis, size)
-            kept = deltas[[guard is None or bool(guard(g, c, m, h_guard)) for m in deltas]]
+            drawn = _unit_tangents(rng, g.basis, size)
+        else:
+            drawn = _convex_directions(rng, size, c.size)
+        kept = drawn[[guard is None or bool(guard(g, c, m, h_guard)) for m in drawn]]
+        if block == GRASSMANN_BLOCK:
             samples = _geodesics(g.basis, kept)(fd_ts).reshape(-1, *g.basis.shape)
             values = _costs(problem, samples, c)
         else:
-            kept = []
-            for _ in range(size):
-                direction = rng.standard_normal(c.size)
-                direction /= np.linalg.norm(direction)
-                if guard is None or guard(g, c, direction, h_guard):
-                    kept.append(direction)
             # c + (-h) * direction is c - h * direction, bit for bit.
-            samples = (c + fd_ts[:, None] * np.reshape(kept, (-1, 1, c.size))).reshape(-1, c.size)
+            samples = (c + fd_ts[:, None] * kept[:, None]).reshape(-1, c.size)
             values = _costs(problem, g, samples)
         skipped += size - len(kept)
         surrogate = _evaluations(oracle, samples, g, c)

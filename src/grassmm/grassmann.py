@@ -240,8 +240,9 @@ def principal_angles(x: GrassmannPoint, y: GrassmannPoint) -> PrincipalAngles:
     singular values (the sines coming from the projection residual
     Y - X X^T Y), which is the same quantity without the precision loss of
     arccos near 1. On Gr(N, 1) the one angle is atan2(|y - x w|, |w|) with
-    w = x^T y, and no SVD is taken. Operands are ordered canonically first
-    so the result is exactly symmetric in (x, y).
+    w = x^T y, and no SVD is taken. A basis and its exact negation give
+    zero angles, as identical bases do. Operands are ordered canonically
+    first so the result is exactly symmetric in (x, y).
     """
     _check_same_space(x, y)
     x_bytes, y_bytes = x.basis.tobytes(), y.basis.tobytes()
@@ -254,9 +255,16 @@ def principal_angles(x: GrassmannPoint, y: GrassmannPoint) -> PrincipalAngles:
         # clamps can act, and atan2 of them lies in [0, pi/2].
         a0, b0 = a.basis[:, 0], b.basis[:, 0]
         w = float(a0 @ b0)
+        # A basis and its negation span one subspace. The residual would
+        # read a basis a few eps off unit norm as an angle of a few eps.
+        if w < 0.0 and np.array_equal(b0, -a0):
+            return _trusted(PrincipalAngles, angles=np.zeros(1))
         r = b0 - a0 * w
         angle = math.atan2(min(math.sqrt(float(r @ r)), 1.0), min(abs(w), 1.0))
         return _trusted(PrincipalAngles, angles=np.array([angle]))
+    # As on Gr(N, 1): a negated basis reads zero angles, not a few eps.
+    if np.array_equal(b.basis, -a.basis):
+        return _trusted(PrincipalAngles, angles=np.zeros(x.d))
     w = a.basis.T @ b.basis
     # Singular values are non-negative, so only the upper clamp can act.
     sin_vals = np.minimum(np.linalg.svd(b.basis - a.basis @ w, compute_uv=False), 1.0)

@@ -20,6 +20,7 @@ from grassmm import (
     audit_tightness,
     cli,
     deconv,
+    engine,
     run_block_mm,
 )
 from grassmm.cli import ConfigError, load_config, main
@@ -49,6 +50,19 @@ def deconv_payload(**overrides):
     }
     payload.update(overrides)
     return payload
+
+
+def count_probes(monkeypatch) -> list:
+    """A list that gains one entry per stationarity_check call from here on."""
+    calls = []
+    probe = engine.stationarity_check
+
+    def counted(*args):
+        calls.append(args)
+        return probe(*args)
+
+    monkeypatch.setattr(engine, "stationarity_check", counted)
+    return calls
 
 
 def subspace_payload(**overrides):
@@ -333,9 +347,11 @@ def test_run_outputs_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_run_subspace_line_report_is_pinned(tmp_path):
+def test_run_subspace_line_report_is_pinned(tmp_path, monkeypatch):
     # Gr(10, 1): the G step returns a column slice of the SVD factor, and the
-    # subspace cost must not round differently for it; values pinned exactly
+    # subspace cost must not round differently for it; values pinned exactly.
+    # report.json reads each seed's stationarity score, so each seed takes
+    # one probe.
     expected = {
         "0": (True, 2, 307.72748623092286, 1.3014080040840904e-15, 0.00020868355932179836),
         "1": (True, 2, 252.3389036801181, 8.661396316919335e-16, 0.00023894131118140646),
@@ -343,7 +359,9 @@ def test_run_subspace_line_report_is_pinned(tmp_path):
     expected_f = {"0": [346.27281342877586, 307.72748623092286], "1": [296.882021799153, 252.3389036801181]}
     config = write_config(tmp_path, subspace_payload(seeds=[0, 1], problem={"N": 10, "D": 1, "M": 40}))
     out = tmp_path / "out"
+    probes = count_probes(monkeypatch)
     assert main(["--out", str(out), "run", str(config)]) == 0
+    assert len(probes) == 2
     report = json.loads((out / "report.json").read_text())
     assert {
         seed: (e["converged"], e["iterations"], e["final_f"], e["final_dc"], e["stationarity_score"])
@@ -395,6 +413,16 @@ def test_run_overflowing_noise_names_noise_sigma(tmp_path, capsys, noise_sigma):
     err = capsys.readouterr().err
     assert err.startswith("error: noise_sigma ") and "not finite" in err
     assert "orthonormal" not in err and "Traceback" not in err
+
+
+def test_run_with_large_finite_noise_completes(tmp_path):
+    # y of size about 1e150: the kernel gradient's entries are finite but the
+    # sum of their squares is not, and the trace must still hold its norm
+    problem = {"N": 64, "sparsity": 0.0625, "kernel_support": 8, "noise_sigma": 1e150}
+    config = write_config(tmp_path, deconv_payload(problem=problem))
+    assert main(["--out", str(tmp_path / "out"), "run", str(config)]) == 0
+    rows = np.loadtxt(tmp_path / "out" / "trace_0.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.all(np.isfinite(rows)) and rows[0, 4] > 1e150
 
 
 def test_run_long_signal_uses_fft_path(tmp_path):
@@ -465,9 +493,10 @@ def test_audit_deconv_summary_is_pinned(tmp_path):
             assert entry["worst"] == pytest.approx(worst, abs=1e-9)
 
 
-def test_audit_subspace_summary_is_pinned(tmp_path):
+def test_audit_subspace_summary_is_pinned(tmp_path, monkeypatch):
     # (passed, worst, threshold, checked, skipped) of each audit for this
-    # config, exactly: the batched audit geometry must not move a bit of it
+    # config, exactly: the batched audit geometry must not move a bit of it.
+    # grassmm audit never reads a stationarity score, so it takes no probe.
     expected = {
         "tightness": (True, 0.0, 1e-9, 12, 0),
         "majorization": (True, 0.0, 1e-9, 600, 0),
@@ -477,7 +506,9 @@ def test_audit_subspace_summary_is_pinned(tmp_path):
     }
     config = write_config(tmp_path, subspace_payload(seeds=[0, 1, 2], problem={"N": 8, "D": 2}))
     out = tmp_path / "out"
+    probes = count_probes(monkeypatch)
     assert main(["--out", str(out), "audit", str(config)]) == 0
+    assert probes == []
     audit = json.loads((out / "audit.json").read_text())
     assert audit["overall_pass"] is True
     assert {

@@ -174,7 +174,7 @@ def two_svd_distance(x, y):
     """canonical_distance by the general route, which takes the cosines from
     the SVD of X^T Y and sorts and accumulates the angles."""
     x_bytes, y_bytes = x.basis.tobytes(), y.basis.tobytes()
-    if x_bytes == y_bytes:
+    if x_bytes == y_bytes or np.array_equal(x.basis, -y.basis):
         return float(np.linalg.norm(np.zeros(x.d)))
     a, b = (x, y) if x_bytes <= y_bytes else (y, x)
     w = a.basis.T @ b.basis
