@@ -1,21 +1,19 @@
 """Grassmann-block majorization-minimization: geometry, engine, deconvolution, CLI."""
 
+import types as _types
+
 from .deconv import (
     DeconvProblem,
     DeconvState,
     SyntheticInstance,
     circular_convolution,
     circular_correlation,
-    deconv_cost,
     default_init,
     final_state,
     generate_instance,
-    grad_a,
-    grad_x,
     heuristic_lambda,
     lasso_warm_start,
     lipschitz_bound,
-    prox_step_x,
     recovery_score,
     soft_threshold,
     solve_deconv,
@@ -45,17 +43,9 @@ from .engine import (
 from .grassmann import (
     GeodesicNotUnique,
     GrassmannPoint,
-    PrincipalAngles,
-    TangentVector,
     canonical_distance,
-    exp_map,
-    geodesic,
-    log_map,
-    make_point,
     principal_angles,
     random_point,
-    riemannian_gradient,
-    tangent_project,
 )
 from .linalg import (
     NumericError,
@@ -67,4 +57,7 @@ from .linalg import (
     thin_svd,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules imported above are attributes too, but not part of the API.
+__all__ = [
+    name for name, obj in globals().items() if not name.startswith("_") and not isinstance(obj, _types.ModuleType)
+]

@@ -16,24 +16,23 @@ context) shares the one routine, so at any length a planted instance has
 exactly zero residual at the truth. Both routines are odd in their first
 argument bit for bit, and so is the transform.
 
-The public functions taking a DeconvState are the reference: each validates
-its input and computes its quantity from scratch. The BlockProblem built by
-build_block_problem reads everything at an anchor (G, x) from one per-anchor
-context instead. The context computes the convolution u = a (*) x once; the
-cost, the active sign and the active-sign residual follow from u, and the two
-block gradients and the two Lipschitz bounds are filled in on first use. The
-transforms are kept per signal: the residual's serves both gradients, an
-anchor whose G or x is, by identity, the previous anchor's takes that
-signal's transform from it, and the active kernel's transform is G's,
-negated for the negative sign. At and above _FFT_MIN_N the Lipschitz bounds
-read the stored real FFTs of G and x. The results equal the reference
-functions bit for bit. Contexts are kept for the two most recently used
-anchors whose arrays are read-only, matched by identity, so an anchor
-that follows an extrapolation the engine rejected still shares its signals
-with the iterate it continues from: the engine marks its iterates read-only,
-and an anchor with a writable array is recomputed on every call, so mutating
-it in place cannot leave a stale value. The callables trust their arguments,
-which the engine has checked (see the check policy in grassmm.engine).
+The BlockProblem built by build_block_problem reads everything at an anchor
+(G, x) from one per-anchor context. The context computes the convolution
+u = a (*) x once; the cost, the active sign and the active-sign residual
+follow from u, and the two block gradients and the two Lipschitz bounds are
+filled in on first use. The transforms are kept per signal: the residual's
+serves both gradients, an anchor whose G or x is, by identity, the previous
+anchor's takes that signal's transform from it, and the active kernel's
+transform is G's, negated for the negative sign. At and above _FFT_MIN_N the
+Lipschitz bounds read the stored real FFTs of G and x. The results equal, bit
+for bit, the same quantities computed from scratch. Contexts are kept for the
+two most recently used anchors whose arrays are read-only, matched by
+identity, so an anchor that follows an extrapolation the engine rejected
+still shares its signals with the iterate it continues from: the engine marks
+its iterates read-only, and an anchor with a writable array is recomputed on
+every call, so mutating it in place cannot leave a stale value. The callables
+trust their arguments, which the engine has checked (see the check policy in
+grassmm.engine).
 
 The batch cost, BlockProblem.costs, takes K kernels with one code or one
 kernel with K codes, builds no context and leaves the kept ones alone. It
@@ -282,39 +281,8 @@ def _check_length(problem: DeconvProblem, state: DeconvState) -> None:
         raise ValueError(f"state has length {state.x.size}, but y has length {problem.n}")
 
 
-def deconv_cost(problem: DeconvProblem, state: DeconvState) -> float:
-    """Sign-invariant cost: best-sign squared residual plus lambda * ||x||_1."""
-    _check_length(problem, state)
-    u = _conv(state.kernel, state.x)
-    r_plus = problem.y - u
-    r_minus = problem.y + u
-    data = min(float(r_plus @ r_plus), float(r_minus @ r_minus))
-    return data + problem.lam * float(np.sum(np.abs(state.x)))
-
-
 def _grad_x(problem: DeconvProblem, kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
     return -2.0 * _corr(kernel, problem.y - _conv(kernel, x))
-
-
-def grad_x(problem: DeconvProblem, state: DeconvState) -> np.ndarray:
-    """Gradient of ||y - a (*) x||^2 in x for the given kernel representative."""
-    _check_length(problem, state)
-    return _grad_x(problem, state.kernel, state.x)
-
-
-def grad_a(problem: DeconvProblem, state: DeconvState) -> np.ndarray:
-    """Gradient of ||y - a (*) x||^2 in the kernel representative."""
-    _check_length(problem, state)
-    r = problem.y - _conv(state.kernel, state.x)
-    return -2.0 * _corr(state.x, r)
-
-
-def prox_step_x(problem: DeconvProblem, state: DeconvState, step: float) -> np.ndarray:
-    """One proximal gradient step on the code: shrink(x - step * grad, step * lambda)."""
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    _check_length(problem, state)
-    return soft_threshold(state.x - step * _grad_x(problem, state.kernel, state.x), step * problem.lam)
 
 
 def _geodesic_step(a: GrassmannPoint, egrad: np.ndarray, step: float) -> GrassmannPoint:
@@ -346,16 +314,16 @@ def generate_instance(
     """Planted instance: Bernoulli-Gaussian code, unit Gaussian kernel on the
     first `kernel_support` samples, plus white noise. Deterministic per seed;
     the draw order is code mask, code amplitudes, kernel, noise. Raises
-    ValueError naming noise_sigma when the noise is so large that y or y @ y
-    overflows."""
+    ValueError naming noise_sigma when it is negative or not finite, or when
+    the noise is so large that y or y @ y overflows."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not 0.0 < sparsity < 1.0:
         raise ValueError(f"sparsity must lie strictly between 0 and 1, got {sparsity}")
     if not 1 <= kernel_support <= n:
         raise ValueError(f"kernel_support must lie in [1, {n}], got {kernel_support}")
-    if noise_sigma < 0.0:
-        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    if not 0.0 <= noise_sigma < np.inf:  # NaN fails too
+        raise ValueError(f"noise_sigma must be a finite number >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     mask = rng.random(n) < sparsity
     amplitudes = rng.standard_normal(n)

@@ -217,6 +217,15 @@ class BlockProblem:
     costs: Optional[Callable] = None
 
 
+def _check_count(name: str, count, low: int = 1) -> None:
+    """Raise a ValueError naming a count that is not an integer >= low: a bool
+    or a non-integer such as 2.5, or an integer below low."""
+    if isinstance(count, bool) or not isinstance(count, Integral):
+        raise ValueError(f"{name} must be an integer >= {low}, got {count!r}")
+    if count < low:
+        raise ValueError(f"{name} must be at least {low}, got {count}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     max_iter: int = 5000
@@ -229,9 +238,7 @@ class SolverConfig:
     def __post_init__(self):
         # audit_every = 0 disables the in-run audits.
         for name, low in (("max_iter", 1), ("audit_every", 0), ("audit_samples", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            _check_count(name, getattr(self, name), low)
         for name in ("dist_tol", "cost_tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < math.inf:
@@ -339,12 +346,6 @@ def _fold(summary: dict, results) -> dict:
     for r in results:
         summary[r.audit] = summary[r.audit].merged(r) if r.audit in summary else r
     return summary
-
-
-def _check_count(name: str, count: int) -> None:
-    """Raise a ValueError naming a sample count below 1."""
-    if count < 1:
-        raise ValueError(f"{name} must be at least 1, got {count}")
 
 
 def _oracle_for(problem: BlockProblem, block: str) -> SurrogateOracle:

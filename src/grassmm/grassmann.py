@@ -3,19 +3,21 @@
 A point is a subspace, represented by an orthonormal N x D basis matrix; two
 bases related by a right D x D rotation represent the same point. Tangent
 vectors at X are N x D matrices H with X.T @ H = 0. Distances and geodesics
-are expressed through the principal angles between subspaces, which this
-module stores in ascending order.
+are expressed through the principal angles between subspaces, which
+principal_angles returns as an ascending 1-d array.
 
 Batch work is done by private functions on plain K x N x D stacks, and
 member k of a stack equals, bit for bit, the stack of one. `_unit_tangents`
 draws K unit tangents at a basis. One evaluator, `_walk`, turns stacked
 geodesic factors (base, U, theta, V) into the checked points over a t-grid,
 fed by two builders of one thin SVD per stack: `_geodesics`, from K
-velocities (the stack of one is the public exp_map), and `_pair_geodesics`,
-through K pairs from their log factors. The solver's extrapolation point,
-`_secant_point`, is a pair geodesic at a negative time. For D >= 2 it is
-taken through `_pair_geodesics`; on Gr(N, 1), where every geodesic is a great
-circle of the unit sphere, it is taken in closed form, with no SVD.
+velocities, and `_pair_geodesics`, through K pairs from their log factors.
+The solver's extrapolation point, `_secant_point`, is a pair geodesic at a
+negative time. For D >= 2 it is taken through `_pair_geodesics`; on
+Gr(N, 1), where every geodesic is a great circle of the unit sphere, it is
+taken in closed form, with no SVD. The single-point exp map, log map and
+tangent vector are not part of the package: the tests keep them, as the
+stacks of one that the stacks are checked against.
 
 On Gr(N, 1) the solver's other per-iteration geometry takes no SVD either:
 principal_angles takes its one angle as atan2(|y - x w|, |w|) with
@@ -31,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import ThinSVD, as_matrix, qr_orthonormalize, random_orthonormal, thin_svd
+from .linalg import ThinSVD, random_orthonormal, thin_svd
 
 POINT_ORTHONORMALITY_TOL = 1e-9  # absolute: the Gram matrix of an orthonormal basis has no scale
 TANGENCY_TOL = 1e-9  # absolute: the engine's tangents are unit directions and log maps (angles)
@@ -89,8 +91,8 @@ def _check_tangents(x: np.ndarray, deltas: np.ndarray) -> None:
     """Check that each matrix H of the K x N x D stack `deltas` is tangent at
     its base, X^T H = 0 to TANGENCY_TOL; x is one N x D basis or K of them.
 
-    This is the one tangency check in the package; TangentVector runs it on a
-    stack of one. A failing stack raises the message of its first failing member.
+    This is the one tangency check in the package. A failing stack raises the
+    message of its first failing member.
     """
     dev = np.abs(np.swapaxes(x, -1, -2) @ deltas)
     if not dev.max(initial=0.0) <= TANGENCY_TOL:
@@ -126,51 +128,6 @@ class GrassmannPoint:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """An N x D matrix in the tangent space at `base`: base.T @ delta = 0."""
-
-    base: GrassmannPoint
-    delta: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.delta)
-        object.__setattr__(self, "delta", m)
-        if m.shape != self.base.basis.shape:
-            raise ValueError(
-                f"tangent shape {m.shape} does not match base shape {self.base.basis.shape}"
-            )
-        _check_tangents(self.base.basis, m[None])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.delta))
-
-
-@dataclass(frozen=True)
-class PrincipalAngles:
-    """Principal angles between two subspaces, ascending, each in [0, pi/2]."""
-
-    angles: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.angles, dtype=float)
-        object.__setattr__(self, "angles", a)
-        if a.ndim != 1 or a.size < 1:
-            raise ValueError("angles must form a non-empty 1-d array")
-        if np.any(a < 0.0) or np.any(a > np.pi / 2):
-            raise ValueError("principal angles must lie in [0, pi/2]")
-        if np.any(np.diff(a) < 0.0):
-            raise ValueError("principal angles must be sorted ascending")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.angles))
-
-
-def make_point(m) -> GrassmannPoint:
-    """Orthonormalize the columns of a full-rank N x D matrix into a point."""
-    return GrassmannPoint(qr_orthonormalize(m).q)
-
-
 def random_point(seed, n: int, d: int) -> GrassmannPoint:
     """Draw from the rotation-invariant distribution on Gr(n, d).
 
@@ -185,8 +142,8 @@ def _unit_tangents(rng: np.random.Generator, x: np.ndarray, count: int) -> np.nd
     """A count x N x D stack of random unit-norm tangents at the basis x.
 
     A draw whose tangent part has norm below 1e-12 is discarded and drawn
-    again. The stack equals, bit for bit, `count` calls of random_unit_tangent
-    on the same generator, redraws included, and advances it as they would.
+    again. The stack equals, bit for bit, `count` draws of one tangent on the
+    same generator, redraws included, and advances it as they would.
     """
     kept = [np.empty((0, *x.shape))]
     while count > 0:
@@ -202,29 +159,6 @@ def _unit_tangents(rng: np.random.Generator, x: np.ndarray, count: int) -> np.nd
     return deltas
 
 
-def random_unit_tangent(rng: np.random.Generator, x: GrassmannPoint) -> TangentVector:
-    """Random tangent vector at x with unit Frobenius norm (see _unit_tangents)."""
-    return _trusted(TangentVector, base=x, delta=_unit_tangents(rng, x.basis, 1)[0])
-
-
-def tangent_project(x: GrassmannPoint, a) -> TangentVector:
-    """Project an ambient N x D matrix onto the tangent space at x.
-
-    The result is tangent by construction, so it is not checked against the
-    absolute TANGENCY_TOL: for a large input the rounding left in X^T H scales
-    with the input and would fail that check spuriously.
-    """
-    m = as_matrix(a)
-    if m.shape != x.basis.shape:
-        raise ValueError(f"expected shape {x.basis.shape}, got {m.shape}")
-    return _trusted(TangentVector, base=x, delta=_project(x.basis, m))
-
-
-def riemannian_gradient(x: GrassmannPoint, euclidean_grad) -> TangentVector:
-    """Tangent projection of the ambient gradient of a cost on representatives."""
-    return tangent_project(x, euclidean_grad)
-
-
 def _check_same_space(x: GrassmannPoint, y: GrassmannPoint) -> None:
     if x.basis.shape != y.basis.shape:
         raise ValueError(
@@ -232,8 +166,9 @@ def _check_same_space(x: GrassmannPoint, y: GrassmannPoint) -> None:
         )
 
 
-def principal_angles(x: GrassmannPoint, y: GrassmannPoint) -> PrincipalAngles:
-    """Principal angles between two subspaces, ascending.
+def principal_angles(x: GrassmannPoint, y: GrassmannPoint) -> np.ndarray:
+    """The principal angles between two subspaces as a 1-d array, ascending,
+    each in [0, pi/2].
 
     The angles are arccos of the clamped singular values of X^T Y; to keep
     small angles accurate they are evaluated as arctan2 of paired sine/cosine
@@ -247,7 +182,7 @@ def principal_angles(x: GrassmannPoint, y: GrassmannPoint) -> PrincipalAngles:
     _check_same_space(x, y)
     x_bytes, y_bytes = x.basis.tobytes(), y.basis.tobytes()
     if x_bytes == y_bytes:
-        return _trusted(PrincipalAngles, angles=np.zeros(x.d))
+        return np.zeros(x.d)
     a, b = (x, y) if x_bytes <= y_bytes else (y, x)
     if x.d == 1:
         # The singular value of the 1 x 1 cross-Gram is |w|, and that of the
@@ -258,26 +193,25 @@ def principal_angles(x: GrassmannPoint, y: GrassmannPoint) -> PrincipalAngles:
         # A basis and its negation span one subspace. The residual would
         # read a basis a few eps off unit norm as an angle of a few eps.
         if w < 0.0 and np.array_equal(b0, -a0):
-            return _trusted(PrincipalAngles, angles=np.zeros(1))
+            return np.zeros(1)
         r = b0 - a0 * w
         angle = math.atan2(min(math.sqrt(float(r @ r)), 1.0), min(abs(w), 1.0))
-        return _trusted(PrincipalAngles, angles=np.array([angle]))
+        return np.array([angle])
     # As on Gr(N, 1): a negated basis reads zero angles, not a few eps.
     if np.array_equal(b.basis, -a.basis):
-        return _trusted(PrincipalAngles, angles=np.zeros(x.d))
+        return np.zeros(x.d)
     w = a.basis.T @ b.basis
     # Singular values are non-negative, so only the upper clamp can act.
     sin_vals = np.minimum(np.linalg.svd(b.basis - a.basis @ w, compute_uv=False), 1.0)
     cos_vals = np.minimum(np.linalg.svd(w, compute_uv=False), 1.0)
     theta = np.arctan2(np.sort(sin_vals), cos_vals)
-    # Sorted and clamped to [0, pi/2] here, so the result is valid as built.
-    theta = np.minimum(np.maximum.accumulate(theta), np.pi / 2)
-    return _trusted(PrincipalAngles, angles=theta)
+    # Sorted and clamped to [0, pi/2] here.
+    return np.minimum(np.maximum.accumulate(theta), np.pi / 2)
 
 
 def canonical_distance(x: GrassmannPoint, y: GrassmannPoint) -> float:
     """Geodesic (arc-length) distance: the 2-norm of the principal angles."""
-    return principal_angles(x, y).norm()
+    return float(np.linalg.norm(principal_angles(x, y)))
 
 
 def _log_factors(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ThinSVD]:
@@ -292,28 +226,6 @@ def _log_factors(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ThinSVD]:
     # resid @ inv(w), from the same SVD
     l = (resid @ np.swapaxes(vt[keep], 1, 2) / s[keep, None, :]) @ np.swapaxes(u[keep], 1, 2)
     return keep, thin_svd(l)
-
-
-def log_map(x: GrassmannPoint, y: GrassmannPoint) -> TangentVector:
-    """Tangent vector H at x with exp_map(x, H, 1) equal to y.
-
-    Requires the smallest singular value of x.T @ y to exceed
-    UNIQUE_GEODESIC_CUTOFF; otherwise the geodesic is not unique and
-    GeodesicNotUnique is raised.
-    """
-    _check_same_space(x, y)
-    xs = np.array([x.basis])
-    keep, f = _log_factors(xs, np.array([y.basis]))
-    if not keep.size:
-        smallest = np.linalg.svd(x.basis.T @ y.basis, compute_uv=False)[-1]
-        raise GeodesicNotUnique(
-            f"subspaces meet near pi/2 (smallest cross-Gram singular value {smallest:.3e})"
-        )
-    h = (f.u * np.arctan(f.s)[:, None, :]) @ np.swapaxes(f.v, 1, 2)
-    # Kill the numerical drift out of the tangent space left by the inverse.
-    h = _project(xs, h)
-    _check_tangents(xs, h)
-    return _trusted(TangentVector, base=x, delta=h[0])
 
 
 def _walk(x: np.ndarray, u: np.ndarray, theta: np.ndarray, v: np.ndarray) -> Callable:
@@ -346,7 +258,7 @@ def _walk(x: np.ndarray, u: np.ndarray, theta: np.ndarray, v: np.ndarray) -> Cal
 def _geodesics(x: np.ndarray, deltas: np.ndarray) -> Callable:
     """_walk of the geodesics from x with the velocities of the K x N x D
     stack deltas, each of singular values at most pi/2. Point [k, i] equals,
-    bit for bit, exp_map of velocity k at its time i alone."""
+    bit for bit, the stack of velocity k alone at its time i."""
     f = thin_svd(deltas)
     over = f.s[:, 0] > np.pi / 2 + 1e-9
     if np.any(over):
@@ -359,7 +271,8 @@ def _geodesics(x: np.ndarray, deltas: np.ndarray) -> Callable:
 def _pair_geodesics(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Callable]:
     """The indices of the pairs of the K x N x D stacks x and y that have a
     unique geodesic, in order, and _walk of their geodesics from x through y:
-    at time t, exp_map(x, log_map(x, y), t) up to rounding."""
+    at time t, the geodesic from x with velocity the log of y at x, up to
+    rounding."""
     keep, f = _log_factors(x, y)
     xk = x[keep]
     # Project U at x once more: dividing by a small sin(theta) amplifies the
@@ -395,20 +308,3 @@ def _secant_point(x: np.ndarray, y: np.ndarray, beta: float) -> Optional[np.ndar
     out = math.cos(beta * theta) * y - (math.sin(beta * theta) / r_norm) * r
     _check_bases(out[None])
     return out
-
-
-def geodesic(x: GrassmannPoint, h: TangentVector) -> Callable[[float], GrassmannPoint]:
-    """The geodesic t -> exp_map(x, h, t) from x with velocity h.
-
-    h is checked and factored once, so evaluating the returned function at
-    many t costs no further SVD.
-    """
-    if h.base is not x and not np.array_equal(h.base.basis, x.basis):
-        raise ValueError("tangent vector is not based at the given point")
-    path = _geodesics(x.basis, h.delta[None])
-    return lambda t: _trusted(GrassmannPoint, basis=path(float(t))[0, 0])
-
-
-def exp_map(x: GrassmannPoint, h: TangentVector, t: float) -> GrassmannPoint:
-    """Point reached after time t along the geodesic from x with velocity h."""
-    return geodesic(x, h)(t)

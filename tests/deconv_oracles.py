@@ -1,15 +1,47 @@
-"""Reference oracles for the deconvolution tests: the active sign, the
-working state, the plain kernel step, the kernel step by its geodesic angle
-and a random start, each computed from scratch with the public functions of
-grassmm.deconv."""
+"""Reference oracles for the deconvolution tests: the cost, the two block
+gradients and the proximal code step of a DeconvState, each validating its
+input and computed from scratch, as the solver's per-anchor context must
+reproduce them bit for bit; and the active sign, the working state, the plain
+kernel step, the kernel step by its geodesic angle and a random start."""
 
 import math
 
 import numpy as np
 
-from grassmm import DeconvProblem, DeconvState, GrassmannPoint, grad_a, random_point
-from grassmm.deconv import _conv, _geodesic_step, _trusted
+from grassmm import DeconvProblem, DeconvState, GrassmannPoint, random_point, soft_threshold
+from grassmm.deconv import _check_length, _conv, _corr, _geodesic_step, _grad_x, _trusted
 from grassmm.grassmann import _project
+
+
+def deconv_cost(problem: DeconvProblem, state: DeconvState) -> float:
+    """Sign-invariant cost: best-sign squared residual plus lambda * ||x||_1."""
+    _check_length(problem, state)
+    u = _conv(state.kernel, state.x)
+    r_plus = problem.y - u
+    r_minus = problem.y + u
+    data = min(float(r_plus @ r_plus), float(r_minus @ r_minus))
+    return data + problem.lam * float(np.sum(np.abs(state.x)))
+
+
+def grad_x(problem: DeconvProblem, state: DeconvState) -> np.ndarray:
+    """Gradient of ||y - a (*) x||^2 in x for the given kernel representative."""
+    _check_length(problem, state)
+    return _grad_x(problem, state.kernel, state.x)
+
+
+def grad_a(problem: DeconvProblem, state: DeconvState) -> np.ndarray:
+    """Gradient of ||y - a (*) x||^2 in the kernel representative."""
+    _check_length(problem, state)
+    r = problem.y - _conv(state.kernel, state.x)
+    return -2.0 * _corr(state.x, r)
+
+
+def prox_step_x(problem: DeconvProblem, state: DeconvState, step: float) -> np.ndarray:
+    """One proximal gradient step on the code: shrink(x - step * grad, step * lambda)."""
+    if step <= 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    _check_length(problem, state)
+    return soft_threshold(state.x - step * _grad_x(problem, state.kernel, state.x), step * problem.lam)
 
 
 def active_sign(problem: DeconvProblem, state: DeconvState) -> float:

@@ -14,16 +14,12 @@ from grassmm import (
     SurrogateOracle,
     circular_convolution,
     circular_correlation,
-    deconv_cost,
     default_init,
     final_state,
     generate_instance,
-    grad_a,
-    grad_x,
     heuristic_lambda,
     lasso_warm_start,
     lipschitz_bound,
-    prox_step_x,
     random_orthonormal,
     random_point,
     recovery_score,
@@ -36,7 +32,17 @@ from grassmm import deconv, engine
 from grassmm.deconv import _geodesic_step, build_block_problem
 from grassmm.grassmann import GrassmannPoint
 
-from deconv_oracles import active_sign, geodesic_angle_step, random_init, riemannian_step_a, working_state
+from deconv_oracles import (
+    active_sign,
+    deconv_cost,
+    geodesic_angle_step,
+    grad_a,
+    grad_x,
+    prox_step_x,
+    random_init,
+    riemannian_step_a,
+    working_state,
+)
 
 
 # Lengths on both sides of the direct-sum / FFT crossover deconv._FFT_MIN_N = 128.
@@ -375,6 +381,10 @@ def test_generate_instance_parameter_errors():
         generate_instance(0, 16, 0.1, 17, 0.0)
     with pytest.raises(ValueError):
         generate_instance(0, 16, 0.1, 4, -0.5)
+    # Rejected up front, not reported as noise too large to generate.
+    for sigma in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=r"^noise_sigma must be a finite number >= 0, got"):
+            generate_instance(0, 8, 0.2, 3, sigma)
 
 
 def test_generate_instance_spike_count_statistics():

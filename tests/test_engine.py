@@ -26,20 +26,19 @@ from grassmm import (
     builtin_subspace_plus_mean,
     canonical_distance,
     default_init,
-    exp_map,
     generate_instance,
     heuristic_lambda,
-    make_point,
     random_orthonormal,
     random_point,
-    riemannian_gradient,
     run_block_mm,
     stationarity_check,
     subspace_plus_mean_init,
 )
 from grassmm import engine
 from grassmm.deconv import build_block_problem
-from grassmm.grassmann import _pair_geodesics, _secant_point, random_unit_tangent
+from grassmm.grassmann import _pair_geodesics, _secant_point
+
+from grassmann_oracles import exp_map, make_point, random_unit_tangent, riemannian_gradient
 
 
 def subspace_optimum(a, d):
@@ -729,7 +728,21 @@ def test_audit_quasiconvexity_rejects_zero_t_samples(exact_problem, exact_anchor
         audit_quasiconvexity(exact_problem, exact_anchors[0], 5, 0, seed=0)
 
 
-@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("count", [2.5, 3.0, True])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("directions", lambda problem, anchor, n: stationarity_check(problem, *anchor, n, 0)),
+        ("t_samples", lambda problem, anchor, n: audit_quasiconvexity(problem, anchor, 5, n, 0)),
+    ],
+)
+def test_probe_and_quasiconvexity_reject_a_non_integer_count(exact_problem, exact_anchors, name, call, count):
+    # A float, even a whole one, or a bool is not a count.
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {count!r}$"):
+        call(exact_problem, exact_anchors[0], count)
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.5, True])
 @pytest.mark.parametrize(
     "name, call",
     [
@@ -740,7 +753,11 @@ def test_audit_quasiconvexity_rejects_zero_t_samples(exact_problem, exact_anchor
     ],
 )
 def test_audit_rejects_a_sample_count_below_one(exact_problem, exact_anchors, name, call, count):
-    with pytest.raises(ValueError, match=rf"{name} must be at least 1, got {count}"):
+    if isinstance(count, bool) or not isinstance(count, int):
+        message = rf"^{name} must be an integer >= 1, got {count!r}$"
+    else:
+        message = rf"{name} must be at least 1, got {count}"
+    with pytest.raises(ValueError, match=message):
         call(exact_problem, exact_anchors[0], count)
 
 
