@@ -6,17 +6,16 @@ from .deconv import (
     DeconvProblem,
     DeconvState,
     SyntheticInstance,
+    build_block_problem,
     circular_convolution,
     circular_correlation,
     default_init,
-    final_state,
     generate_instance,
     heuristic_lambda,
     lasso_warm_start,
     lipschitz_bound,
     recovery_score,
     soft_threshold,
-    solve_deconv,
 )
 from .engine import (
     AuditResult,
@@ -24,7 +23,6 @@ from .engine import (
     ConvergenceReport,
     InfeasibleBlockError,
     IterationRecord,
-    IterationTrace,
     MonotonicityViolation,
     NonFiniteCostError,
     SolverConfig,
@@ -41,7 +39,6 @@ from .engine import (
     subspace_plus_mean_init,
 )
 from .grassmann import (
-    GeodesicNotUnique,
     GrassmannPoint,
     canonical_distance,
     principal_angles,

@@ -20,17 +20,16 @@ from .deconv import (
     DeconvState,
     build_block_problem,
     default_init,
-    final_state,
     generate_instance,
     heuristic_lambda,
     lasso_warm_start,
     recovery_score,
-    solve_deconv,
 )
 from .engine import (
     InfeasibleBlockError,
     MonotonicityViolation,
     SolverConfig,
+    _fold,
     audit_assumptions,
     builtin_subspace_plus_mean,
     run_block_mm,
@@ -207,11 +206,11 @@ def _build(kind: str, pc: dict, seed: int, step_scale: float = 1.0):
     """
     if kind == "deconv":
         inst = generate_instance(seed, pc["N"], pc["sparsity"], pc["kernel_support"], pc["noise_sigma"])
-        probe = default_init(DeconvProblem(y=inst.y, lam=0.0), pc["kernel_support"])
-        lam = pc["lambda"] if pc["lambda"] is not None else heuristic_lambda(inst.y, probe.kernel)
+        start = default_init(inst.y, pc["kernel_support"])
+        lam = pc["lambda"] if pc["lambda"] is not None else heuristic_lambda(inst.y, start.kernel)
         dp = DeconvProblem(y=inst.y, lam=lam)
         block = build_block_problem(dp, step_scale)
-        return block, (probe.a, probe.x), {"instance": inst, "problem": dp}
+        return block, (start.a, start.x), {"instance": inst, "problem": dp}
     a = np.random.default_rng(seed).standard_normal((pc["N"], pc["M"]))
     block = builtin_subspace_plus_mean(a, pc["D"])
     return block, subspace_plus_mean_init(a, pc["D"], seed), {"data": a}
@@ -283,8 +282,7 @@ def cmd_audit(cfg: dict, out_dir: Path) -> int:
             anchors = [init]
         else:
             anchors = [init, (report.final_g, report.final_c)]
-        for name, result in audit_assumptions(block, anchors, samples, seed).items():
-            summary[name] = summary[name].merged(result) if name in summary else result
+        _fold(summary, audit_assumptions(block, anchors, samples, seed).values())
     overall = all(r.passed for r in summary.values())
     audits = _audit_json(summary)
     _write_json(out_dir / "audit.json", {"kind": cfg["kind"], "audits": audits, "overall_pass": overall})
@@ -300,8 +298,8 @@ def _demo_deconv(seed: int) -> list[str]:
     inst = extras["instance"]
     warm = lasso_warm_start(extras["problem"], DeconvState(a=a0, x=x0))
     dp = DeconvProblem(y=inst.y, lam=0.0)
-    _, report = solve_deconv(dp, warm, SolverConfig(seed=seed))
-    score = recovery_score(final_state(dp, report), inst)
+    _, report = run_block_mm(build_block_problem(dp), warm.a, warm.x, SolverConfig(seed=seed))
+    score = recovery_score(report.final_g, inst)
     return [
         f"deconv demo: N=64 sparsity=0.05 kernel_support=8 noise_sigma=0 seed={seed}",
         f"final cost         : {report.final_cost:.6g}",

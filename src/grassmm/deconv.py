@@ -51,15 +51,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .engine import (
-    _COST_BATCH_BYTES,
-    BlockProblem,
-    ConvergenceReport,
-    IterationTrace,
-    SolverConfig,
-    SurrogateOracle,
-    run_block_mm,
-)
+from .engine import _COST_BATCH_BYTES, BlockProblem, SurrogateOracle, _check_count
 from .grassmann import GrassmannPoint, _trusted
 
 _KERNEL_NORM_TOL = 1e-10  # absolute: a unit kernel has no scale; stricter than the Gram check
@@ -205,6 +197,8 @@ def circular_correlation(v, w) -> np.ndarray:
 
 def soft_threshold(v, tau: float) -> np.ndarray:
     """Proximal operator of tau * ||.||_1: shrink each entry toward zero by tau."""
+    if not 0.0 <= tau < np.inf:  # NaN fails too
+        raise ValueError(f"tau must be a finite number >= 0, got {tau}")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
@@ -242,18 +236,21 @@ class DeconvState:
     def __post_init__(self):
         x = _as_signal(self.x, "x")
         object.__setattr__(self, "x", x)
-        _check_kernel(self.a, x.size)
+        _check_kernel(self.a, x.size, "code")
 
     @property
     def kernel(self) -> np.ndarray:
         return self.a.basis[:, 0]
 
 
-def _check_kernel(a: GrassmannPoint, n: int) -> None:
+def _check_kernel(a: GrassmannPoint, n: int, against: str) -> None:
+    """Check that a is a unit kernel of length n, the length of `against`."""
+    if not isinstance(a, GrassmannPoint):
+        raise ValueError(f"kernel must be a GrassmannPoint, got {type(a).__name__}")
     if a.d != 1:
         raise ValueError("kernel must be a point of Gr(N, 1)")
     if a.n != n:
-        raise ValueError(f"kernel length {a.n} does not match code length {n}")
+        raise ValueError(f"kernel length {a.n} does not match {against} length {n}")
     nrm = float(np.linalg.norm(a.basis[:, 0]))
     if abs(nrm - 1.0) > _KERNEL_NORM_TOL:
         raise ValueError(f"kernel norm deviates from 1 by {abs(nrm - 1.0):.3e}")
@@ -316,11 +313,11 @@ def generate_instance(
     the draw order is code mask, code amplitudes, kernel, noise. Raises
     ValueError naming noise_sigma when it is negative or not finite, or when
     the noise is so large that y or y @ y overflows."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_count("n", n, 2)
     if not 0.0 < sparsity < 1.0:
         raise ValueError(f"sparsity must lie strictly between 0 and 1, got {sparsity}")
-    if not 1 <= kernel_support <= n:
+    _check_count("kernel_support", kernel_support)
+    if kernel_support > n:
         raise ValueError(f"kernel_support must lie in [1, {n}], got {kernel_support}")
     if not 0.0 <= noise_sigma < np.inf:  # NaN fails too
         raise ValueError(f"noise_sigma must be a finite number >= 0, got {noise_sigma}")
@@ -349,12 +346,11 @@ def generate_instance(
     )
 
 
-def recovery_score(estimate: DeconvState, truth: SyntheticInstance) -> float:
+def recovery_score(kernel: GrassmannPoint, truth: SyntheticInstance) -> float:
     """Best absolute inner product between the estimated kernel and the true
     kernel over all circular shifts and both signs; 1 means perfect recovery."""
-    if estimate.a.n != truth.n:
-        raise ValueError(f"length mismatch: {estimate.a.n} vs {truth.n}")
-    return float(min(np.max(np.abs(circular_correlation(estimate.kernel, truth.true_a))), 1.0))
+    _check_kernel(kernel, truth.n, "true kernel")
+    return float(min(np.max(np.abs(circular_correlation(kernel.basis[:, 0], truth.true_a))), 1.0))
 
 
 def heuristic_lambda(y, a0_kernel) -> float:
@@ -362,12 +358,13 @@ def heuristic_lambda(y, a0_kernel) -> float:
     return float(0.1 * np.max(np.abs(circular_correlation(a0_kernel, y))))
 
 
-def default_init(problem: DeconvProblem, window: int) -> DeconvState:
+def default_init(y, window: int) -> DeconvState:
     """Data-driven start: the max-energy length-`window` segment of y as kernel
     (placed at the leading indices), zero code."""
-    y = problem.y
-    n = problem.n
-    if not 1 <= window <= n:
+    y = _as_signal(y, "y")
+    n = y.size
+    _check_count("window", window)
+    if window > n:
         raise ValueError(f"window must lie in [1, {n}], got {window}")
     sq = y * y
     energies = sliding_window_view(np.concatenate([sq, sq[: window - 1]]), window).sum(axis=1)
@@ -388,8 +385,7 @@ def lasso_warm_start(problem: DeconvProblem, init: DeconvState, max_iter: int = 
     l1-regularized least-squares solve, so the code settles on a stable
     sparse support before the kernel is allowed to move.
     """
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    _check_count("max_iter", max_iter, 0)
     _check_length(problem, init)
     step = 1.0 / lipschitz_bound(init.kernel)  # at least 2: a unit kernel's spectrum has energy N
     x = init.x
@@ -576,18 +572,3 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
         costs=costs,
     )
 
-
-def solve_deconv(
-    problem: DeconvProblem,
-    init: DeconvState,
-    config: SolverConfig = SolverConfig(),
-    step_scale: float = 1.0,
-) -> tuple[IterationTrace, ConvergenceReport]:
-    """Alternate kernel and code surrogate steps from `init` until stagnation."""
-    block_problem = build_block_problem(problem, step_scale=step_scale)
-    return run_block_mm(block_problem, init.a, init.x, config)
-
-
-def final_state(problem: DeconvProblem, report: ConvergenceReport) -> DeconvState:
-    """The converged iterate of a solve_deconv run as a DeconvState."""
-    return DeconvState(a=report.final_g, x=report.final_c)

@@ -256,28 +256,6 @@ class IterationRecord:
     audit_ok: Optional[bool] = None
 
 
-@dataclass
-class IterationTrace:
-    """Per-iteration history of a run; one record per outer iteration."""
-
-    records: list[IterationRecord] = field(default_factory=list)
-
-    def append(self, record: IterationRecord) -> None:
-        self.records.append(record)
-
-    def costs(self) -> np.ndarray:
-        return np.array([r.f for r in self.records])
-
-    def dc_steps(self) -> np.ndarray:
-        return np.array([r.dc_step for r in self.records])
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     """The outcome of run_block_mm.
@@ -566,8 +544,9 @@ def run_block_mm(
     init_g: GrassmannPoint,
     init_c,
     config: SolverConfig = SolverConfig(),
-) -> tuple[IterationTrace, ConvergenceReport]:
-    """Run the alternating surrogate scheme until the iterates stagnate.
+) -> tuple[list[IterationRecord], ConvergenceReport]:
+    """Run the alternating surrogate scheme until the iterates stagnate, and
+    return one IterationRecord per outer iteration and the ConvergenceReport.
 
     Stops as soon as, in one iteration, the Grassmann step distance is below
     dist_tol and the cost change at most cost_tol * |f_0|, f_0 being the
@@ -615,7 +594,7 @@ def run_block_mm(
     rise_slack = MONOTONICITY_TOL * abs(f_curr)
     stop_change = config.cost_tol * abs(f_curr)
 
-    trace = IterationTrace()
+    trace: list[IterationRecord] = []
     converged = False
     iterations = 0
     final_dc = float("inf")

@@ -41,10 +41,6 @@ TANGENCY_TOL = 1e-9  # absolute: the engine's tangents are unit directions and l
 UNIQUE_GEODESIC_CUTOFF = 1e-8
 
 
-class GeodesicNotUnique(ValueError):
-    """The subspaces meet at an angle of pi/2, so no unique geodesic joins them."""
-
-
 def _trusted(cls, **fields):
     """An instance of a frozen dataclass built from values this package computed
     and knows to be valid, skipping the checks its public constructor runs."""

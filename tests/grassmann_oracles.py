@@ -1,8 +1,9 @@
 """Reference oracles for the geometry tests: a checked tangent vector, a point
 from any full-rank matrix, a random unit tangent, the tangent projection, the
-Riemannian gradient, and the log map, geodesic and exp map of one point or
-one tangent vector. Each is the stack of one of a private function of
-grassmm.grassmann, which the solver and the audits call on stacks."""
+Riemannian gradient, and the log map (with GeodesicNotUnique, the error it
+raises), geodesic and exp map of one point or one tangent vector. Each is the
+stack of one of a private function of grassmm.grassmann, which the solver and
+the audits call on stacks."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from typing import Callable
 import numpy as np
 
 from grassmm.grassmann import (
-    GeodesicNotUnique,
     GrassmannPoint,
     _check_same_space,
     _check_tangents,
@@ -23,6 +23,10 @@ from grassmm.grassmann import (
     _unit_tangents,
 )
 from grassmm.linalg import as_matrix, qr_orthonormalize
+
+
+class GeodesicNotUnique(ValueError):
+    """The subspaces meet at an angle of pi/2, so no unique geodesic joins them."""
 
 
 @dataclass(frozen=True)

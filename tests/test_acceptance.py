@@ -22,7 +22,6 @@ from grassmm import (
     canonical_distance,
     circular_convolution,
     default_init,
-    final_state,
     generate_instance,
     heuristic_lambda,
     lasso_warm_start,
@@ -30,7 +29,6 @@ from grassmm import (
     random_point,
     recovery_score,
     run_block_mm,
-    solve_deconv,
     subspace_plus_mean_init,
 )
 from grassmm.cli import main
@@ -51,8 +49,9 @@ def deconv_batch():
     for seed in range(100):
         inst = generate_instance(seed, 64, 4 / 64, 8, 0.0)
         problem = DeconvProblem(y=inst.y, lam=0.1)
-        trace, report = solve_deconv(
-            problem, default_init(problem, 8), SolverConfig(seed=seed, audit_samples=64)
+        init = default_init(inst.y, 8)
+        trace, report = run_block_mm(
+            build_block_problem(problem), init.a, init.x, SolverConfig(seed=seed, audit_samples=64)
         )
         runs.append((trace, report))
     return runs, time.perf_counter() - start
@@ -77,8 +76,8 @@ def audited_deconv():
     """One solved instance plus its block problem and audit anchor states."""
     inst = generate_instance(0, 64, 4 / 64, 8, 0.0)
     problem = DeconvProblem(y=inst.y, lam=0.1)
-    init = default_init(problem, 8)
-    _, report = solve_deconv(problem, init, SolverConfig(seed=0))
+    init = default_init(inst.y, 8)
+    _, report = run_block_mm(build_block_problem(problem), init.a, init.x, SolverConfig(seed=0))
     anchors = [(init.a, init.x), (report.final_g, report.final_c)]
     # the l1 term has a kink at every zero of x, so derivative checks for the
     # convex block anchor at a dense perturbation of the solution
@@ -126,9 +125,9 @@ def test_every_trace_is_non_increasing(deconv_batch, subspace_batch):
     s_runs, s_elapsed = subspace_batch
     worst = -np.inf
     for trace, _ in d_runs:
-        worst = max(worst, float(np.max(np.diff(trace.costs()), initial=-np.inf)))
+        worst = max(worst, float(np.max(np.diff([r.f for r in trace]), initial=-np.inf)))
     for _, trace, _ in s_runs:
-        worst = max(worst, float(np.max(np.diff(trace.costs()), initial=-np.inf)))
+        worst = max(worst, float(np.max(np.diff([r.f for r in trace]), initial=-np.inf)))
     assert worst <= 1e-10
     assert d_elapsed + s_elapsed < 60.0
     print(
@@ -221,12 +220,12 @@ def test_kernel_recovery_rate():
     scores = []
     for seed in range(100):
         inst = generate_instance(seed, 64, 0.05, 8, 0.0)
-        probe = default_init(DeconvProblem(y=inst.y, lam=0.0), 8)
+        probe = default_init(inst.y, 8)
         lam = heuristic_lambda(inst.y, probe.kernel)
         warm = lasso_warm_start(DeconvProblem(y=inst.y, lam=lam), probe)
         problem = DeconvProblem(y=inst.y, lam=0.0)
-        _, report = solve_deconv(problem, warm, SolverConfig(seed=seed))
-        score = recovery_score(final_state(problem, report), inst)
+        _, report = run_block_mm(build_block_problem(problem), warm.a, warm.x, SolverConfig(seed=seed))
+        score = recovery_score(report.final_g, inst)
         scores.append(score)
         wins += score >= 0.95
         converged += report.converged

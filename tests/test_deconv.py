@@ -15,7 +15,6 @@ from grassmm import (
     circular_convolution,
     circular_correlation,
     default_init,
-    final_state,
     generate_instance,
     heuristic_lambda,
     lasso_warm_start,
@@ -25,7 +24,6 @@ from grassmm import (
     recovery_score,
     run_block_mm,
     soft_threshold,
-    solve_deconv,
     stationarity_check,
 )
 from grassmm import deconv, engine
@@ -243,6 +241,13 @@ def test_soft_threshold_examples():
     assert soft_threshold(np.array([0.5]), 1.0)[0] == 0.0
 
 
+@pytest.mark.parametrize("tau", [-0.5, np.nan, np.inf])
+def test_soft_threshold_rejects_a_negative_or_non_finite_tau(tau):
+    # A negative tau would push entries away from zero: the prox of no l1 term.
+    with pytest.raises(ValueError, match=r"^tau must be a finite number >= 0, got"):
+        soft_threshold([1.0, -1.0], tau)
+
+
 @pytest.mark.parametrize(
     "call",
     [deconv_cost, grad_x, grad_a, lambda p, s: prox_step_x(p, s, 0.1), lasso_warm_start],
@@ -305,7 +310,8 @@ def test_plain_kernel_step_keeps_descent_where_the_gradient_opposes_the_kernel()
     # overshoots the model's minimizer on the sphere and raised the cost by 0.083.
     inst = generate_instance(1439, 27, 0.0625, 8, 0.0)
     p = DeconvProblem(y=inst.y, lam=0.5)
-    trace, report = solve_deconv(p, default_init(p, 8), SolverConfig(max_iter=60, seed=0))
+    start = default_init(inst.y, 8)
+    trace, report = run_block_mm(build_block_problem(p), start.a, start.x, SolverConfig(max_iter=60, seed=0))
     chain = [v for r in trace for v in (r.f, r.f_after_g)] + [report.final_cost]
     assert all(b <= a + 1e-12 for a, b in zip(chain, chain[1:]))
 
@@ -385,6 +391,18 @@ def test_generate_instance_parameter_errors():
     for sigma in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match=r"^noise_sigma must be a finite number >= 0, got"):
             generate_instance(0, 8, 0.2, 3, sigma)
+    for bad in (2.5, 16.0, True):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 2, got"):
+            generate_instance(0, bad, 0.2, 3)
+    for bad in (2.5, 4.0, True):
+        with pytest.raises(ValueError, match=r"^kernel_support must be an integer >= 1, got"):
+            generate_instance(0, 16, 0.2, bad)
+    with pytest.raises(ValueError):
+        generate_instance(0, 1, 0.2, 1)
+    with pytest.raises(ValueError):
+        generate_instance(0, 16, 0.2, 0)
+    planted = generate_instance(0, np.int64(16), 0.2, np.int32(3))
+    assert_array_equal(planted.y, generate_instance(0, 16, 0.2, 3).y)
 
 
 def test_generate_instance_spike_count_statistics():
@@ -398,23 +416,35 @@ def test_generate_instance_spike_count_statistics():
 def test_recovery_score_ambiguity_invariance():
     inst = generate_instance(2, 32, 0.1, 6, 0.0)
     exact = DeconvState(a=GrassmannPoint(inst.true_a[:, None]), x=inst.true_x)
-    assert_allclose(recovery_score(exact, inst), 1.0, atol=1e-12)
+    assert_allclose(recovery_score(exact.a, inst), 1.0, atol=1e-12)
     shifted = -np.roll(inst.true_a, 3)
     est = DeconvState(a=GrassmannPoint(shifted[:, None]), x=inst.true_x)
-    assert_allclose(recovery_score(est, inst), 1.0, atol=1e-12)
+    assert_allclose(recovery_score(est.a, inst), 1.0, atol=1e-12)
 
 
 def test_recovery_score_random_kernel_is_low():
     for seed in range(100):
         inst = generate_instance(seed, 64, 0.05, 8, 0.0)
         est = DeconvState(a=random_point(5000 + seed, 64, 1), x=np.zeros(64))
-        assert recovery_score(est, inst) < 0.5
+        assert recovery_score(est.a, inst) < 0.5
 
 
 def test_recovery_score_length_mismatch():
     inst = generate_instance(0, 16, 0.1, 4, 0.0)
     with pytest.raises(ValueError):
-        recovery_score(DeconvState(a=random_point(0, 8, 1), x=np.zeros(8)), inst)
+        recovery_score(DeconvState(a=random_point(0, 8, 1), x=np.zeros(8)).a, inst)
+
+
+def test_a_kernel_that_is_not_a_point_is_named():
+    small = generate_instance(0, 4, 0.5, 2)
+    for check in (lambda a: DeconvState(a=a, x=np.zeros(4)), lambda a: recovery_score(a, small)):
+        with pytest.raises(ValueError, match=r"^kernel must be a GrassmannPoint, got ndarray$"):
+            check(np.ones((4, 1)) / 2)
+    # The length message names what the kernel is compared with.
+    with pytest.raises(ValueError, match=r"^kernel length 8 does not match code length 9$"):
+        DeconvState(a=random_point(0, 8, 1), x=np.zeros(9))
+    with pytest.raises(ValueError, match=r"^kernel length 8 does not match true kernel length 16$"):
+        recovery_score(random_point(0, 8, 1), generate_instance(0, 16, 0.1, 4))
 
 
 # --- initialization ---------------------------------------------------------------
@@ -429,7 +459,7 @@ def test_default_init_grabs_max_energy_window():
     x = np.zeros(n)
     x[10] = 2.0
     y = circular_convolution(a, x)
-    init = default_init(DeconvProblem(y=y, lam=0.0), 4)
+    init = default_init(y, 4)
     assert_allclose(np.abs(init.kernel[:4]), np.abs(a[:4]), atol=1e-12)
     assert_allclose(init.x, 0.0, atol=0.0)
 
@@ -445,26 +475,34 @@ def test_default_init_grabs_max_energy_window():
             start = int(np.argmax(energies))
             raw = np.zeros(n)
             raw[:window] = y[(start + np.arange(window)) % n]
-            init = default_init(DeconvProblem(y=y, lam=0.0), window)
+            init = default_init(y, window)
             assert_array_equal(init.kernel, raw / np.linalg.norm(raw))
 
 
 def test_default_init_zero_signal_falls_back_to_delta():
-    init = default_init(DeconvProblem(y=np.zeros(16), lam=0.0), 4)
+    init = default_init(np.zeros(16), 4)
     expected = np.zeros(16)
     expected[0] = 1.0
     assert_array_equal(init.kernel, expected)
     # f_0 = 0, so the stop test's bound cost_tol * |f_0| is 0, and the change of 0 meets it.
-    _, report = solve_deconv(DeconvProblem(y=np.zeros(16), lam=0.1), init, SolverConfig(seed=0))
+    block = build_block_problem(DeconvProblem(y=np.zeros(16), lam=0.1))
+    _, report = run_block_mm(block, init.a, init.x, SolverConfig(seed=0))
     assert (report.converged, report.iterations, report.final_cost) == (True, 1, 0.0)
 
 
 def test_default_init_window_validation():
-    p = DeconvProblem(y=np.ones(8), lam=0.0)
+    y = np.ones(8)
     with pytest.raises(ValueError):
-        default_init(p, 0)
+        default_init(y, 0)
     with pytest.raises(ValueError):
-        default_init(p, 9)
+        default_init(y, 9)
+    # A count follows the one integer rule: no bool, no float, even a whole one.
+    for window in (2.5, 4.0, True):
+        with pytest.raises(ValueError, match=r"^window must be an integer >= 1, got"):
+            default_init(y, window)
+    assert_array_equal(default_init(y, np.int64(4)).kernel, default_init(y, 4).kernel)
+    with pytest.raises(ValueError, match=r"^y must be finite"):
+        default_init([1.0, np.nan, 2.0], 2)
 
 
 def test_random_init_unit_and_deterministic():
@@ -478,7 +516,7 @@ def test_random_init_unit_and_deterministic():
 
 def test_heuristic_lambda_matches_formula():
     inst = generate_instance(9, 32, 0.1, 6, 0.0)
-    init = default_init(DeconvProblem(y=inst.y, lam=0.0), 6)
+    init = default_init(inst.y, 6)
     lam = heuristic_lambda(inst.y, init.kernel)
     expected = 0.1 * np.max(np.abs(circular_correlation(init.kernel, inst.y)))
     assert_allclose(lam, expected, atol=1e-14)
@@ -487,7 +525,7 @@ def test_heuristic_lambda_matches_formula():
 
 def test_lasso_warm_start_reduces_cost_with_fixed_kernel():
     inst = generate_instance(6, 48, 0.08, 8, 0.0)
-    base = default_init(DeconvProblem(y=inst.y, lam=0.0), 8)
+    base = default_init(inst.y, 8)
     p = DeconvProblem(y=inst.y, lam=heuristic_lambda(inst.y, base.kernel))
     warm = lasso_warm_start(p, base)
     assert_array_equal(warm.a.basis, base.a.basis)
@@ -508,6 +546,10 @@ def test_lasso_warm_start_reduces_cost_with_fixed_kernel():
     assert_array_equal(untouched.a.basis, base.a.basis)
     with pytest.raises(ValueError):
         lasso_warm_start(p, base, max_iter=-1)
+    for bad in (2.5, 4.0, True):
+        with pytest.raises(ValueError, match=r"^max_iter must be an integer >= 0, got"):
+            lasso_warm_start(p, base, bad)
+    assert_array_equal(lasso_warm_start(p, base, np.int64(3)).x, lasso_warm_start(p, base, 3).x)
 
 
 # --- problem/state validation -------------------------------------------------------
@@ -547,7 +589,7 @@ def test_solve_from_truth_is_immediately_stationary():
     inst = generate_instance(4, 32, 0.1, 6, 0.0)
     p = DeconvProblem(y=inst.y, lam=0.0)
     init = DeconvState(a=GrassmannPoint(inst.true_a[:, None]), x=inst.true_x)
-    trace, report = solve_deconv(p, init, SolverConfig(seed=4))
+    trace, report = run_block_mm(build_block_problem(p), init.a, init.x, SolverConfig(seed=4))
     assert report.converged
     assert report.iterations == 1
     assert report.final_cost == 0.0
@@ -557,15 +599,15 @@ def test_solve_from_truth_is_immediately_stationary():
 def test_solve_monotone_and_deterministic():
     inst = generate_instance(8, 64, 4 / 64, 8, 0.0)
     p = DeconvProblem(y=inst.y, lam=0.1)
-    init = default_init(p, 8)
-    t1, r1 = solve_deconv(p, init, SolverConfig(seed=8))
-    t2, r2 = solve_deconv(p, init, SolverConfig(seed=8))
-    costs = t1.costs()
+    init = default_init(p.y, 8)
+    t1, r1 = run_block_mm(build_block_problem(p), init.a, init.x, SolverConfig(seed=8))
+    t2, r2 = run_block_mm(build_block_problem(p), init.a, init.x, SolverConfig(seed=8))
+    costs = [r.f for r in t1]
     assert np.all(np.diff(costs) <= 1e-10)
-    assert_array_equal(costs, t2.costs())
+    assert_array_equal(costs, [r.f for r in t2])
     assert r1.final_cost == r2.final_cost
 
-    state = final_state(p, r1)
+    state = DeconvState(a=r1.final_g, x=r1.final_c)
     assert_allclose(deconv_cost(p, state), r1.final_cost, atol=1e-12)
 
 
@@ -576,9 +618,9 @@ def test_solver_step_scale_override_breaks_descent():
 
     inst = generate_instance(0, 64, 4 / 64, 8, 0.0)
     p = DeconvProblem(y=inst.y, lam=0.1)
-    init = default_init(p, 8)
+    init = default_init(p.y, 8)
     with pytest.raises(MonotonicityViolation):
-        solve_deconv(p, init, SolverConfig(seed=0), step_scale=10.0)
+        run_block_mm(build_block_problem(p, step_scale=10.0), init.a, init.x, SolverConfig(seed=0))
 
 
 # --- per-anchor context vs the reference functions ----------------------------------
@@ -725,11 +767,11 @@ def test_block_problem_follows_in_place_mutation_of_writable_anchor():
 def test_solver_trace_equals_reference_problem_exactly(seed):
     inst = generate_instance(seed, 64, 4 / 64, 8, 0.0)
     p = DeconvProblem(y=inst.y, lam=0.1)
-    init = default_init(p, 8)
+    init = default_init(p.y, 8)
     config = SolverConfig(seed=seed)
-    trace, report = solve_deconv(p, init, config)
+    trace, report = run_block_mm(build_block_problem(p), init.a, init.x, config)
     ref_trace, ref_report = run_block_mm(reference_block_problem(p), init.a, init.x, config)
-    assert trace.records == ref_trace.records
+    assert trace == ref_trace
     assert report.final_cost == ref_report.final_cost
     assert report.stationarity_score == ref_report.stationarity_score
     assert_array_equal(report.final_g.basis, ref_report.final_g.basis)
@@ -857,7 +899,7 @@ def test_work_per_iteration(monkeypatch):
     for n, bound, max_iter in ((64, 4, 5000), (1024, 4, 100)):
         inst = generate_instance(2, n, 0.0625, 8, 0.0)
         p = DeconvProblem(y=inst.y, lam=0.1)
-        init = default_init(p, 8)
+        init = default_init(p.y, 8)
         base = build_block_problem(p)
         snapshots = []
 

@@ -72,7 +72,7 @@ def test_fixed_point_converges_in_one_iteration():
     trace, report = run_block_mm(prob, g_star, c_star, SolverConfig(seed=0))
     assert report.converged
     assert report.iterations == 1
-    assert trace.records[0].dc_step == 0.0
+    assert trace[0].dc_step == 0.0
 
 
 def test_subspace_plus_mean_matches_svd_oracle():
@@ -111,8 +111,7 @@ def test_descent_chain_within_trace():
     a = np.random.default_rng(7).standard_normal((10, 40))
     prob = builtin_subspace_plus_mean(a, 3)
     g0, c0 = subspace_plus_mean_init(a, 3, 7)
-    trace, _ = run_block_mm(prob, g0, c0, SolverConfig(seed=7))
-    records = trace.records
+    records, _ = run_block_mm(prob, g0, c0, SolverConfig(seed=7))
     for k, r in enumerate(records):
         assert r.f_after_g <= r.f + 1e-10
         if k + 1 < len(records):
@@ -125,8 +124,8 @@ def test_trace_is_deterministic():
     g0, c0 = subspace_plus_mean_init(a, 2, 5)
     t1, r1 = run_block_mm(prob, g0, c0, SolverConfig(seed=5))
     t2, r2 = run_block_mm(prob, g0, c0, SolverConfig(seed=5))
-    assert_array_equal(t1.costs(), t2.costs())
-    assert_array_equal(t1.dc_steps(), t2.dc_steps())
+    assert_array_equal([r.f for r in t1], [r.f for r in t2])
+    assert_array_equal([r.dc_step for r in t1], [r.dc_step for r in t2])
     assert r1.final_cost == r2.final_cost
     assert r1.stationarity_score == r2.stationarity_score
 
@@ -154,7 +153,7 @@ def test_in_run_audits_recorded():
     assert summary["tightness"].worst <= 1e-12
     # One anchor per iteration, merged over both blocks and every iteration.
     assert (summary["tightness"].checked, summary["tightness"].block) == (2 * report.iterations, None)
-    assert trace.records[0].audit_ok is True
+    assert trace[0].audit_ok is True
 
 
 def test_solver_config_validation():
@@ -328,7 +327,7 @@ def test_large_data_scale_converges_without_tangency_error():
 def deconv_scaled_run(seed, n, scale, max_iter=5000):
     """A deconv solve on y = scale * y_seed from default_init, with the heuristic lambda."""
     y = scale * generate_instance(seed, n, 0.0625, 8, 0.0).y
-    init = default_init(DeconvProblem(y=y, lam=0.0), 8)
+    init = default_init(y, 8)
     block = build_block_problem(DeconvProblem(y=y, lam=heuristic_lambda(y, init.kernel)))
     return run_block_mm(block, init.a, init.x, SolverConfig(max_iter=max_iter, audit_samples=8, seed=0))[1]
 
@@ -984,7 +983,7 @@ def reference_homogeneity(problem, anchors, rotations, seed):
 
 def deconv_problem_and_anchors():
     inst = generate_instance(3, 32, 0.125, 6)
-    start = default_init(DeconvProblem(y=inst.y, lam=0.1), 6)
+    start = default_init(inst.y, 6)
     problem = build_block_problem(DeconvProblem(y=inst.y, lam=0.1))
     x = start.x + 0.1 * np.random.default_rng(3).standard_normal(32)
     return problem, [(start.a, start.x), (start.a, x), (random_point(4, 32, 1), x)]
@@ -1187,7 +1186,7 @@ class TryLog:
 def deconv_instance(seed, n=64, lam=0.1):
     inst = generate_instance(seed, n, 0.0625, min(8, n), 0.0)
     p = DeconvProblem(y=inst.y, lam=lam)
-    return build_block_problem(p), default_init(p, min(8, n))
+    return build_block_problem(p), default_init(p.y, min(8, n))
 
 
 def quadratic_pull(turn, target):
@@ -1291,7 +1290,7 @@ def test_rejected_extrapolation_reproduces_the_plain_trace(monkeypatch):
     assert report.extrapolations == 0
     monkeypatch.setattr(engine, "EXTRAPOLATION_PERIOD", config.max_iter + 1)
     plain_trace, plain = run_block_mm(deconv_instance(0)[0], init.a, init.x, config)
-    assert trace.records == plain_trace.records
+    assert trace == plain_trace
     assert report.final_cost == plain.final_cost
     assert report.stationarity_score == plain.stationarity_score
     assert_array_equal(report.final_g.basis, plain.final_g.basis)

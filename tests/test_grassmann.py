@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from grassmm import (
-    GeodesicNotUnique,
     GrassmannPoint,
     canonical_distance,
     principal_angles,
@@ -24,6 +23,7 @@ from grassmm.grassmann import (
 )
 
 from grassmann_oracles import (
+    GeodesicNotUnique,
     TangentVector,
     exp_map,
     geodesic,
