@@ -276,6 +276,10 @@ def cmd_audit(cfg: dict, out_dir: Path) -> int:
     summary: dict = {}
     for seed in cfg["seeds"]:
         block, init, _ = _build(cfg["kind"], cfg["problem"], seed, cfg["step_scale"])
+        # Read-only, as the run's iterates are, so the problem may keep its
+        # work at this anchor across the audits (see BlockProblem).
+        init[0].basis.setflags(write=False)
+        init[1].setflags(write=False)
         try:
             _, report = run_block_mm(block, *init, SolverConfig(seed=seed, **cfg["solver"]))
         except MonotonicityViolation:

@@ -22,17 +22,17 @@ u = a (*) x once; the cost, the active sign and the active-sign residual
 follow from u, and the two block gradients and the two Lipschitz bounds are
 filled in on first use. The transforms are kept per signal: the residual's
 serves both gradients, an anchor whose G or x is, by identity, the previous
-anchor's takes that signal's transform from it, and the active kernel's
-transform is G's, negated for the negative sign. At and above _FFT_MIN_N the
-Lipschitz bounds read the stored real FFTs of G and x. The results equal, bit
-for bit, the same quantities computed from scratch. Contexts are kept for the
-two most recently used anchors whose arrays are read-only, matched by
-identity, so an anchor that follows an extrapolation the engine rejected
-still shares its signals with the iterate it continues from: the engine marks
-its iterates read-only, and an anchor with a writable array is recomputed on
-every call, so mutating it in place cannot leave a stale value. The callables
-trust their arguments, which the engine has checked (see the check policy in
-grassmm.engine).
+anchor's takes that signal's transform from it, and the code gradient reads
+G's transform, its sign flipped for the negative sign. At and above
+_FFT_MIN_N the Lipschitz bounds read the stored real FFTs of G and x. The
+results equal, bit for bit, the same quantities computed from scratch.
+Contexts are kept for the two most recently used anchors whose arrays are
+read-only, matched by identity, so an anchor that follows an extrapolation
+the engine rejected still shares its signals with the iterate it continues
+from: the engine marks its iterates read-only, and an anchor with a writable
+array is recomputed on every call, so mutating it in place cannot leave a
+stale value. The callables trust their arguments, which the engine has
+checked (see the check policy in grassmm.engine).
 
 The batch cost, BlockProblem.costs, takes K kernels with one code or one
 kernel with K codes, builds no context and leaves the kept ones alone. It
@@ -51,8 +51,9 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .engine import _COST_BATCH_BYTES, BlockProblem, SurrogateOracle, _check_count
+from .engine import _COST_BATCH_BYTES, BlockProblem, SurrogateOracle
 from .grassmann import GrassmannPoint, _trusted
+from .linalg import _check_count
 
 _KERNEL_NORM_TOL = 1e-10  # absolute: a unit kernel has no scale; stricter than the Gram check
 
@@ -81,15 +82,13 @@ def _as_signal(v, name: str) -> np.ndarray:
 class _Signal:
     """A signal v and its transform t, computed on first use and then kept:
     the circulant v[_conv_index(N)] below _FFT_MIN_N samples, rfft(v) at and
-    above. A given t must be the transform of v bit for bit; the negated
-    transform of a signal is that of its negation. Its Lipschitz bound is
-    kept the same way."""
+    above. Its Lipschitz bound is kept the same way."""
 
     __slots__ = ("v", "_t", "_lip")
 
-    def __init__(self, v: np.ndarray, t: Optional[np.ndarray] = None):
+    def __init__(self, v: np.ndarray):
         self.v = v
-        self._t = t
+        self._t = None
         self._lip = None
 
     @property
@@ -312,7 +311,9 @@ def generate_instance(
     first `kernel_support` samples, plus white noise. Deterministic per seed;
     the draw order is code mask, code amplitudes, kernel, noise. Raises
     ValueError naming noise_sigma when it is negative or not finite, or when
-    the noise is so large that y or y @ y overflows."""
+    the noise is so large that y or y @ y overflows. The seed and the counts
+    follow the integer rule of _check_count."""
+    _check_count("seed", seed, 0)
     _check_count("n", n, 2)
     if not 0.0 < sparsity < 1.0:
         raise ValueError(f"sparsity must lie strictly between 0 and 1, got {sparsity}")
@@ -430,14 +431,6 @@ class _Anchor:
         self.kernel = self.ws_a.basis[:, 0]
 
     @cached_property
-    def kernel_signal(self) -> _Signal:
-        """The active kernel as a signal: the signal of G, or for the negative
-        sign its negation, whose transform is the negated transform of G."""
-        if self.ws_a is self.g:
-            return self.g_signal
-        return _Signal(self.kernel, -self.g_signal.t)
-
-    @cached_property
     def grad_a(self) -> np.ndarray:
         """Gradient of ||y - a (*) x||^2 in the active kernel representative."""
         grad = -2.0 * _correlate(self.x_signal, self.resid)
@@ -446,8 +439,10 @@ class _Anchor:
 
     @cached_property
     def grad_x(self) -> np.ndarray:
-        """Gradient of ||y - a (*) x||^2 in x for the active kernel representative."""
-        grad = -2.0 * _correlate(self.kernel_signal, self.resid)
+        """Gradient of ||y - a (*) x||^2 in x for the active kernel representative.
+        The correlation is odd in the kernel bit for bit, so the negative sign
+        flips the factor -2 and reads G's own transform."""
+        grad = (-2.0 if self.ws_a is self.g else 2.0) * _correlate(self.g_signal, self.resid)
         grad.setflags(write=False)
         return grad
 

@@ -37,9 +37,13 @@ and SurrogateOracle.evaluate_many fields take the whole array, and a problem
 without them is called once per sample instead, with a trusted
 GrassmannPoint view of each member. Both built-in problems give costs, so
 for them the probe makes one cost call, at the iterate, and one costs call
-per slice. run_block_mm leaves the end-of-run probe to the first read of
-ConvergenceReport.stationarity_score, so a caller that never reads it, as
-grassmm audit, does not pay for it.
+per slice. The stacks of majorization candidates and derivative-match
+samples are read-only, and each is queried twice, for the cost and for the
+surrogate; a problem may answer the second query from its first, matched by
+identity (see BlockProblem). Subspace-mean, whose surrogates are the cost,
+does, so each of those samples is evaluated once. run_block_mm leaves the
+end-of-run probe to the first read of ConvergenceReport.stationarity_score,
+so a caller that never reads it, as grassmm audit, does not pay for it.
 
 Check policy. An anchor given to run_block_mm, stationarity_check or an audit
 is checked once against the problem's dims: a GrassmannPoint of Gr(n, d) and
@@ -75,7 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,7 +96,7 @@ from .grassmann import (
     canonical_distance,
     random_point,
 )
-from .linalg import as_matrix, random_orthonormal, thin_svd
+from .linalg import _check_count, as_matrix, random_orthonormal, thin_svd
 
 GRASSMANN_BLOCK = "grassmann"
 CONVEX_BLOCK = "convex"
@@ -133,9 +137,12 @@ _ZERO_GRAD_FALLBACK_FD = 1e-6  # step for the finite-difference gradient fallbac
 # 256 KiB were no faster than 32 KiB, and 256 KiB added 1.5 to 2 MB to the
 # peak RSS of grassmm run at N=1024.
 _CHUNK_BYTES = 1 << 15
-# Largest temporary a built-in batch cost builds at once: subspace-mean's
-# K x N x M residuals, deconv's K N x N circulants. 256 KiB slices made the
-# audits above about 30% slower and added 0.7 MB to their peak RSS.
+# Largest temporary a built-in batch cost builds at once: deconv's K N x N
+# circulants, and subspace-mean's one K x N x M array, the projection X X^T B,
+# which its residual and then the residual's square overwrite in place (a
+# batch of K values of c first builds the K centred copies of A as well).
+# 256 KiB slices made the audits above about 30% slower and added 0.7 MB to
+# their peak RSS.
 _COST_BATCH_BYTES = 1 << 16
 
 
@@ -201,6 +208,13 @@ class BlockProblem:
     dataclasses.replace that changes cost must also replace or clear (set to
     None) costs.
 
+    The sample stacks the majorization and derivative-match audits pass to
+    costs and evaluate_many are read-only, and each is passed twice, once
+    for the cost and once for the surrogate. So a repeated query whose
+    arguments are both read-only may be answered from the last batch,
+    matched by identity; the cache must hold its arguments, so their ids
+    cannot be reused while it is kept. builtin_subspace_plus_mean does this.
+
     Check policy (see the module docstring): the engine checks each anchor it
     is given against dims, and each output of these callables once, where it
     first consumes it. The callables may trust their arguments: a checked
@@ -215,15 +229,6 @@ class BlockProblem:
     grassmann_grad: Optional[Callable] = None
     convex_grad: Optional[Callable] = None
     costs: Optional[Callable] = None
-
-
-def _check_count(name: str, count, low: int = 1) -> None:
-    """Raise a ValueError naming a count that is not an integer >= low: a bool
-    or a non-integer such as 2.5, or an integer below low."""
-    if isinstance(count, bool) or not isinstance(count, Integral):
-        raise ValueError(f"{name} must be an integer >= {low}, got {count!r}")
-    if count < low:
-        raise ValueError(f"{name} must be at least {low}, got {count}")
 
 
 @dataclass(frozen=True)
@@ -763,10 +768,10 @@ def audit_majorization(
             if block == GRASSMANN_BLOCK:
                 candidates = random_orthonormal(rng, n, d, count=size)
                 _check_bases(candidates)
-                values = _costs(problem, candidates, c)
             else:
                 candidates = _constrained_rows(problem, c + scale * rng.standard_normal((size, c_len)))
-                values = _costs(problem, g, candidates)
+            candidates.setflags(write=False)
+            values = _costs(problem, candidates, c) if block == GRASSMANN_BLOCK else _costs(problem, g, candidates)
             margins += [e - f for e, f in zip(_evaluations(oracle, candidates, g, c), values)]
     return _verdict("majorization", block, margins, len(margins))
 
@@ -807,11 +812,11 @@ def audit_derivative_match(
         kept = drawn[[guard is None or bool(guard(g, c, m, h_guard)) for m in drawn]]
         if block == GRASSMANN_BLOCK:
             samples = _geodesics(g.basis, kept)(fd_ts).reshape(-1, *g.basis.shape)
-            values = _costs(problem, samples, c)
         else:
             # c + (-h) * direction is c - h * direction, bit for bit.
             samples = (c + fd_ts[:, None] * kept[:, None]).reshape(-1, c.size)
-            values = _costs(problem, g, samples)
+        samples.setflags(write=False)
+        values = _costs(problem, samples, c) if block == GRASSMANN_BLOCK else _costs(problem, g, samples)
         skipped += size - len(kept)
         surrogate = _evaluations(oracle, samples, g, c)
         for i in range(0, len(values), 2):
@@ -893,7 +898,9 @@ def audit_homogeneity(
 def audit_assumptions(problem: BlockProblem, anchors: list, samples: int, seed: int) -> dict[str, AuditResult]:
     """The audit suite of grassmm audit (see the audit policy) over a run's
     anchors, the last its final iterate: one merged AuditResult per audit,
-    each drawing `samples` samples per anchor and block from `seed`."""
+    each drawing `samples` samples per anchor and block from `seed`. Anchors
+    whose arrays are read-only, as grassmm audit passes them, let the problem
+    keep its work at each anchor (see BlockProblem)."""
     if not anchors:
         raise ValueError("anchors must hold at least one (g, c) pair")
     g, c = anchors[-1]
@@ -923,6 +930,7 @@ def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:
     """
     a = as_matrix(a)
     n, m = a.shape
+    _check_count("d", d)
     if not 1 <= d < min(n, m):
         raise ValueError(f"need 1 <= D < min(N, M), got D={d} for a {n}x{m} matrix")
     newest: list = []  # [c, A - c 1^T] for the newest read-only c
@@ -939,10 +947,14 @@ def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:
             newest[:] = [c, b]
         return b
 
-    def costs(g, c) -> list[float]:
+    last: list = []  # [g, c, values] of the newest batch whose arguments are both read-only
+
+    def batch(g, c) -> list[float]:
         # The cost on a stack: K bases with one c, or one point with K rows
         # of c. Each member takes the same matmuls and the same pairwise sum
-        # over its N x M residual, so a member does not depend on K.
+        # over its N x M residual, so a member does not depend on K. The
+        # residual b - X X^T b and its square are taken in place, in the one
+        # K x N x M array the projection builds.
         one_g = isinstance(g, GrassmannPoint)
         step = max(1, _COST_BATCH_BYTES // a.nbytes)
         out: list[float] = []
@@ -951,12 +963,30 @@ def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:
                 x, b = np.ascontiguousarray(g.basis), a - c[lo : lo + step, :, None]
             else:
                 x, b = np.ascontiguousarray(g[lo : lo + step]), centred(c)
-            r = b - x @ (np.swapaxes(x, -1, -2) @ b)
-            out += (r * r).sum(axis=(-2, -1)).tolist()
+            r = x @ (np.swapaxes(x, -1, -2) @ b)
+            np.subtract(b, r, out=r)
+            np.multiply(r, r, out=r)
+            out += r.sum(axis=(-2, -1)).tolist()
         return out
 
+    def costs(g, c) -> list[float]:
+        # The audits ask for the cost and then for the surrogate, which is the
+        # cost, at one read-only stack (see the BlockProblem contract), so a
+        # repeated query is answered from the last batch, matched by identity.
+        # The entry holds g and c, so their ids are not reused while it is kept.
+        stack = g.basis if isinstance(g, GrassmannPoint) else g
+        read_only = not (stack.flags.writeable or c.flags.writeable)
+        if read_only and last and last[0] is g and last[1] is c:
+            return list(last[2])
+        values = batch(g, c)
+        if read_only:
+            last[:] = [g, c, tuple(values)]
+        return values
+
     def cost(g: GrassmannPoint, c: np.ndarray) -> float:
-        return costs(g.basis[None], c)[0]
+        # Past the cache: a stack of one is a new view on every call, which
+        # could never match and would evict the batch the audits reuse.
+        return batch(g.basis[None], c)[0]
 
     def minimize_g(g: GrassmannPoint, c: np.ndarray) -> GrassmannPoint:
         return GrassmannPoint(thin_svd(centred(c)).u[:, :d])

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import ThinSVD, random_orthonormal, thin_svd
+from .linalg import ThinSVD, _check_count, random_orthonormal, thin_svd
 
 POINT_ORTHONORMALITY_TOL = 1e-9  # absolute: the Gram matrix of an orthonormal basis has no scale
 TANGENCY_TOL = 1e-9  # absolute: the engine's tangents are unit directions and log maps (angles)
@@ -127,8 +127,13 @@ class GrassmannPoint:
 def random_point(seed, n: int, d: int) -> GrassmannPoint:
     """Draw from the rotation-invariant distribution on Gr(n, d).
 
-    seed is an int or a caller-owned np.random.Generator, which the draw advances.
+    seed is an int >= 0 or a caller-owned np.random.Generator, which the draw
+    advances. n, d and an int seed follow the integer rule of _check_count.
     """
+    _check_count("n", n)
+    _check_count("d", d)
+    if not isinstance(seed, np.random.Generator):
+        _check_count("seed", seed, 0)
     if d >= n:
         raise ValueError(f"Gr(N, D) requires D < N, got N={n}, D={d}")
     return GrassmannPoint(random_orthonormal(seed, n, d))

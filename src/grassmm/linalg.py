@@ -10,6 +10,7 @@ bit-identical to one-at-a-time calls; a single matrix is the stack of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -19,6 +20,15 @@ RANK_CUTOFF = 1e-12  # relative singular value at or below which a column counts
 
 class NumericError(RuntimeError):
     """A dense factorization failed to converge."""
+
+
+def _check_count(name: str, count, low: int = 1) -> None:
+    """Raise a ValueError naming a count that is not an integer >= low: a bool
+    or a non-integer such as 2.5, or an integer below low."""
+    if isinstance(count, bool) or not isinstance(count, Integral):
+        raise ValueError(f"{name} must be an integer >= {low}, got {count!r}")
+    if count < low:
+        raise ValueError(f"{name} must be at least {low}, got {count}")
 
 
 def as_matrix(a) -> np.ndarray:

@@ -401,7 +401,12 @@ def test_generate_instance_parameter_errors():
         generate_instance(0, 1, 0.2, 1)
     with pytest.raises(ValueError):
         generate_instance(0, 16, 0.2, 0)
-    planted = generate_instance(0, np.int64(16), 0.2, np.int32(3))
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got"):
+            generate_instance(bad, 16, 0.2, 3)
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1"):
+        generate_instance(-1, 16, 0.2, 3)
+    planted = generate_instance(np.int64(0), np.int64(16), 0.2, np.int32(3))
     assert_array_equal(planted.y, generate_instance(0, 16, 0.2, 3).y)
 
 

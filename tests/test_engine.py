@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -84,6 +85,20 @@ def test_subspace_plus_mean_matches_svd_oracle():
         _, _, best = subspace_optimum(a, 2)
         assert report.converged
         assert abs(report.final_cost - best) <= 1e-8
+
+
+def test_subspace_plus_mean_counts_follow_the_integer_rule():
+    a = np.random.default_rng(1).standard_normal((4, 9))
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got"):
+            builtin_subspace_plus_mean(a, bad)
+        with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got"):
+            subspace_plus_mean_init(a, bad, 0)
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got"):
+            subspace_plus_mean_init(a, 2, bad)
+    assert builtin_subspace_plus_mean(a, np.int64(2)).dims == (4, 2, 4)
+    g, c = subspace_plus_mean_init(a, np.int32(2), np.int64(5))
+    assert_array_equal(g.basis, subspace_plus_mean_init(a, 2, 5)[0].basis)
 
 
 def test_subspace_plus_mean_exact_rank():
@@ -885,6 +900,184 @@ def test_subspace_batches_equal_single_calls(data, n, seed, read_only):
     assert _bits(problem.costs(g, cs)) == _bits([problem.cost(g, ck) for ck in cs])
     assert _bits(g_oracle.evaluate_many(stack, g, c)) == _bits([g_oracle.evaluate(p, g, c) for p in points])
     assert _bits(c_oracle.evaluate_many(cs, g, c)) == _bits([c_oracle.evaluate(ck, g, c) for ck in cs])
+
+
+# --- the subspace-mean batch cost and its last-batch cache -------------------------
+
+
+def one_expression_costs(a, g, c):
+    """The subspace-mean batch cost with each slice's residual built as one
+    expression, b - X (X^T b), and squared into a new array: the form the
+    in-place batch cost must equal bit for bit."""
+    one_g = isinstance(g, GrassmannPoint)
+    step = max(1, engine._COST_BATCH_BYTES // a.nbytes)
+    out = []
+    for lo in range(0, len(c) if one_g else len(g), step):
+        if one_g:
+            x, b = np.ascontiguousarray(g.basis), a - c[lo : lo + step, :, None]
+        else:
+            x, b = np.ascontiguousarray(g[lo : lo + step]), a - c[:, None]
+        r = b - x @ (np.swapaxes(x, -1, -2) @ b)
+        out += (r * r).sum(axis=(-2, -1)).tolist()
+    return out
+
+
+@pytest.mark.parametrize("shape", ["K points", "K values of c"])
+@pytest.mark.parametrize("k", [1, 19, 20, 21, 650])
+def test_subspace_batch_cost_equals_the_one_expression_form(shape, k):
+    # At N=10, M=40 a slice holds 20 members, so K = 19, 20, 21 end a slice
+    # short of, at and past its budget, and K = 650 takes 33 slices.
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((10, 40))
+    problem = builtin_subspace_plus_mean(a, 2)
+    g, c = subspace_plus_mean_init(a, 2, k)
+    if shape == "K points":
+        args = (random_orthonormal(rng, 10, 2, count=k), c)
+    else:
+        # The solver's own G step returns a column slice of its SVD factor.
+        args = (problem.grassmann_surrogate.minimize(g, c), c + rng.standard_normal((k, 10)))
+    assert _bits(problem.costs(*args)) == _bits(one_expression_costs(a, *args))
+
+
+def read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+def test_subspace_costs_recompute_a_batch_with_a_writable_argument():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((10, 40))
+    problem = builtin_subspace_plus_mean(a, 2)
+    g, c = subspace_plus_mean_init(a, 2, 3)
+    read_only(g.basis)
+    read_only(c)
+
+    def singles(gs, cs):
+        if isinstance(gs, GrassmannPoint):
+            return [problem.cost(gs, ck) for ck in cs]
+        return [problem.cost(GrassmannPoint(b), cs) for b in gs]
+
+    # Writable stacks of both shapes, mutated in place between two queries.
+    points, others = random_orthonormal(rng, 10, 2, count=5), random_orthonormal(rng, 10, 2, count=5)
+    problem.costs(points, c)
+    points[:] = others
+    assert _bits(problem.costs(points, c)) == _bits(singles(points, c))
+    codes = rng.standard_normal((5, 10))
+    problem.costs(g, codes)
+    codes += 1.0
+    assert _bits(problem.costs(g, codes)) == _bits(singles(g, codes))
+    # A read-only stack made writable again, and a read-only stack with a
+    # writable c, mutated in place between two queries.
+    again = read_only(random_orthonormal(rng, 10, 2, count=5))
+    problem.costs(again, c)
+    again.setflags(write=True)
+    again[:] = others[::-1]
+    assert _bits(problem.costs(again, c)) == _bits(singles(again, c))
+    stack, c_writable = read_only(others.copy()), c.copy()
+    problem.costs(stack, c_writable)
+    c_writable += 1.0
+    assert _bits(problem.costs(stack, c_writable)) == _bits(singles(stack, c_writable))
+
+
+def test_subspace_costs_keep_one_read_only_batch():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((10, 40))
+    problem = builtin_subspace_plus_mean(a, 2)
+    c = read_only(a.mean(axis=1))
+    first = read_only(random_orthonormal(rng, 10, 2, count=6))
+    values = problem.costs(first, c)
+    values[0] = -1.0  # the caller's list is its own
+    assert _bits(problem.costs(first, c)) == _bits([problem.cost(GrassmannPoint(b), c) for b in first])
+    kept = weakref.ref(first)
+    del first
+    assert kept() is not None  # the entry holds its stack, so the id cannot be reused
+    problem.costs(read_only(random_orthonormal(rng, 10, 2, count=6)), c)
+    assert kept() is None  # one entry: the next read-only batch replaces it
+    writable = random_orthonormal(rng, 10, 2, count=6)
+    problem.costs(writable, c)
+    seen = weakref.ref(writable)
+    del writable
+    assert seen() is None  # a batch with a writable argument is not kept
+
+
+def test_audits_pass_read_only_sample_stacks(exact_problem, exact_anchors):
+    p = exact_problem
+    writable = []
+
+    def costs(g, c):
+        writable.append((c if isinstance(g, GrassmannPoint) else g).flags.writeable)
+        return p.costs(g, c)
+
+    def recorded(oracle):
+        def evaluate_many(candidates, g, c):
+            writable.append(candidates.flags.writeable)
+            return oracle.evaluate_many(candidates, g, c)
+
+        return replace(oracle, evaluate_many=evaluate_many)
+
+    checked = replace(
+        p, costs=costs, grassmann_surrogate=recorded(p.grassmann_surrogate), convex_surrogate=recorded(p.convex_surrogate)
+    )
+    for block in ("grassmann", "convex"):
+        audit_majorization(checked, block, exact_anchors[:3], 30, seed=1)
+        audit_derivative_match(checked, block, exact_anchors[0], 30, seed=1)
+    # Per block: 3 anchors and 1 anchor, each queried for cost and surrogate.
+    assert writable == [False] * 16
+
+
+class CountingNumpy:
+    """numpy, counting the members of each in-place square np.multiply takes:
+    one per batch-cost member the subspace-mean cost computes."""
+
+    def __init__(self):
+        self.members = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, x, y, out=None):
+        self.members += 0 if out is None else len(out)
+        return np.multiply(x, y, out=out)
+
+
+def writable_copies(problem):
+    """problem with every stack of a batch query copied into a writable array,
+    which the last-batch cache never keeps or serves."""
+    gs, cs = problem.grassmann_surrogate, problem.convex_surrogate
+
+    def costs(g, c):
+        return problem.costs(g, np.array(c)) if isinstance(g, GrassmannPoint) else problem.costs(np.array(g), c)
+
+    return replace(
+        problem,
+        costs=costs,
+        grassmann_surrogate=replace(gs, evaluate_many=lambda x, g, c: gs.evaluate_many(np.array(x), g, c)),
+        convex_surrogate=replace(cs, evaluate_many=lambda x, g, c: cs.evaluate_many(np.array(x), g, c)),
+    )
+
+
+def test_audit_suite_is_unchanged_by_the_last_batch_cache(monkeypatch):
+    counter = CountingNumpy()
+    monkeypatch.setattr(engine, "np", counter)
+    for seed in range(5):
+        a = np.random.default_rng(seed).standard_normal((10, 40))
+        problem = builtin_subspace_plus_mean(a, 2)
+        g0, c0 = subspace_plus_mean_init(a, 2, seed)
+        read_only(g0.basis)
+        read_only(c0)
+        _, report = run_block_mm(problem, g0, c0, SolverConfig(seed=seed))
+        anchors = [(g0, c0), (report.final_g, report.final_c)]
+        runs = []
+        for p in (problem, writable_copies(problem)):
+            counter.members = 0
+            results = audit_assumptions(p, anchors, 50, seed)
+            runs.append(({k: (r.passed, r.worst.hex(), r.checked, r.skipped) for k, r in results.items()}, counter.members))
+        (cached, computed), (fresh, recomputed) = runs
+        assert cached == fresh
+        # The surrogate queries answered from the cache: majorization's (2
+        # anchors x 2 blocks x 50) and derivative match's (2 blocks x 50
+        # directions x 4 steps).
+        assert recomputed - computed == 600
 
 
 # --- per-point references for the batched audits ----------------------------------

@@ -83,6 +83,14 @@ def test_random_point_determinism_and_errors():
     assert_allclose(x1.basis.T @ x1.basis, np.eye(3), atol=1e-10)
     with pytest.raises(ValueError):
         random_point(9, 3, 3)
+    # n, d and an int seed follow the engine's integer rule
+    for name, args in (("n", lambda v: (9, v, 1)), ("d", lambda v: (9, 8, v)), ("seed", lambda v: (v, 8, 3))):
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {0 if name == 'seed' else 1}, got"):
+                random_point(*args(bad))
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1"):
+        random_point(-1, 8, 3)
+    assert_array_equal(random_point(np.int64(9), np.int32(8), np.int64(3)).basis, x1.basis)
     # a caller-owned Generator gives the same draw as its seed, and advances
     for s in (0, 9, 123):
         rng = np.random.default_rng(s)
