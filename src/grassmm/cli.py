@@ -217,16 +217,11 @@ def _build(kind: str, pc: dict, seed: int, step_scale: float = 1.0):
 
 
 def write_trace_csv(path: Path, trace) -> None:
-    def fmt(v: float) -> str:
-        return f"{float(v):.17g}"
-
+    """One header line, then one line per record: the iteration, then each
+    float field as %.17g, which round-trips every double."""
+    row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
     rows = [TRACE_HEADER]
-    for r in trace:
-        rows.append(
-            ",".join(
-                [str(r.iteration), fmt(r.f), fmt(r.f_after_g), fmt(r.dc_step), fmt(r.grad_norm_g), fmt(r.grad_norm_c)]
-            )
-        )
+    rows += [row % (r.iteration, r.f, r.f_after_g, r.dc_step, r.grad_norm_g, r.grad_norm_c) for r in trace]
     path.write_text("\n".join(rows) + "\n")
 
 

@@ -39,13 +39,17 @@ kernel with K codes, builds no context and leaves the kept ones alone. It
 convolves all K pairs in one call (_convolve_rows: stacked circulant products
 below _FFT_MIN_N, in slices of at most _COST_BATCH_BYTES of circulants, and
 row-wise real FFTs at and above it), and shares with the context the one
-cost formula, _fit. Member k equals the cost call at its pair bit for bit.
+cost formula, _fit, which takes the context's one convolution or the batch's
+stack: the context's two squared residual norms are plain dot products, and
+each member of a stack takes the same dot product. Member k equals the cost
+call at its pair bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -143,15 +147,23 @@ def _convolve_rows(kernels: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 def _fit(y: np.ndarray, u: np.ndarray, penalty) -> tuple:
     """The cost min(||y - u||^2, ||y + u||^2) + penalty at a convolution u,
-    with penalty = lambda ||x||_1; u is one convolution or a K x N stack of
-    them, with K penalties or one shared. Also returns the residuals y - u and
-    y + u, stacked on a new first axis, and their squared norms. Each norm is
-    a stacked (1 x N) @ (N x 1) product, the dot product r @ r, so member k
-    does not depend on K."""
-    r = np.empty((2, *u.shape))
-    np.subtract(y, u, out=r[0])
+    with penalty = lambda ||x||_1; u is one convolution, or a K x N stack of
+    them with K penalties or one shared. Also returns the residuals y - u and
+    y + u and their squared norms: a pair of residuals and a pair of floats
+    for one convolution, stacked on a new first axis for a stack. Each norm is
+    the dot product r . r, for a stack a stacked (1 x N) @ (N x 1) product,
+    so member k does not depend on K and equals the cost of its convolution
+    alone."""
     # y + u is y - (-a) (*) x bit for bit: negating a negates every product
     # of the direct sum and every coefficient of the FFT path.
+    if u.ndim == 1:
+        r = (y - u, y + u)
+        d = (float(r[0].dot(r[0])), float(r[1].dot(r[1])))
+        # y is finite, so d[0] is NaN exactly when d[1] is, and min agrees
+        # with np.minimum.
+        return min(d) + penalty, r, d
+    r = np.empty((2, *u.shape))
+    np.subtract(y, u, out=r[0])
     np.add(y, u, out=r[1])
     d = (r[..., None, :] @ r[..., None])[..., 0, 0]
     return np.minimum(d[0], d[1]) + penalty, r, d
@@ -294,7 +306,7 @@ def _geodesic_step(a: GrassmannPoint, egrad: np.ndarray, step: float) -> Grassma
     checks it.
     """
     b = a.basis[:, 0] - step * egrad
-    nrm = float(np.linalg.norm(b))
+    nrm = math.sqrt(float(b.dot(b)))  # np.linalg.norm(b), bit for bit
     if nrm == 0.0:  # a = step g: the model is flat on the sphere, so a is kept
         return a
     return GrassmannPoint((b / nrm)[:, None])
@@ -423,28 +435,30 @@ class _Anchor:
             self.x_signal, self.penalty = _Signal(x), problem.lam * float(np.abs(x).sum())
         y = problem.y
         u = _convolve(self.g_signal, self.x_signal)
-        cost, r, d = _fit(y, u, self.penalty)
-        self.cost = float(cost)
-        sign = 0 if float(y @ u) >= 0.0 else 1
+        self.cost, r, d = _fit(y, u, self.penalty)
+        sign = 0 if float(y.dot(u)) >= 0.0 else 1
         self.ws_a = g if sign == 0 else _trusted(GrassmannPoint, basis=-g.basis)
-        self.resid, self.base = _Signal(r[sign]), float(d[sign])
+        self.resid, self.base = _Signal(r[sign]), d[sign]
         self.kernel = self.ws_a.basis[:, 0]
+        self._grad_a = self._grad_x = None
 
-    @cached_property
+    @property
     def grad_a(self) -> np.ndarray:
         """Gradient of ||y - a (*) x||^2 in the active kernel representative."""
-        grad = -2.0 * _correlate(self.x_signal, self.resid)
-        grad.setflags(write=False)
-        return grad
+        if self._grad_a is None:
+            self._grad_a = -2.0 * _correlate(self.x_signal, self.resid)
+            self._grad_a.setflags(write=False)
+        return self._grad_a
 
-    @cached_property
+    @property
     def grad_x(self) -> np.ndarray:
         """Gradient of ||y - a (*) x||^2 in x for the active kernel representative.
         The correlation is odd in the kernel bit for bit, so the negative sign
         flips the factor -2 and reads G's own transform."""
-        grad = (-2.0 if self.ws_a is self.g else 2.0) * _correlate(self.g_signal, self.resid)
-        grad.setflags(write=False)
-        return grad
+        if self._grad_x is None:
+            self._grad_x = (-2.0 if self.ws_a is self.g else 2.0) * _correlate(self.g_signal, self.resid)
+            self._grad_x.setflags(write=False)
+        return self._grad_x
 
     @property
     def lip_a(self) -> float:

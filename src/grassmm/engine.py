@@ -498,11 +498,14 @@ def _fd_grad_norm_convex(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray
 
 
 def _norm(x: np.ndarray) -> float:
-    """The 2-norm of x, sqrt(x . x) where that is finite. A gradient scales as
-    the square of the data, so x . x can overflow though every entry is
-    finite; then the norm is taken as max|x| * |x / max|x||."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
+    """The 2-norm of x, sqrt(x . x) where that is finite. The dot product is
+    np.linalg.norm's, over x raveled in memory order, so the two agree bit for
+    bit; np.vdot takes it without an overflow warning, so no np.errstate is
+    entered. A gradient scales as the square of the data, so x . x can
+    overflow though every entry is finite; then the norm is taken as
+    max|x| * |x / max|x||."""
+    v = x.ravel(order="K")
+    norm = math.sqrt(float(np.vdot(v, v)))
     if math.isinf(norm) and np.isfinite(x).all():
         big = float(np.max(np.abs(x)))
         norm = big * float(np.linalg.norm(x / big))
@@ -512,7 +515,13 @@ def _norm(x: np.ndarray) -> float:
 def _gradient_norms(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray) -> tuple[float, float]:
     if problem.grassmann_grad is not None:
         grad = _checked(problem.grassmann_grad(g, c), g.basis.shape, "grassmann_grad result")
-        gn_g = _norm(_project(g.basis, grad))
+        basis = g.basis
+        if basis.shape[1] == 1:
+            # _project on one column: x @ (x^T @ grad) holds the products
+            # x_i w of the one dot product w = x . grad.
+            gn_g = _norm(grad - basis * float(basis[:, 0].dot(grad[:, 0])))
+        else:
+            gn_g = _norm(_project(basis, grad))
     else:
         gn_g = _fd_grad_norm_grassmann(problem, g, c)
     if problem.convex_grad is not None:
@@ -907,6 +916,7 @@ def audit_assumptions(problem: BlockProblem, anchors: list, samples: int, seed: 
     c = _check_anchor(problem, g, c)
     scale = 0.1 * (1.0 + np.linalg.norm(c) / np.sqrt(c.size))
     shifted = c + scale * np.random.default_rng(seed).standard_normal(c.size)
+    shifted.setflags(write=False)  # read-only, like the anchors: see BlockProblem
     results = []
     for block, anchor in ((GRASSMANN_BLOCK, (g, c)), (CONVEX_BLOCK, (g, shifted))):
         results += [

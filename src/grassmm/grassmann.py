@@ -211,8 +211,10 @@ def principal_angles(x: GrassmannPoint, y: GrassmannPoint) -> np.ndarray:
 
 
 def canonical_distance(x: GrassmannPoint, y: GrassmannPoint) -> float:
-    """Geodesic (arc-length) distance: the 2-norm of the principal angles."""
-    return float(np.linalg.norm(principal_angles(x, y)))
+    """Geodesic (arc-length) distance: the 2-norm of the principal angles,
+    the square root of the one dot product np.linalg.norm takes."""
+    theta = principal_angles(x, y)
+    return math.sqrt(float(theta.dot(theta)))
 
 
 def _log_factors(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ThinSVD]:
@@ -302,7 +304,7 @@ def _secant_point(x: np.ndarray, y: np.ndarray, beta: float) -> Optional[np.ndar
     r = math.copysign(1.0, w) * x - abs(w) * y
     # Project r off y once more, as _pair_geodesics does for rounded iterates.
     r -= y * (y[:, 0] @ r[:, 0])
-    r_norm = float(np.linalg.norm(r))
+    r_norm = math.sqrt(float(r[:, 0].dot(r[:, 0])))  # np.linalg.norm(r), bit for bit
     if r_norm == 0.0:
         return y.copy()
     theta = math.atan2(r_norm, abs(w))

@@ -130,8 +130,15 @@ def random_orthonormal(seed, n: int, d: int, count: Optional[int] = None) -> np.
     seed is an int or a caller-owned np.random.Generator, which the draw advances.
     With `count`, a count x n x d stack drawn and factored at once; it equals,
     bit for bit, `count` single draws from the same generator, and a single
-    draw is the stack of one.
+    draw is the stack of one. n and d (at least 1), count and an int seed
+    (at least 0) follow the integer rule of _check_count.
     """
+    _check_count("n", n)
+    _check_count("d", d)
+    if count is not None:
+        _check_count("count", count, 0)
+    if not isinstance(seed, np.random.Generator):
+        _check_count("seed", seed, 0)
     if d > n:
         raise ValueError(f"cannot draw {d} orthonormal columns in dimension {n}")
     k = 1 if count is None else count

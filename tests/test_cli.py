@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from grassmm import (
     AuditResult,
+    IterationRecord,
     SolverConfig,
     audit_assumptions,
     audit_derivative_match,
@@ -621,6 +622,32 @@ def test_audit_flags_broken_curvature(tmp_path):
 
 
 # --- demo command ---------------------------------------------------------------
+
+
+def per_field_trace_csv(trace):
+    """write_trace_csv's text with each field formatted on its own."""
+
+    def fmt(v):
+        return f"{float(v):.17g}"
+
+    rows = [cli.TRACE_HEADER]
+    for r in trace:
+        fields = [str(r.iteration), fmt(r.f), fmt(r.f_after_g), fmt(r.dc_step), fmt(r.grad_norm_g), fmt(r.grad_norm_c)]
+        rows.append(",".join(fields))
+    return "\n".join(rows) + "\n"
+
+
+def test_trace_csv_bytes_equal_per_field_formatting(tmp_path):
+    values = [NAN, INF, -INF, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 2.0**-1022, 123456789.0, 1e16]
+    n = len(values)
+    trace = [
+        IterationRecord(i, *(values[(i + k) % n] for k in (0, 1, 2, 5)), np.float64(values[(i + 7) % n]))
+        for i in range(2 * n)
+    ]
+    for records in (trace, trace[:1], []):
+        path = tmp_path / "trace.csv"
+        cli.write_trace_csv(path, records)
+        assert path.read_bytes() == per_field_trace_csv(records).encode()
 
 
 def test_demo_subspace_mean(capsys):

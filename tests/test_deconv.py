@@ -326,6 +326,45 @@ def test_riemannian_step_zero_gradient_keeps_kernel():
     assert_array_equal(_geodesic_step(s.a, s.kernel / 0.5, 0.5).basis, s.a.basis)
 
 
+def test_geodesic_step_normalizes_by_the_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for n in (2, 27, 64, 128, 1024):
+        for scale in (1e-3, 1.0, 1e3):
+            a = random_point(rng, n, 1)
+            egrad = scale * rng.standard_normal(n)
+            b = a.basis[:, 0] - 0.5 * egrad
+            assert_array_equal(_geodesic_step(a, egrad, 0.5).basis, (b / np.linalg.norm(b))[:, None])
+
+
+def stacked_fit(y, u, penalty):
+    """deconv._fit by its stacked form for any u: the residuals stacked on a
+    new first axis and each squared norm a stacked (1 x N) @ (N x 1) product."""
+    r = np.empty((2, *u.shape))
+    np.subtract(y, u, out=r[0])
+    np.add(y, u, out=r[1])
+    d = (r[..., None, :] @ r[..., None])[..., 0, 0]
+    return np.minimum(d[0], d[1]) + penalty, r, d
+
+
+def test_fit_on_one_convolution_equals_its_member_of_a_stack_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n in (2, 5, 64, 127, 128, 1024, 4096):
+        for scale in (1e-150, 1.0, 1e150):
+            y = scale * rng.standard_normal(n)
+            us = scale * rng.standard_normal((3, n))
+            us[2] = y  # an exact fit on the + branch
+            penalties = rng.random(3)
+            cost, r, d = deconv._fit(y, us, penalties)
+            for k in range(3):
+                one = deconv._fit(y, us[k], float(penalties[k]))
+                reference = stacked_fit(y, us[k], float(penalties[k]))
+                assert one[0] == cost[k] == reference[0]
+                for branch in (0, 1):
+                    assert_array_equal(one[1][branch], r[branch, k])
+                    assert_array_equal(one[1][branch], reference[1][branch])
+                    assert one[2][branch] == d[branch, k] == reference[2][branch]
+
+
 def test_lipschitz_bound_examples():
     delta0 = np.zeros(4)
     delta0[0] = 1.0

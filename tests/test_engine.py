@@ -1,3 +1,5 @@
+import math
+import warnings
 import weakref
 from dataclasses import replace
 from unittest import mock
@@ -37,7 +39,7 @@ from grassmm import (
 )
 from grassmm import engine
 from grassmm.deconv import build_block_problem
-from grassmm.grassmann import _pair_geodesics, _secant_point
+from grassmm.grassmann import _pair_geodesics, _project, _secant_point
 
 from grassmann_oracles import exp_map, make_point, random_unit_tangent, riemannian_gradient
 
@@ -1080,6 +1082,23 @@ def test_audit_suite_is_unchanged_by_the_last_batch_cache(monkeypatch):
         assert recomputed - computed == 600
 
 
+def test_audit_suite_queries_the_convex_surrogate_at_read_only_anchors():
+    # The convex derivative match is taken at a shifted code; it is read-only,
+    # like the anchors, so deconv keeps its context there (see BlockProblem).
+    problem, anchors = deconv_problem_and_anchors()
+    anchors = [(GrassmannPoint(read_only(g.basis.copy())), read_only(c.copy())) for g, c in anchors]
+    seen = []
+    evaluate = problem.convex_surrogate.evaluate
+
+    def recording(candidate, g, c):
+        seen.append(g.basis.flags.writeable or c.flags.writeable)
+        return evaluate(candidate, g, c)
+
+    recorded = replace(problem, convex_surrogate=replace(problem.convex_surrogate, evaluate=recording))
+    assert audit_assumptions(recorded, anchors, 10, 0) == audit_assumptions(problem, anchors, 10, 0)
+    assert seen and not any(seen)
+
+
 # --- per-point references for the batched audits ----------------------------------
 #
 # The audits build their sampled points in batches. These references build
@@ -1280,6 +1299,64 @@ def test_fd_gradient_norm_matches_analytic():
         expected = riemannian_gradient(g, analytic.grassmann_grad(g, c)).norm()
         fd, _ = engine._gradient_norms(fd_only, g, c)
         assert fd == pytest.approx(expected, rel=1e-8)
+
+
+def reference_norm(x):
+    """engine._norm with np.linalg.norm under np.errstate, and the same
+    max|x| rescale where x . x overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if math.isinf(norm) and np.isfinite(x).all():
+        big = float(np.max(np.abs(x)))
+        norm = big * float(np.linalg.norm(x / big))
+    return norm
+
+
+def quiet_norm(x):
+    """engine._norm(x), failing on any warning it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return engine._norm(x)
+
+
+def test_gradient_norm_equals_the_numpy_norm_bit_for_bit_without_warnings():
+    rng = np.random.default_rng(0)
+    sizes = [*range(1, 70), 127, 128, 129, 255, 256, 1000, 1023, 1024, 2048, 4095, 4096]
+    for n in sizes:
+        for scale in (1e-150, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e150):
+            for shape in ((n,), (n, 1)):
+                x = scale * rng.standard_normal(shape)
+                assert_array_equal(quiet_norm(x), reference_norm(x))
+    # Non-contiguous layouts are raveled in memory order, as np.linalg.norm does.
+    m = rng.standard_normal((64, 3))
+    for x in (np.asfortranarray(m), m.T, m[::2], m[:, 1]):
+        assert_array_equal(quiet_norm(x), reference_norm(x))
+    # Finite entries whose sum of squares overflows take the rescale; non-finite ones do not.
+    for x in (
+        np.full(64, 1e200),
+        np.array([1e308, -1e308, 3.0]),
+        1.5e154 * rng.standard_normal((64, 1)),
+        np.array([np.inf, 1.0]),
+        np.array([np.nan, 1e200]),
+    ):
+        assert_array_equal(quiet_norm(x), reference_norm(x))
+    assert quiet_norm(np.full(64, 1e200)) == 8e200
+
+
+def test_grassmann_gradient_norm_on_one_column_is_the_projected_norm_bit_for_bit():
+    # On Gr(N, 1) the gradient is projected as grad - x (x . grad); the
+    # reference is _project, which the D >= 2 case keeps.
+    rng = np.random.default_rng(1)
+    for n, d in ((2, 1), (3, 1), (64, 1), (127, 1), (128, 1), (1024, 1), (10, 2)):
+        base = builtin_subspace_plus_mean(rng.standard_normal((n, 5)), d)
+        for scale in (1e-150, 1.0, 1e150):
+            g = random_point(rng, n, d)
+            grad = scale * rng.standard_normal((n, d))
+            c_grad = scale * rng.standard_normal(n)
+            problem = replace(base, grassmann_grad=lambda g, c: grad, convex_grad=lambda g, c: c_grad)
+            gn_g, gn_c = engine._gradient_norms(problem, g, np.zeros(n))
+            assert gn_g == reference_norm(_project(g.basis, grad))
+            assert gn_c == reference_norm(c_grad)
 
 
 # --- stationarity ----------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,24 @@ def test_canonical_distance_examples():
     y4 = make_point(np.array([[c1, 0.0], [s1, 0.0], [0.0, c2], [0.0, s2]]))
     assert_allclose(canonical_distance(x4, y4), np.hypot(0.2, 0.5), atol=1e-9)
     assert_allclose(principal_angles(x4, y4), [0.2, 0.5], atol=1e-9)
+
+
+def test_canonical_distance_is_the_numpy_norm_of_the_angles_bit_for_bit():
+    # canonical_distance takes the one dot product np.linalg.norm takes; the
+    # reference is np.linalg.norm itself.
+    rng = np.random.default_rng(5)
+    for n, d in ((2, 1), (3, 1), (64, 1), (1024, 1), (4, 2), (10, 2), (64, 2)):
+        for _ in range(10):
+            x = random_point(rng, n, d)
+            q = random_orthonormal(rng, n, 2 * d)
+            pairs = (
+                (x, x),
+                (x, GrassmannPoint(-x.basis)),
+                (GrassmannPoint(q[:, :d]), GrassmannPoint(q[:, d:])),
+                (x, random_point(rng, n, d)),
+            )
+            for a, b in pairs:
+                assert canonical_distance(a, b) == float(np.linalg.norm(principal_angles(a, b)))
 
 
 def two_svd_distance(x, y):
@@ -719,6 +739,31 @@ def line_at(y, cos_angle, seed):
     rng = np.random.default_rng(seed)
     d = _unit_tangents(rng, y, 1)[0]
     return cos_angle * y + np.sqrt(1.0 - cos_angle**2) * d
+
+
+def closed_form_secant(x, y, beta):
+    """The one-column _secant_point with its norm taken by np.linalg.norm."""
+    w = float(y[:, 0] @ x[:, 0])
+    if not abs(w) > 1e-8:
+        return None
+    r = math.copysign(1.0, w) * x - abs(w) * y
+    r -= y * (y[:, 0] @ r[:, 0])
+    r_norm = float(np.linalg.norm(r))
+    if r_norm == 0.0:
+        return y.copy()
+    theta = math.atan2(r_norm, abs(w))
+    return math.cos(beta * theta) * y - (math.sin(beta * theta) / r_norm) * r
+
+
+@pytest.mark.parametrize("n", [2, 9, 64, 1024])
+def test_secant_point_on_lines_takes_the_numpy_norm_bit_for_bit(n):
+    for seed in range(5):
+        y = random_point(seed, n, 1).basis
+        for k, angle in enumerate((1e-7, 1e-4, 0.1, 0.7, 1.5)):
+            x = line_at(y, np.cos(angle), 100 * seed + k)
+            for start in (x, -x):
+                for beta in (1.0, 2.0, 64.0):
+                    assert_array_equal(_secant_point(start, y, beta), closed_form_secant(start, y, beta))
 
 
 @pytest.mark.parametrize("n", [2, 9, 64, 1024])

@@ -166,6 +166,25 @@ def test_random_orthonormal_gram_and_determinism():
 def test_random_orthonormal_dimension_error():
     with pytest.raises(ValueError, match="orthonormal columns"):
         random_orthonormal(7, 3, 5)
+    # n, d, count and an int seed follow the integer rule of random_point
+    cases = (
+        ("n", lambda v: ((0, v, 1), {})),
+        ("d", lambda v: ((0, 4, v), {})),
+        ("count", lambda v: ((0, 4, 2), {"count": v})),
+        ("seed", lambda v: ((v, 4, 2), {})),
+    )
+    for name, call in cases:
+        for bad in (2.5, 2.0, True):
+            args, kwargs = call(bad)
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {int(name in ('n', 'd'))}, got"):
+                random_orthonormal(*args, **kwargs)
+    with pytest.raises(ValueError, match=r"^count must be at least 0, got -1"):
+        random_orthonormal(0, 4, 2, count=-1)
+    assert random_orthonormal(0, 4, 2, count=0).shape == (0, 4, 2)
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1"):
+        random_orthonormal(-1, 4, 2)
+    numpy_ints = random_orthonormal(np.int64(3), np.int32(4), np.int64(2), count=np.int64(2))
+    assert_array_equal(numpy_ints, random_orthonormal(3, 4, 2, count=2))
 
 
 def test_random_orthonormal_consumes_generator():
