@@ -13,19 +13,31 @@ above it, where the FFT is faster. Both work on a per-signal transform (see
 _Signal): the circulant of a signal on the direct path, its real FFT on the
 FFT path. Every caller (instance generator, public functions, per-anchor
 context) shares the one routine, so at any length a planted instance has
-exactly zero residual at the truth. Both routines are odd in their first
-argument bit for bit, and so is the transform.
+exactly zero time-domain residual at the truth. Both routines are odd in
+their first argument bit for bit, and so is the transform.
+
+The cost has one formula per path, _fit. Below _FFT_MIN_N the residuals
+y -/+ u of a convolution u are signals and their squared norms dot products.
+At and above it, they are kept only as spectra, rfft(y) -/+ a^ x^ with a^
+and x^ the real FFTs of kernel and code, and their squared norms are
+Parseval sums (_sq_norms): no residual goes back to the time domain and
+none is transformed. There, the cost at a planted truth is zero only up to
+the rounding of rfft(irfft(.)).
 
 The BlockProblem built by build_block_problem reads everything at an anchor
 (G, x) from one per-anchor context. The context computes the convolution
-u = a (*) x once; the cost, the active sign and the active-sign residual
-follow from u, and the two block gradients and the two Lipschitz bounds are
-filled in on first use. The transforms are kept per signal: the residual's
-serves both gradients, an anchor whose G or x is, by identity, the previous
-anchor's takes that signal's transform from it, and the code gradient reads
-G's transform, its sign flipped for the negative sign. At and above
-_FFT_MIN_N the Lipschitz bounds read the stored real FFTs of G and x. The
-results equal, bit for bit, the same quantities computed from scratch.
+u = a (*) x once, below _FFT_MIN_N, or its spectrum a^ x^ at and above; the
+cost, the active sign and the active-sign residual follow from it, and the
+two block gradients and the two Lipschitz bounds are filled in on first use.
+The active sign is y . u >= 0 below _FFT_MIN_N; at and above it, it is the
+branch of the smaller squared norm, the same test up to rounding, since the
+two norms differ by 4 y . u. The transforms are kept per signal: both
+gradients read the residual's (its spectrum, at and above _FFT_MIN_N), an
+anchor whose G or x is, by identity, the previous anchor's takes that
+signal's transform from it, and the code gradient reads G's transform, its
+sign flipped for the negative sign. At and above _FFT_MIN_N the Lipschitz
+bounds read the stored real FFTs of G and x. The results equal, bit for
+bit, the same quantities computed from scratch.
 Contexts are kept for the two most recently used anchors whose arrays are
 read-only, matched by identity, so an anchor that follows an extrapolation
 the engine rejected still shares its signals with the iterate it continues
@@ -35,14 +47,14 @@ stale value. The callables trust their arguments, which the engine has
 checked (see the check policy in grassmm.engine).
 
 The batch cost, BlockProblem.costs, takes K kernels with one code or one
-kernel with K codes, builds no context and leaves the kept ones alone. It
-convolves all K pairs in one call (_convolve_rows: stacked circulant products
-below _FFT_MIN_N, in slices of at most _COST_BATCH_BYTES of circulants, and
-row-wise real FFTs at and above it), and shares with the context the one
-cost formula, _fit, which takes the context's one convolution or the batch's
-stack: the context's two squared residual norms are plain dot products, and
-each member of a stack takes the same dot product. Member k equals the cost
-call at its pair bit for bit.
+kernel with K codes, builds no context and only reads the kept ones: when
+its one kernel or one code is, by identity, an array of a kept context, it
+takes that signal's transform. It convolves all K pairs in one call
+(_convolve_rows: stacked circulant products below _FFT_MIN_N, in slices of
+at most _COST_BATCH_BYTES of circulants, and products of row-wise real FFTs
+at and above it), and shares _fit with the context: each member of a stack
+takes the dot product the context takes. Member k equals the cost call at
+its pair bit for bit.
 """
 
 from __future__ import annotations
@@ -86,20 +98,22 @@ def _as_signal(v, name: str) -> np.ndarray:
 class _Signal:
     """A signal v and its transform t, computed on first use and then kept:
     the circulant v[_conv_index(N)] below _FFT_MIN_N samples, rfft(v) at and
-    above. Its Lipschitz bound is kept the same way."""
+    above. Its Lipschitz bound is kept the same way. A signal known only by
+    its real FFT, an active residual at and above _FFT_MIN_N, has v None."""
 
     __slots__ = ("v", "_t", "_lip")
 
-    def __init__(self, v: np.ndarray):
+    def __init__(self, v: Optional[np.ndarray], t: Optional[np.ndarray] = None):
         self.v = v
-        self._t = None
+        self._t = t
         self._lip = None
 
     @property
     def t(self) -> np.ndarray:
         if self._t is None:
             n = self.v.size
-            self._t = self.v[_conv_index(n)] if n < _FFT_MIN_N else np.fft.rfft(self.v)
+            # take makes the C-contiguous copy fancy indexing makes, faster
+            self._t = self.v.take(_conv_index(n)) if n < _FFT_MIN_N else np.fft.rfft(self.v)
         return self._t
 
     @property
@@ -124,16 +138,26 @@ def _correlate(v: _Signal, w: _Signal) -> np.ndarray:
     return np.fft.irfft(np.conj(v.t) * w.t, n)
 
 
-def _convolve_rows(kernels: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The K x N stack of the convolutions a_k (*) x_k of the rows of two
-    stacks: K kernels and one code, or one kernel and K codes. Row k equals
-    _convolve of its pair bit for bit: the circulants are C-contiguous, as
-    _Signal's, so each takes the same matrix-vector product, and the real
-    FFTs are taken row by row. Below _FFT_MIN_N each of K codes builds its
-    own N x N circulant, at most _COST_BATCH_BYTES of them at a time."""
+def _convolve_rows(
+    kernels: np.ndarray, codes: np.ndarray, kernel: Optional[_Signal] = None, code: Optional[_Signal] = None
+) -> np.ndarray:
+    """The K stacked convolutions a_k (*) x_k of the rows of two stacks, K
+    kernels and one code or one kernel and K codes: a K x N stack below
+    _FFT_MIN_N, and the K x (N // 2 + 1) stack of their real FFTs, the
+    products of the rows' real FFTs, at and above it. `kernel` or `code`,
+    when given, is the _Signal of the one kernel or the one code, whose kept
+    transform serves in place of a new one. Row k equals the anchor's
+    convolution of its pair bit for bit: the circulants are C-contiguous, as
+    _Signal's, so each takes the same matrix-vector product, and the rows of
+    a stacked real FFT equal the real FFTs of the rows. Below _FFT_MIN_N each
+    of K codes builds its own N x N circulant, at most _COST_BATCH_BYTES of
+    them at a time."""
     n = kernels.shape[1]
     if n >= _FFT_MIN_N:
-        return np.fft.irfft(np.fft.rfft(kernels) * np.fft.rfft(codes), n)
+        a = np.fft.rfft(kernels) if kernel is None else kernel.t
+        return a * (np.fft.rfft(codes) if code is None else code.t)
+    if code is not None:
+        return (code.t[None] @ kernels[:, :, None])[:, :, 0]
     index = _conv_index(n)
     if len(codes) == 1:
         return (np.take(codes, index, axis=1) @ kernels[:, :, None])[:, :, 0]
@@ -145,27 +169,50 @@ def _convolve_rows(kernels: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fit(y: np.ndarray, u: np.ndarray, penalty) -> tuple:
-    """The cost min(||y - u||^2, ||y + u||^2) + penalty at a convolution u,
-    with penalty = lambda ||x||_1; u is one convolution, or a K x N stack of
-    them with K penalties or one shared. Also returns the residuals y - u and
-    y + u and their squared norms: a pair of residuals and a pair of floats
-    for one convolution, stacked on a new first axis for a stack. Each norm is
-    the dot product r . r, for a stack a stacked (1 x N) @ (N x 1) product,
-    so member k does not depend on K and equals the cost of its convolution
-    alone."""
+def _sq_norms(r: np.ndarray, n: int):
+    """The squared 2-norm of a length-n real signal r below _FFT_MIN_N, and
+    of the length-n real signal whose real FFT r is at and above it, by
+    Parseval; r is one such row, giving a float, or a stack of them on any
+    leading axes, giving an array. Each sum of squares is one dot product per
+    row, for a stack a stacked (1 x L) @ (L x 1) product, so a row's norm
+    does not depend on the stack it is in."""
+    if n < _FFT_MIN_N:
+        return float(r.dot(r)) if r.ndim == 1 else (r[..., None, :] @ r[..., None])[..., 0, 0]
+    # Bins 1 .. (n - 1) // 2 stand for two bins of the full DFT. Bin 0, and
+    # bin n / 2 for even n, stand for one and are real: rfft returns them
+    # with zero imaginary parts, and sums and products of them keep those.
+    # In the float view, the real part of bin k is entry 2 k.
+    v = r.view(np.float64)
+    inner = v[..., 2 : 2 * ((n + 1) // 2)]
+    if r.ndim == 1:
+        first, last = float(v[0]), float(v[n]) if n % 2 == 0 else 0.0
+        return (2.0 * float(inner.dot(inner)) + (first * first + last * last)) / n
+    first, last = v[..., 0], v[..., n] if n % 2 == 0 else 0.0
+    return (2.0 * (inner[..., None, :] @ inner[..., None])[..., 0, 0] + (first * first + last * last)) / n
+
+
+def _fit(y: np.ndarray, u: np.ndarray, penalty, n: int) -> tuple:
+    """The cost min(||y - u||^2, ||y + u||^2) + penalty at a convolution u
+    of length n, with penalty = lambda ||x||_1; u is one convolution, or a K
+    x N stack of them with K penalties or one shared. Also returns the
+    residuals y - u and y + u and their squared norms (_sq_norms): a pair of
+    residuals and a pair of floats for one convolution, stacked on a new
+    first axis for a stack. Below _FFT_MIN_N, y and u are signals. At and
+    above it, they are real FFTs (as _convolve_rows returns them), and the
+    residuals stay spectra. Member k of a stack does not depend on K and
+    equals the cost of its convolution alone."""
     # y + u is y - (-a) (*) x bit for bit: negating a negates every product
     # of the direct sum and every coefficient of the FFT path.
     if u.ndim == 1:
         r = (y - u, y + u)
-        d = (float(r[0].dot(r[0])), float(r[1].dot(r[1])))
+        d = (_sq_norms(r[0], n), _sq_norms(r[1], n))
         # y is finite, so d[0] is NaN exactly when d[1] is, and min agrees
         # with np.minimum.
         return min(d) + penalty, r, d
-    r = np.empty((2, *u.shape))
+    r = np.empty((2, *u.shape), dtype=u.dtype)
     np.subtract(y, u, out=r[0])
     np.add(y, u, out=r[1])
-    d = (r[..., None, :] @ r[..., None])[..., 0, 0]
+    d = _sq_norms(r, n)
     return np.minimum(d[0], d[1]) + penalty, r, d
 
 
@@ -415,16 +462,20 @@ class _Anchor:
     """The deconvolution quantities at one anchor (G, x), each computed once.
 
     `ws_a` is the active-sign representative of G, `kernel` its vector,
-    `resid` the signal r = y - kernel (*) x and `base` = ||r||^2. The
-    gradients are computed on first use, and so are the transforms of G, x
-    and the residual and the Lipschitz bounds of G and x (see _Signal); both
-    gradients read the residual's transform.
+    `resid` the residual r = y - kernel (*) x and `base` = ||r||^2. Below
+    _FFT_MIN_N the residual is a signal; at and above it, it is kept only as
+    its real FFT, the spectrum y^ - a^ x^ that gives its norm by Parseval,
+    since both gradients read only that. The gradients are computed on first
+    use, and so are the transforms and the Lipschitz bounds of G and x (see
+    _Signal).
     An anchor whose G or x is the previous anchor's, by identity, takes that
     signal, with its transform and bound, from there, with the l1 penalty of
-    x.
+    x. `y` is the observation below _FFT_MIN_N and its real FFT at and above.
     """
 
-    def __init__(self, problem: DeconvProblem, g: GrassmannPoint, x: np.ndarray, prev: Optional[_Anchor]):
+    def __init__(
+        self, problem: DeconvProblem, y: np.ndarray, g: GrassmannPoint, x: np.ndarray, prev: Optional[_Anchor]
+    ):
         self.g = g
         self.x = x
         self.lam = problem.lam
@@ -433,12 +484,20 @@ class _Anchor:
             self.x_signal, self.penalty = prev.x_signal, prev.penalty
         else:
             self.x_signal, self.penalty = _Signal(x), problem.lam * float(np.abs(x).sum())
-        y = problem.y
-        u = _convolve(self.g_signal, self.x_signal)
-        self.cost, r, d = _fit(y, u, self.penalty)
-        sign = 0 if float(y.dot(u)) >= 0.0 else 1
+        n = x.size
+        if n < _FFT_MIN_N:
+            u = _convolve(self.g_signal, self.x_signal)
+            self.cost, r, d = _fit(y, u, self.penalty, n)
+            sign = 0 if float(y.dot(u)) >= 0.0 else 1
+            self.resid = _Signal(r[sign])
+        else:
+            self.cost, r, d = _fit(y, self.g_signal.t * self.x_signal.t, self.penalty, n)
+            # ||y + u||^2 - ||y - u||^2 = 4 y . u, so the smaller norm picks,
+            # up to rounding, the sign that y . u >= 0 picks.
+            sign = 0 if d[0] <= d[1] else 1
+            self.resid = _Signal(None, r[sign])
+        self.base = d[sign]
         self.ws_a = g if sign == 0 else _trusted(GrassmannPoint, basis=-g.basis)
-        self.resid, self.base = _Signal(r[sign]), d[sign]
         self.kernel = self.ws_a.basis[:, 0]
         self._grad_a = self._grad_x = None
 
@@ -490,6 +549,7 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
     if not 0.0 < step_scale < np.inf:  # NaN fails too
         raise ValueError(f"step_scale must be a finite number > 0, got {step_scale}")
     n = problem.n
+    y = problem.y if n < _FFT_MIN_N else np.fft.rfft(problem.y)
     recent: list[_Anchor] = []  # most recently used last; anchors whose arrays are read-only
 
     def at(g: GrassmannPoint, x) -> _Anchor:
@@ -498,7 +558,7 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
                 recent.remove(ctx)
                 recent.append(ctx)
                 return ctx
-        ctx = _Anchor(problem, g, x, recent[-1] if recent else None)
+        ctx = _Anchor(problem, y, g, x, recent[-1] if recent else None)
         if not (g.basis.flags.writeable or x.flags.writeable):
             recent.append(ctx)
             del recent[:-2]
@@ -510,12 +570,16 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
     def costs(g, c) -> list[float]:
         # K kernels (a K x N x 1 stack) with one code, or one kernel with K
         # codes; _fit and _convolve_rows keep each member equal to cost. No
-        # anchor context is built or kept.
+        # anchor context is built, and the kept ones are only read: the one
+        # kernel or code, when a kept context holds it by identity, lends its
+        # transform.
         one_g = isinstance(g, GrassmannPoint)
         kernels = g.basis[None, :, 0] if one_g else g[:, :, 0]
         codes = c if one_g else c[None]
+        kernel = next((ctx.g_signal for ctx in recent if ctx.g is g), None) if one_g else None
+        code = None if one_g else next((ctx.x_signal for ctx in recent if ctx.x is c), None)
         penalty = problem.lam * np.abs(codes).sum(axis=1)
-        return _fit(problem.y, _convolve_rows(kernels, codes), penalty)[0].tolist()
+        return _fit(y, _convolve_rows(kernels, codes, kernel, code), penalty, n)[0].tolist()
 
     # --- kernel block -----------------------------------------------------
     def a_minimize(g: GrassmannPoint, x: np.ndarray) -> GrassmannPoint:

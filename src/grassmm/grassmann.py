@@ -12,17 +12,20 @@ draws K unit tangents at a basis. One evaluator, `_walk`, turns stacked
 geodesic factors (base, U, theta, V) into the checked points over a t-grid,
 fed by two builders of one thin SVD per stack: `_geodesics`, from K
 velocities, and `_pair_geodesics`, through K pairs from their log factors.
-The solver's extrapolation point, `_secant_point`, is a pair geodesic at a
+On Gr(N, 1), where every geodesic is a great circle of the unit sphere,
+`_geodesics` takes them in closed form instead (`_great_circles`):
+x cos(t theta) + h sin(t theta) / theta with theta = |h|, under the same
+pi/2 check on the velocities and the same check of the points. The
+solver's extrapolation point, `_secant_point`, is a pair geodesic at a
 negative time. For D >= 2 it is taken through `_pair_geodesics`; on
-Gr(N, 1), where every geodesic is a great circle of the unit sphere, it is
-taken in closed form, with no SVD. The single-point exp map, log map and
-tangent vector are not part of the package: the tests keep them, as the
-stacks of one that the stacks are checked against.
+Gr(N, 1) it is taken in closed form as well. The single-point exp map, log
+map and tangent vector are not part of the package: the tests keep them, as
+the stacks of one that the stacks are checked against.
 
-On Gr(N, 1) the solver's other per-iteration geometry takes no SVD either:
-principal_angles takes its one angle as atan2(|y - x w|, |w|) with
-w = x^T y, and _check_bases passes a one-column stack on |x^T x - 1| alone,
-leaving a failing stack to the general check.
+So no Gr(N, 1) stack takes an SVD, and neither does the solver's other
+per-iteration geometry there: principal_angles takes its one angle as
+atan2(|y - x w|, |w|) with w = x^T y, and _check_bases passes a one-column
+stack on |x^T x - 1| alone, leaving a failing stack to the general check.
 """
 
 from __future__ import annotations
@@ -259,16 +262,54 @@ def _walk(x: np.ndarray, u: np.ndarray, theta: np.ndarray, v: np.ndarray) -> Cal
 
 
 def _geodesics(x: np.ndarray, deltas: np.ndarray) -> Callable:
-    """_walk of the geodesics from x with the velocities of the K x N x D
-    stack deltas, each of singular values at most pi/2. Point [k, i] equals,
-    bit for bit, the stack of velocity k alone at its time i."""
-    f = thin_svd(deltas)
-    over = f.s[:, 0] > np.pi / 2 + 1e-9
+    """The geodesics from x with the velocities of the K x N x D stack
+    deltas, each of singular values at most pi/2, as _walk returns them.
+    Point [k, i] equals, bit for bit, the stack of velocity k alone at its
+    time i.
+
+    For D >= 2 they are _walk of the thin SVD of the velocities. On Gr(N, 1)
+    every geodesic is a great circle of the unit sphere, taken in closed
+    form with no SVD (see _great_circles), with theta = |h| the one singular
+    value of h."""
+    if deltas.shape[2] > 1:
+        f = thin_svd(deltas)
+        _check_speeds(f.s[:, 0])
+        return _walk(x, f.u, f.s, f.v)
+    # Each (1 x N) @ (N x 1) product is the dot product np.linalg.norm takes.
+    theta = np.sqrt(np.swapaxes(deltas, 1, 2) @ deltas)[:, 0, 0]
+    _check_speeds(theta)
+    return _great_circles(x, deltas, theta)
+
+
+def _check_speeds(largest: np.ndarray) -> None:
+    """Check the largest singular value of each of K velocities against pi/2."""
+    over = largest > np.pi / 2 + 1e-9
     if np.any(over):
         raise ValueError(
-            f"tangent singular values must not exceed pi/2, largest is {f.s[np.argmax(over), 0]:.6f}"
+            f"tangent singular values must not exceed pi/2, largest is {largest[np.argmax(over)]:.6f}"
         )
-    return _walk(x, f.u, f.s, f.v)
+
+
+def _great_circles(x: np.ndarray, h: np.ndarray, theta: np.ndarray) -> Callable:
+    """_walk's function for the Gr(N, 1) geodesics t -> x cos(t theta) +
+    h sin(t theta) / theta of the K x N x 1 velocities h of norms theta, from
+    one N x 1 base x or one base each; x itself where theta = 0."""
+    # Where theta = 0, h sin(t theta) / 1 is zero and leaves x.
+    scale = np.where(theta > 0.0, theta, 1.0)[:, None]
+    x = x[:, None] if x.ndim == 3 else x
+    h = h[:, None]
+
+    def at(t) -> np.ndarray:
+        ts = np.asarray(t, dtype=float)
+        grid = ts if ts.ndim == 2 else ts.reshape(1, -1)
+        st = grid * theta[:, None]
+        c = np.cos(st)[:, :, None, None]
+        s = (np.sin(st) / scale)[:, :, None, None]
+        stack = x * c + h * s
+        _check_bases(stack.reshape(-1, *stack.shape[2:]))
+        return stack
+
+    return at
 
 
 def _pair_geodesics(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, Callable]:

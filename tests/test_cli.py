@@ -444,6 +444,29 @@ def test_run_long_signal_uses_fft_path(tmp_path):
     assert deconv._conv_index.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("n, max_iter, code", [(64, 5000, 0), (1024, 100, 2)])
+def test_deconv_run_takes_no_svd(tmp_path, monkeypatch, n, max_iter, code):
+    # The kernel block is Gr(N, 1): the stop-test distance, the extrapolation
+    # point and the stationarity probe's geodesics are all taken in closed
+    # form, so a deconv run, probe included, calls no LAPACK SVD.
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    probes = count_probes(monkeypatch)
+    problem = {"N": n, "sparsity": 0.0625, "kernel_support": 8, "lambda": 0.1}
+    config = write_config(tmp_path, deconv_payload(seeds=[0, 1], problem=problem, solver={"max_iter": max_iter}))
+    assert main(["--out", str(tmp_path / "out"), "run", str(config)]) == code
+    runs = json.loads((tmp_path / "out" / "report.json").read_text())["runs"]
+    assert all(math.isfinite(float(run["stationarity_score"])) for run in runs.values())
+    assert len(probes) == 2
+    assert calls == []
+
+
 # --- audit command ---------------------------------------------------------------
 
 

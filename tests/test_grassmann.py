@@ -448,6 +448,13 @@ def test_batched_sampler_equals_single_draws(shape, count, seed):
     assert_array_equal(random_point(seed, n, d).basis, batch[0])
 
 
+def great_circle(x, h, t):
+    """The Gr(N, 1) geodesic from the basis x with velocity h at time t, in
+    closed form: x cos(t theta) + h sin(t theta) / theta, theta = |h| > 0."""
+    theta = np.linalg.norm(h)
+    return x * np.cos(t * theta) + h * (np.sin(t * theta) / theta)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     shape=grassmann_shapes(),
@@ -464,7 +471,10 @@ def test_stacked_geodesic_equals_pointwise(shape, seed, ts):
     points = _geodesics(x.basis, h.delta[None])(np.array(ts))
     assert points.shape == (1, len(ts), n, d)
     for t, point in zip(ts, points[0]):
-        ref = (x.basis @ f.v) * np.cos(f.s * t) @ f.v.T + (f.u * np.sin(f.s * t)) @ f.v.T
+        if d == 1:
+            ref = great_circle(x.basis, h.delta, t)
+        else:
+            ref = (x.basis @ f.v) * np.cos(f.s * t) @ f.v.T + (f.u * np.sin(f.s * t)) @ f.v.T
         assert_array_equal(point, ref)
         assert_array_equal(point, exp_map(x, h, t).basis)
         assert_orthonormal(point)
@@ -516,6 +526,8 @@ def test_stacked_primitives_equal_single_calls(case, seed, degenerate):
         tv = TangentVector(x, h)
         for t, point in zip(ts, path):
             assert_array_equal(point, exp_map(x, tv, t).basis)
+            if d == 1:
+                assert_array_equal(point, great_circle(x.basis, h, t))
         assert_array_equal(end, exp_map(x, tv, r).basis)
     # a scalar t gives one point per geodesic
     assert_array_equal(_geodesics(x.basis, hs)(ts[0]), _geodesics(x.basis, hs)(ts[:1]))
@@ -548,6 +560,8 @@ def test_stacked_primitives_equal_single_calls(case, seed, degenerate):
         x_k = GrassmannPoint(xk)
         for t, point in zip(ts, path):
             assert_array_equal(point, exp_map(x_k, TangentVector(x_k, log), t).basis)
+            if d == 1 and np.any(log):
+                assert_array_equal(point, great_circle(xk, log, t))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -591,6 +605,28 @@ def test_stacked_tangents_are_checked():
     assert message_of(_geodesics, x.basis, np.stack([h.delta, long])) == expected
     with pytest.raises(ValueError, match="not tangent at base"):
         _check_tangents(x.basis, np.stack([h.delta, x.basis]))
+
+
+def test_great_circles_take_no_svd(monkeypatch):
+    # Gr(N, 1) stacks move on great circles in closed form: the speed check
+    # reads |h| with the message of the general check, a zero velocity stays
+    # at its base, and no SVD is taken.
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+
+    x = random_point(0, 5, 1)
+    h = random_unit_tangent(np.random.default_rng(1), x).delta
+    long = 2.0 * h
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    expected = "tangent singular values must not exceed pi/2, largest is 2.000000"
+    assert message_of(_geodesics, x.basis, np.stack([h, long])) == expected
+    ts = np.array([-1.0, 0.0, 0.5])
+    points = _geodesics(x.basis, np.stack([h, np.zeros_like(h)]))(ts)
+    for t, point in zip(ts, points[0]):
+        assert_array_equal(point, great_circle(x.basis, h, t))
+    for point in points[1]:
+        assert_array_equal(point, x.basis)
+    assert _geodesics(x.basis, np.empty((0, 5, 1)))(ts).shape == (0, 3, 5, 1)
 
 
 def message_of(fn, *args):
