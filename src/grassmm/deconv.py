@@ -13,31 +13,26 @@ above it, where the FFT is faster. Both work on a per-signal transform (see
 _Signal): the circulant of a signal on the direct path, its real FFT on the
 FFT path. Every caller (instance generator, public functions, per-anchor
 context) shares the one routine, so at any length a planted instance has
-exactly zero time-domain residual at the truth. Both routines are odd in
-their first argument bit for bit, and so is the transform.
-
-The cost has one formula per path, _fit. Below _FFT_MIN_N the residuals
-y -/+ u of a convolution u are signals and their squared norms dot products.
-At and above it, they are kept only as spectra, rfft(y) -/+ a^ x^ with a^
-and x^ the real FFTs of kernel and code, and their squared norms are
-Parseval sums (_sq_norms): no residual goes back to the time domain and
-none is transformed. There, the cost at a planted truth is zero only up to
-the rounding of rfft(irfft(.)).
+exactly zero residual at the truth, and a zero cost with lambda = 0. Both
+routines are odd in their first argument bit for bit, and so is the
+transform.
 
 The BlockProblem built by build_block_problem reads everything at an anchor
 (G, x) from one per-anchor context. The context computes the convolution
-u = a (*) x once, below _FFT_MIN_N, or its spectrum a^ x^ at and above; the
-cost, the active sign and the active-sign residual follow from it, and the
-two block gradients and the two Lipschitz bounds are filled in on first use.
-The active sign is y . u >= 0 below _FFT_MIN_N; at and above it, it is the
-branch of the smaller squared norm, the same test up to rounding, since the
-two norms differ by 4 y . u. The transforms are kept per signal: both
-gradients read the residual's (its spectrum, at and above _FFT_MIN_N), an
+u = a (*) x once; the cost, the active sign and the active-sign residual
+follow from u, and the two block gradients and the two Lipschitz bounds are
+filled in on first use. The cost has one formula, _fit, on both paths: the
+residuals y -/+ u are signals and their squared norms dot products. The
+transforms are kept per signal: both gradients read the residual's, an
 anchor whose G or x is, by identity, the previous anchor's takes that
 signal's transform from it, and the code gradient reads G's transform, its
-sign flipped for the negative sign. At and above _FFT_MIN_N the Lipschitz
-bounds read the stored real FFTs of G and x. The results equal, bit for
-bit, the same quantities computed from scratch.
+sign flipped for the negative sign. At and above _FFT_MIN_N the context
+forms the spectrum a^ x^ of u once, from the real FFTs of G and x, and
+takes u from it; the residual's transform is then the spectrum
+rfft(y) -/+ a^ x^, with rfft(y) taken once per problem, so no residual is
+transformed. The Lipschitz bounds read the stored real FFTs of G and x
+there. The results equal, bit for bit, the same quantities computed from
+scratch.
 Contexts are kept for the two most recently used anchors whose arrays are
 read-only, matched by identity, so an anchor that follows an extrapolation
 the engine rejected still shares its signals with the iterate it continues
@@ -47,12 +42,12 @@ stale value. The callables trust their arguments, which the engine has
 checked (see the check policy in grassmm.engine).
 
 The batch cost, BlockProblem.costs, takes K kernels with one code or one
-kernel with K codes, builds no context and only reads the kept ones: when
-its one kernel or one code is, by identity, an array of a kept context, it
-takes that signal's transform. It convolves all K pairs in one call
-(_convolve_rows: stacked circulant products below _FFT_MIN_N, in slices of
-at most _COST_BATCH_BYTES of circulants, and products of row-wise real FFTs
-at and above it), and shares _fit with the context: each member of a stack
+kernel with K codes, builds no context and only reads the kept ones: at and
+above _FFT_MIN_N, when its one kernel or one code is, by identity, an array
+of a kept context, it takes that signal's real FFT. It convolves all K pairs
+in one call (_convolve_rows: stacked circulant products below _FFT_MIN_N, in
+slices of at most _COST_BATCH_BYTES of circulants, and row-wise real FFTs at
+and above it), and shares _fit with the context: each member of a stack
 takes the dot product the context takes. Member k equals the cost call at
 its pair bit for bit.
 """
@@ -141,23 +136,19 @@ def _correlate(v: _Signal, w: _Signal) -> np.ndarray:
 def _convolve_rows(
     kernels: np.ndarray, codes: np.ndarray, kernel: Optional[_Signal] = None, code: Optional[_Signal] = None
 ) -> np.ndarray:
-    """The K stacked convolutions a_k (*) x_k of the rows of two stacks, K
-    kernels and one code or one kernel and K codes: a K x N stack below
-    _FFT_MIN_N, and the K x (N // 2 + 1) stack of their real FFTs, the
-    products of the rows' real FFTs, at and above it. `kernel` or `code`,
-    when given, is the _Signal of the one kernel or the one code, whose kept
-    transform serves in place of a new one. Row k equals the anchor's
-    convolution of its pair bit for bit: the circulants are C-contiguous, as
-    _Signal's, so each takes the same matrix-vector product, and the rows of
-    a stacked real FFT equal the real FFTs of the rows. Below _FFT_MIN_N each
-    of K codes builds its own N x N circulant, at most _COST_BATCH_BYTES of
-    them at a time."""
+    """The K x N stack of the convolutions a_k (*) x_k of the rows of two
+    stacks: K kernels and one code, or one kernel and K codes. At and above
+    _FFT_MIN_N, `kernel` or `code`, when given, is the _Signal of the one
+    kernel or the one code, whose kept real FFT serves in place of a new one.
+    Row k equals _convolve of its pair bit for bit: the circulants are
+    C-contiguous, as _Signal's, so each takes the same matrix-vector product,
+    and the real FFTs are taken row by row. Below _FFT_MIN_N each of K codes
+    builds its own N x N circulant, at most _COST_BATCH_BYTES of them at a
+    time."""
     n = kernels.shape[1]
     if n >= _FFT_MIN_N:
         a = np.fft.rfft(kernels) if kernel is None else kernel.t
-        return a * (np.fft.rfft(codes) if code is None else code.t)
-    if code is not None:
-        return (code.t[None] @ kernels[:, :, None])[:, :, 0]
+        return np.fft.irfft(a * (np.fft.rfft(codes) if code is None else code.t), n)
     index = _conv_index(n)
     if len(codes) == 1:
         return (np.take(codes, index, axis=1) @ kernels[:, :, None])[:, :, 0]
@@ -169,50 +160,27 @@ def _convolve_rows(
     return out
 
 
-def _sq_norms(r: np.ndarray, n: int):
-    """The squared 2-norm of a length-n real signal r below _FFT_MIN_N, and
-    of the length-n real signal whose real FFT r is at and above it, by
-    Parseval; r is one such row, giving a float, or a stack of them on any
-    leading axes, giving an array. Each sum of squares is one dot product per
-    row, for a stack a stacked (1 x L) @ (L x 1) product, so a row's norm
-    does not depend on the stack it is in."""
-    if n < _FFT_MIN_N:
-        return float(r.dot(r)) if r.ndim == 1 else (r[..., None, :] @ r[..., None])[..., 0, 0]
-    # Bins 1 .. (n - 1) // 2 stand for two bins of the full DFT. Bin 0, and
-    # bin n / 2 for even n, stand for one and are real: rfft returns them
-    # with zero imaginary parts, and sums and products of them keep those.
-    # In the float view, the real part of bin k is entry 2 k.
-    v = r.view(np.float64)
-    inner = v[..., 2 : 2 * ((n + 1) // 2)]
-    if r.ndim == 1:
-        first, last = float(v[0]), float(v[n]) if n % 2 == 0 else 0.0
-        return (2.0 * float(inner.dot(inner)) + (first * first + last * last)) / n
-    first, last = v[..., 0], v[..., n] if n % 2 == 0 else 0.0
-    return (2.0 * (inner[..., None, :] @ inner[..., None])[..., 0, 0] + (first * first + last * last)) / n
-
-
-def _fit(y: np.ndarray, u: np.ndarray, penalty, n: int) -> tuple:
-    """The cost min(||y - u||^2, ||y + u||^2) + penalty at a convolution u
-    of length n, with penalty = lambda ||x||_1; u is one convolution, or a K
-    x N stack of them with K penalties or one shared. Also returns the
-    residuals y - u and y + u and their squared norms (_sq_norms): a pair of
-    residuals and a pair of floats for one convolution, stacked on a new
-    first axis for a stack. Below _FFT_MIN_N, y and u are signals. At and
-    above it, they are real FFTs (as _convolve_rows returns them), and the
-    residuals stay spectra. Member k of a stack does not depend on K and
-    equals the cost of its convolution alone."""
+def _fit(y: np.ndarray, u: np.ndarray, penalty) -> tuple:
+    """The cost min(||y - u||^2, ||y + u||^2) + penalty at a convolution u,
+    with penalty = lambda ||x||_1; u is one convolution, or a K x N stack of
+    them with K penalties or one shared. Also returns the residuals y - u and
+    y + u and their squared norms: a pair of residuals and a pair of floats
+    for one convolution, stacked on a new first axis for a stack. Each norm is
+    the dot product r . r, for a stack a stacked (1 x N) @ (N x 1) product,
+    so member k does not depend on K and equals the cost of its convolution
+    alone."""
     # y + u is y - (-a) (*) x bit for bit: negating a negates every product
     # of the direct sum and every coefficient of the FFT path.
     if u.ndim == 1:
         r = (y - u, y + u)
-        d = (_sq_norms(r[0], n), _sq_norms(r[1], n))
+        d = (float(r[0].dot(r[0])), float(r[1].dot(r[1])))
         # y is finite, so d[0] is NaN exactly when d[1] is, and min agrees
         # with np.minimum.
         return min(d) + penalty, r, d
-    r = np.empty((2, *u.shape), dtype=u.dtype)
+    r = np.empty((2, *u.shape))
     np.subtract(y, u, out=r[0])
     np.add(y, u, out=r[1])
-    d = _sq_norms(r, n)
+    d = (r[..., None, :] @ r[..., None])[..., 0, 0]
     return np.minimum(d[0], d[1]) + penalty, r, d
 
 
@@ -462,40 +430,39 @@ class _Anchor:
     """The deconvolution quantities at one anchor (G, x), each computed once.
 
     `ws_a` is the active-sign representative of G, `kernel` its vector,
-    `resid` the residual r = y - kernel (*) x and `base` = ||r||^2. Below
-    _FFT_MIN_N the residual is a signal; at and above it, it is kept only as
-    its real FFT, the spectrum y^ - a^ x^ that gives its norm by Parseval,
-    since both gradients read only that. The gradients are computed on first
-    use, and so are the transforms and the Lipschitz bounds of G and x (see
-    _Signal).
+    `resid` the residual r = y - kernel (*) x and `base` = ||r||^2. The
+    gradients are computed on first use, and so are the transforms of G and
+    x and the Lipschitz bounds of G and x (see _Signal); both gradients read
+    the residual's transform. Below _FFT_MIN_N the residual is a signal; at
+    and above it, it is kept only as that transform, rfft(y) -/+ a^ x^ from
+    the spectrum a^ x^ that u is taken from, so it is never transformed.
     An anchor whose G or x is the previous anchor's, by identity, takes that
     signal, with its transform and bound, from there, with the l1 penalty of
-    x. `y` is the observation below _FFT_MIN_N and its real FFT at and above.
+    x. `y` is the observation, its real FFT kept for the whole problem.
     """
 
-    def __init__(
-        self, problem: DeconvProblem, y: np.ndarray, g: GrassmannPoint, x: np.ndarray, prev: Optional[_Anchor]
-    ):
+    def __init__(self, y: _Signal, lam: float, g: GrassmannPoint, x: np.ndarray, prev: Optional[_Anchor]):
         self.g = g
         self.x = x
-        self.lam = problem.lam
+        self.lam = lam
         self.g_signal = prev.g_signal if prev is not None and prev.g is g else _Signal(g.basis[:, 0])
         if prev is not None and prev.x is x:
             self.x_signal, self.penalty = prev.x_signal, prev.penalty
         else:
-            self.x_signal, self.penalty = _Signal(x), problem.lam * float(np.abs(x).sum())
+            self.x_signal, self.penalty = _Signal(x), lam * float(np.abs(x).sum())
         n = x.size
         if n < _FFT_MIN_N:
             u = _convolve(self.g_signal, self.x_signal)
-            self.cost, r, d = _fit(y, u, self.penalty, n)
-            sign = 0 if float(y.dot(u)) >= 0.0 else 1
+        else:
+            spectrum = self.g_signal.t * self.x_signal.t
+            u = np.fft.irfft(spectrum, n)  # _convolve, bit for bit
+        self.cost, r, d = _fit(y.v, u, self.penalty)
+        sign = 0 if float(y.v.dot(u)) >= 0.0 else 1
+        if n < _FFT_MIN_N:
             self.resid = _Signal(r[sign])
         else:
-            self.cost, r, d = _fit(y, self.g_signal.t * self.x_signal.t, self.penalty, n)
-            # ||y + u||^2 - ||y - u||^2 = 4 y . u, so the smaller norm picks,
-            # up to rounding, the sign that y . u >= 0 picks.
-            sign = 0 if d[0] <= d[1] else 1
-            self.resid = _Signal(None, r[sign])
+            # y - (-a) (*) x has the spectrum y^ + a^ x^: negation is exact.
+            self.resid = _Signal(None, y.t - spectrum if sign == 0 else y.t + spectrum)
         self.base = d[sign]
         self.ws_a = g if sign == 0 else _trusted(GrassmannPoint, basis=-g.basis)
         self.kernel = self.ws_a.basis[:, 0]
@@ -549,7 +516,7 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
     if not 0.0 < step_scale < np.inf:  # NaN fails too
         raise ValueError(f"step_scale must be a finite number > 0, got {step_scale}")
     n = problem.n
-    y = problem.y if n < _FFT_MIN_N else np.fft.rfft(problem.y)
+    y = _Signal(problem.y)
     recent: list[_Anchor] = []  # most recently used last; anchors whose arrays are read-only
 
     def at(g: GrassmannPoint, x) -> _Anchor:
@@ -558,7 +525,7 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
                 recent.remove(ctx)
                 recent.append(ctx)
                 return ctx
-        ctx = _Anchor(problem, y, g, x, recent[-1] if recent else None)
+        ctx = _Anchor(y, problem.lam, g, x, recent[-1] if recent else None)
         if not (g.basis.flags.writeable or x.flags.writeable):
             recent.append(ctx)
             del recent[:-2]
@@ -570,16 +537,20 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
     def costs(g, c) -> list[float]:
         # K kernels (a K x N x 1 stack) with one code, or one kernel with K
         # codes; _fit and _convolve_rows keep each member equal to cost. No
-        # anchor context is built, and the kept ones are only read: the one
-        # kernel or code, when a kept context holds it by identity, lends its
-        # transform.
+        # anchor context is built, and the kept ones are only read: at and
+        # above _FFT_MIN_N the one kernel or code, when a kept context holds
+        # it by identity, lends its real FFT.
         one_g = isinstance(g, GrassmannPoint)
         kernels = g.basis[None, :, 0] if one_g else g[:, :, 0]
         codes = c if one_g else c[None]
-        kernel = next((ctx.g_signal for ctx in recent if ctx.g is g), None) if one_g else None
-        code = None if one_g else next((ctx.x_signal for ctx in recent if ctx.x is c), None)
+        kernel = code = None
+        if n >= _FFT_MIN_N:
+            if one_g:
+                kernel = next((ctx.g_signal for ctx in recent if ctx.g is g), None)
+            else:
+                code = next((ctx.x_signal for ctx in recent if ctx.x is c), None)
         penalty = problem.lam * np.abs(codes).sum(axis=1)
-        return _fit(y, _convolve_rows(kernels, codes, kernel, code), penalty, n)[0].tolist()
+        return _fit(y.v, _convolve_rows(kernels, codes, kernel, code), penalty)[0].tolist()
 
     # --- kernel block -----------------------------------------------------
     def a_minimize(g: GrassmannPoint, x: np.ndarray) -> GrassmannPoint:

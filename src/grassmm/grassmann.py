@@ -10,22 +10,26 @@ Batch work is done by private functions on plain K x N x D stacks, and
 member k of a stack equals, bit for bit, the stack of one. `_unit_tangents`
 draws K unit tangents at a basis. One evaluator, `_walk`, turns stacked
 geodesic factors (base, U, theta, V) into the checked points over a t-grid,
-fed by two builders of one thin SVD per stack: `_geodesics`, from K
-velocities, and `_pair_geodesics`, through K pairs from their log factors.
+fed by two builders: `_geodesics`, from K velocities, and `_pair_geodesics`,
+through K pairs from their log factors, each with one thin SVD per stack.
 On Gr(N, 1), where every geodesic is a great circle of the unit sphere,
 `_geodesics` takes them in closed form instead (`_great_circles`):
 x cos(t theta) + h sin(t theta) / theta with theta = |h|, under the same
-pi/2 check on the velocities and the same check of the points. The
-solver's extrapolation point, `_secant_point`, is a pair geodesic at a
-negative time. For D >= 2 it is taken through `_pair_geodesics`; on
-Gr(N, 1) it is taken in closed form as well. The single-point exp map, log
-map and tangent vector are not part of the package: the tests keep them, as
-the stacks of one that the stacks are checked against.
+pi/2 check on the velocities and the same check of the points;
+`_pair_geodesics` keeps its SVDs there. The solver's extrapolation point,
+`_secant_point`, is a pair geodesic at a negative time. For D >= 2 it is
+taken through `_pair_geodesics`; on Gr(N, 1) it is taken in closed form as
+well. The single-point exp map, log map and tangent vector are not part of
+the package: the tests keep them, as the stacks of one that the stacks are
+checked against.
 
-So no Gr(N, 1) stack takes an SVD, and neither does the solver's other
-per-iteration geometry there: principal_angles takes its one angle as
-atan2(|y - x w|, |w|) with w = x^T y, and _check_bases passes a one-column
-stack on |x^T x - 1| alone, leaving a failing stack to the general check.
+So on Gr(N, 1) the velocity geodesics and the extrapolation point take no
+SVD, and neither does the solver's other per-iteration geometry there:
+principal_angles takes its one angle as atan2(|y - x w|, |w|) with
+w = x^T y, and _check_bases passes a one-column stack on |x^T x - 1| alone,
+leaving a failing stack to the general check. A deconv run, its
+stationarity probe included, takes no SVD; the pair geodesics of the
+quasi-convexity audit still do.
 """
 
 from __future__ import annotations

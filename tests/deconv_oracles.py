@@ -1,14 +1,12 @@
-"""Reference oracles for the deconvolution tests: the cost, the data term,
-the two block gradients and the proximal code step of a DeconvState, each validating its
+"""Reference oracles for the deconvolution tests: the cost, the two block
+gradients and the proximal code step of a DeconvState, each validating its
 input and computed from scratch, as the solver's per-anchor context must
 reproduce them bit for bit; and the active sign, the working state, the plain
 kernel step, the kernel step by its geodesic angle and a random start.
 
-Below _FFT_MIN_N the residual y - a (*) x is a signal and its squared norm a
-dot product. At and above it, the residual is the spectrum
-rfft(y) - rfft(a) rfft(x), its squared norm the Parseval sum of its bins and
-the gradients correlate against it, with no inverse transform of the
-residual."""
+Below _FFT_MIN_N the gradients correlate against the residual signal
+y - a (*) x. At and above it they correlate against its spectrum
+rfft(y) - rfft(a) rfft(x), with no transform of the residual."""
 
 import math
 
@@ -19,81 +17,47 @@ from grassmm.deconv import _FFT_MIN_N, _check_length, _conv, _corr, _geodesic_st
 from grassmm.grassmann import _project
 
 
-def parseval_norm(r: np.ndarray, n: int) -> float:
-    """||irfft(r, n)||^2 for the real FFT r of a length-n signal: the bins
-    1 .. (n - 1) // 2 stand for two bins of the full DFT, bin 0 and, for
-    even n, bin n / 2 for one."""
-    inner = r[1 : (n + 1) // 2].view(np.float64)
-    ends = [r[0]] + ([r[n // 2]] if n % 2 == 0 else [])
-    e = sum(b.real * b.real + b.imag * b.imag for b in ends)
-    return float((2.0 * inner.dot(inner) + e) / n)
-
-
-def _residuals(problem: DeconvProblem, kernel: np.ndarray, x: np.ndarray) -> tuple:
-    """y - kernel (*) x and y + kernel (*) x, as signals below _FFT_MIN_N and
-    as real FFTs at and above it."""
-    if problem.n < _FFT_MIN_N:
-        u = _conv(kernel, x)
-        return problem.y - u, problem.y + u
-    y, u = np.fft.rfft(problem.y), np.fft.rfft(kernel) * np.fft.rfft(x)
-    return y - u, y + u
-
-
-def _sq_norm(r: np.ndarray, n: int) -> float:
-    return float(r @ r) if n < _FFT_MIN_N else parseval_norm(r, n)
-
-
-def _corr_residual(v: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
-    """corr(v, residual) for a residual as _residuals returns it."""
-    if n < _FFT_MIN_N:
-        return _corr(v, r)
-    return np.fft.irfft(np.conj(np.fft.rfft(v)) * r, n)
-
-
 def deconv_cost(problem: DeconvProblem, state: DeconvState) -> float:
     """Sign-invariant cost: best-sign squared residual plus lambda * ||x||_1."""
     _check_length(problem, state)
-    r_plus, r_minus = _residuals(problem, state.kernel, state.x)
-    data = min(_sq_norm(r_plus, problem.n), _sq_norm(r_minus, problem.n))
+    u = _conv(state.kernel, state.x)
+    r_plus = problem.y - u
+    r_minus = problem.y + u
+    data = min(float(r_plus @ r_plus), float(r_minus @ r_minus))
     return data + problem.lam * float(np.sum(np.abs(state.x)))
 
 
-def data_term(problem: DeconvProblem, state: DeconvState) -> float:
-    """||y - a (*) x||^2 for the given kernel representative."""
+def _grad(problem: DeconvProblem, v: np.ndarray, state: DeconvState) -> np.ndarray:
+    """-2 corr(v, y - a (*) x) for the given kernel representative a."""
     _check_length(problem, state)
-    return _sq_norm(_residuals(problem, state.kernel, state.x)[0], problem.n)
+    n = problem.n
+    if n < _FFT_MIN_N:
+        return -2.0 * _corr(v, problem.y - _conv(state.kernel, state.x))
+    r = np.fft.rfft(problem.y) - np.fft.rfft(state.kernel) * np.fft.rfft(state.x)
+    return -2.0 * np.fft.irfft(np.conj(np.fft.rfft(v)) * r, n)
 
 
 def grad_x(problem: DeconvProblem, state: DeconvState) -> np.ndarray:
     """Gradient of ||y - a (*) x||^2 in x for the given kernel representative."""
-    _check_length(problem, state)
-    r = _residuals(problem, state.kernel, state.x)[0]
-    return -2.0 * _corr_residual(state.kernel, r, problem.n)
+    return _grad(problem, state.kernel, state)
 
 
 def grad_a(problem: DeconvProblem, state: DeconvState) -> np.ndarray:
     """Gradient of ||y - a (*) x||^2 in the kernel representative."""
-    _check_length(problem, state)
-    r = _residuals(problem, state.kernel, state.x)[0]
-    return -2.0 * _corr_residual(state.x, r, problem.n)
+    return _grad(problem, state.x, state)
 
 
 def prox_step_x(problem: DeconvProblem, state: DeconvState, step: float) -> np.ndarray:
     """One proximal gradient step on the code: shrink(x - step * grad, step * lambda)."""
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    _check_length(problem, state)
     return soft_threshold(state.x - step * grad_x(problem, state), step * problem.lam)
 
 
 def active_sign(problem: DeconvProblem, state: DeconvState) -> float:
-    """Sign s minimizing ||y - s * (a (*) x)||; +1 on ties. Below _FFT_MIN_N
-    it is read off y . (a (*) x) >= 0, at and above from the two Parseval
-    norms, which differ by 4 y . (a (*) x)."""
-    if problem.n < _FFT_MIN_N:
-        return 1.0 if float(problem.y @ _conv(state.kernel, state.x)) >= 0.0 else -1.0
-    r_plus, r_minus = _residuals(problem, state.kernel, state.x)
-    return 1.0 if parseval_norm(r_plus, problem.n) <= parseval_norm(r_minus, problem.n) else -1.0
+    """Sign s minimizing ||y - s * (a (*) x)||; +1 on ties."""
+    u = _conv(state.kernel, state.x)
+    return 1.0 if float(problem.y @ u) >= 0.0 else -1.0
 
 
 def working_state(problem: DeconvProblem, state: DeconvState) -> DeconvState:
