@@ -18,7 +18,8 @@ routines are odd in their first argument bit for bit, and so is the
 transform.
 
 The BlockProblem built by build_block_problem reads everything at an anchor
-(G, x) from one per-anchor context. The context computes the convolution
+(G, x) from one per-anchor context, and lasso_warm_start repeats its code
+step with the kernel held fixed. The context computes the convolution
 u = a (*) x once; the cost, the active sign and the active-sign residual
 follow from u, and the two block gradients and the two Lipschitz bounds are
 filled in on first use. The cost has one formula, _fit, on both paths: the
@@ -64,7 +65,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import _COST_BATCH_BYTES, BlockProblem, SurrogateOracle
 from .grassmann import GrassmannPoint, _trusted
-from .linalg import _check_count
+from .linalg import _check_count, _check_real
 
 _KERNEL_NORM_TOL = 1e-10  # absolute: a unit kernel has no scale; stricter than the Gram check
 
@@ -184,14 +185,6 @@ def _fit(y: np.ndarray, u: np.ndarray, penalty) -> tuple:
     return np.minimum(d[0], d[1]) + penalty, r, d
 
 
-def _conv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return _convolve(_Signal(a), _Signal(x))
-
-
-def _corr(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return _correlate(_Signal(v), _Signal(w))
-
-
 def _lipschitz(v: np.ndarray, spectrum: Optional[np.ndarray] = None) -> float:
     """2 max |rfft(v)|^2; spectrum, when given, must be rfft(v) bit for bit."""
     # The moduli of the full DFT are those of the real FFT, mirrored. Rounding
@@ -208,7 +201,7 @@ def circular_convolution(a, x) -> np.ndarray:
     x = _as_signal(x, "x")
     if a.size != x.size:
         raise ValueError(f"length mismatch: {a.size} vs {x.size}")
-    return _conv(a, x)
+    return _convolve(_Signal(a), _Signal(x))
 
 
 def circular_correlation(v, w) -> np.ndarray:
@@ -218,13 +211,12 @@ def circular_correlation(v, w) -> np.ndarray:
     w = _as_signal(w, "w")
     if v.size != w.size:
         raise ValueError(f"length mismatch: {v.size} vs {w.size}")
-    return _corr(v, w)
+    return _correlate(_Signal(v), _Signal(w))
 
 
 def soft_threshold(v, tau: float) -> np.ndarray:
     """Proximal operator of tau * ||.||_1: shrink each entry toward zero by tau."""
-    if not 0.0 <= tau < np.inf:  # NaN fails too
-        raise ValueError(f"tau must be a finite number >= 0, got {tau}")
+    _check_real("tau", tau, 0.0)
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
@@ -244,8 +236,7 @@ class DeconvProblem:
     def __post_init__(self):
         y = _as_signal(self.y, "y")
         object.__setattr__(self, "y", y)
-        if not 0.0 <= self.lam < np.inf:  # NaN fails too
-            raise ValueError(f"lambda must be a finite number >= 0, got {self.lam}")
+        _check_real("lambda", self.lam, 0.0)
 
     @property
     def n(self) -> int:
@@ -304,10 +295,6 @@ def _check_length(problem: DeconvProblem, state: DeconvState) -> None:
         raise ValueError(f"state has length {state.x.size}, but y has length {problem.n}")
 
 
-def _grad_x(problem: DeconvProblem, kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return -2.0 * _corr(kernel, problem.y - _conv(kernel, x))
-
-
 def _geodesic_step(a: GrassmannPoint, egrad: np.ndarray, step: float) -> GrassmannPoint:
     """The kernel step from a, with egrad the data term's gradient g at a: the
     exact minimizer over the unit sphere of the model f(a) + <g, b - a> +
@@ -342,13 +329,13 @@ def generate_instance(
     follow the integer rule of _check_count."""
     _check_count("seed", seed, 0)
     _check_count("n", n, 2)
-    if not 0.0 < sparsity < 1.0:
+    _check_real("sparsity", sparsity, 0.0, strict=True)
+    if not sparsity < 1.0:
         raise ValueError(f"sparsity must lie strictly between 0 and 1, got {sparsity}")
     _check_count("kernel_support", kernel_support)
     if kernel_support > n:
         raise ValueError(f"kernel_support must lie in [1, {n}], got {kernel_support}")
-    if not 0.0 <= noise_sigma < np.inf:  # NaN fails too
-        raise ValueError(f"noise_sigma must be a finite number >= 0, got {noise_sigma}")
+    _check_real("noise_sigma", noise_sigma, 0.0)
     rng = np.random.default_rng(seed)
     mask = rng.random(n) < sparsity
     amplitudes = rng.standard_normal(n)
@@ -411,17 +398,19 @@ def lasso_warm_start(problem: DeconvProblem, init: DeconvState, max_iter: int = 
 
     Useful before a joint solve: with the kernel frozen this is a plain
     l1-regularized least-squares solve, so the code settles on a stable
-    sparse support before the kernel is allowed to move.
+    sparse support before the kernel is allowed to move. Each step is the
+    solver's code step at (init.a, x), on the kernel's active sign; from
+    x = 0 that sign stays +1, as no step raises ||y - u||^2 above ||y||^2.
     """
     _check_count("max_iter", max_iter, 0)
     _check_length(problem, init)
-    step = 1.0 / lipschitz_bound(init.kernel)  # at least 2: a unit kernel's spectrum has energy N
-    x = init.x
+    y = _Signal(problem.y)
+    x, ctx = init.x, None
     for _ in range(max_iter):
-        x_next = soft_threshold(x - step * _grad_x(problem, init.kernel, x), step * problem.lam)
-        done = np.max(np.abs(x_next - x)) <= 1e-12 * np.max(np.abs(x_next))
-        x = x_next
-        if done:
+        # The kernel's transform and Lipschitz bound (at least 2) pass from ctx to ctx.
+        ctx = _Anchor(y, problem.lam, init.a, x, ctx)
+        x, x_prev = ctx.prox(1.0 / ctx.lip_a), x
+        if np.max(np.abs(x - x_prev)) <= 1e-12 * np.max(np.abs(x)):
             break
     return DeconvState(a=init.a, x=x)
 
@@ -513,8 +502,7 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
     its anchor's quantities from one shared per-anchor context (see the
     module docstring).
     """
-    if not 0.0 < step_scale < np.inf:  # NaN fails too
-        raise ValueError(f"step_scale must be a finite number > 0, got {step_scale}")
+    _check_real("step_scale", step_scale, 0.0, strict=True)
     n = problem.n
     y = _Signal(problem.y)
     recent: list[_Anchor] = []  # most recently used last; anchors whose arrays are read-only

@@ -79,7 +79,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,7 +95,7 @@ from .grassmann import (
     canonical_distance,
     random_point,
 )
-from .linalg import _check_count, as_matrix, random_orthonormal, thin_svd
+from .linalg import _check_count, _check_real, as_matrix, random_orthonormal, thin_svd
 
 GRASSMANN_BLOCK = "grassmann"
 CONVEX_BLOCK = "convex"
@@ -126,7 +125,6 @@ EXTRAPOLATION_PERIOD = 3
 EXTRAPOLATION_BETA_MAX = 64.0
 STATIONARITY_FD_STEP = 1e-5
 STATIONARITY_PASS = -1e-4      # scores at or above this count as stationary
-_ZERO_GRAD_FALLBACK_FD = 1e-6  # step for the finite-difference gradient fallback
 # Largest stack of sampled N x D points built at once. It bounds what a batch
 # holds at a time, its stacks and their temporaries: unsplit, the 50 probe
 # points of Gr(1024, 1) alone would take 400 KiB. Each slice pays a fixed
@@ -185,9 +183,9 @@ class SurrogateOracle:
 class BlockProblem:
     """A two-block problem: cost f(G, c), one surrogate per block, constraints.
 
-    dims is (n, d, c_len): G lives on Gr(n, d) and c in R^c_len. The optional
-    gradient callables feed the per-iteration diagnostic columns; when absent
-    run_block_mm falls back to finite differences.
+    dims is (n, d, c_len): G lives on Gr(n, d) and c in R^c_len. The gradient
+    callables feed the per-iteration diagnostic columns, so run_block_mm
+    needs both; the stationarity probe and the audits never read them.
 
     Contract with run_block_mm: cost must be a deterministic function of its
     arguments. The engine calls it once per half-step, at each new iterate,
@@ -201,12 +199,11 @@ class BlockProblem:
     costs, when given, evaluates the cost at K samples in one call: costs(gs,
     c) with a K x N x D array of checked bases and one c, or costs(g, cs) with
     one point and a K x c_len array. It returns K floats, member k equal bit
-    for bit to the cost call at that sample. The audits, the stationarity
-    probe and the finite-difference gradients use it in place of cost; K may
-    be 0, as when the derivative-match guard skips every direction of a
-    slice. Both built-in problems give it. As with the gradient callables, a
-    dataclasses.replace that changes cost must also replace or clear (set to
-    None) costs.
+    for bit to the cost call at that sample. The audits and the stationarity
+    probe use it in place of cost; K may be 0, as when the derivative-match
+    guard skips every direction of a slice. Both built-in problems give it.
+    As with the gradient callables, a dataclasses.replace that changes cost
+    must also replace or clear (set to None) costs.
 
     The sample stacks the majorization and derivative-match audits pass to
     costs and evaluate_many are read-only, and each is passed twice, once
@@ -245,9 +242,7 @@ class SolverConfig:
         for name, low in (("max_iter", 1), ("audit_every", 0), ("audit_samples", 1), ("seed", 0)):
             _check_count(name, getattr(self, name), low)
         for name in ("dist_tol", "cost_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+            _check_real(name, getattr(self, name), 0.0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -337,11 +332,6 @@ def _oracle_for(problem: BlockProblem, block: str) -> SurrogateOracle:
     if block == CONVEX_BLOCK:
         return problem.convex_surrogate
     raise ValueError(f"unknown block {block!r}; use 'grassmann' or 'convex'")
-
-
-def _complement_basis(g: GrassmannPoint) -> np.ndarray:
-    full = np.linalg.qr(g.basis, mode="complete")[0]
-    return full[:, g.d:]
 
 
 def _chunks(count: int, sample_bytes: int) -> list[tuple[int, int]]:
@@ -462,41 +452,6 @@ def _verdict(audit: str, block: Optional[str], values: list[float], checked: int
     return AuditResult(audit, block, checked > 0 and within, worst, threshold, checked, skipped)
 
 
-def _fd_grad_norm_grassmann(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray) -> float:
-    # Directional derivatives along an orthonormal tangent basis recover the
-    # full Riemannian gradient norm; only used when no gradient callable exists.
-    comp = _complement_basis(g)
-    h = _ZERO_GRAD_FALLBACK_FD
-    total = 0.0
-    for lo, size in _chunks(comp.shape[1] * g.d, 2 * g.basis.nbytes):
-        # Direction lo + k puts column i of the complement into column j of G.
-        i, j = np.divmod(np.arange(lo, lo + size), g.d)
-        deltas = np.zeros((size, *g.basis.shape))
-        deltas[np.arange(size), :, j] = comp[:, i].T
-        # One stacked geodesic per slice, factored once for both steps.
-        samples = _geodesics(g.basis, _project(g.basis, deltas))(np.array([h, -h]))
-        values = _costs(problem, samples.reshape(-1, *g.basis.shape), c)
-        for plus, minus in zip(values[0::2], values[1::2]):
-            total += ((plus - minus) / (2.0 * h)) ** 2
-    return float(np.sqrt(total))
-
-
-def _fd_grad_norm_convex(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray) -> float:
-    h = _ZERO_GRAD_FALLBACK_FD
-    total = 0.0
-    for lo, size in _chunks(c.size, 2 * c.nbytes):
-        # Rows 2k and 2k + 1 step coordinate lo + k up and down.
-        steps = h * (1.0 + np.abs(c[lo : lo + size]))
-        samples = np.repeat(c[None], 2 * size, axis=0)
-        rows, cols = np.arange(size), np.arange(lo, lo + size)
-        samples[2 * rows, cols] += steps
-        samples[2 * rows + 1, cols] -= steps
-        values = _costs(problem, g, samples)
-        for plus, minus, step in zip(values[0::2], values[1::2], steps):
-            total += ((plus - minus) / (2.0 * step)) ** 2
-    return float(np.sqrt(total))
-
-
 def _norm(x: np.ndarray) -> float:
     """The 2-norm of x, sqrt(x . x) where that is finite. The dot product is
     np.linalg.norm's, over x raveled in memory order, so the two agree bit for
@@ -513,21 +468,15 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _gradient_norms(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray) -> tuple[float, float]:
-    if problem.grassmann_grad is not None:
-        grad = _checked(problem.grassmann_grad(g, c), g.basis.shape, "grassmann_grad result")
-        basis = g.basis
-        if basis.shape[1] == 1:
-            # _project on one column: x @ (x^T @ grad) holds the products
-            # x_i w of the one dot product w = x . grad.
-            gn_g = _norm(grad - basis * float(basis[:, 0].dot(grad[:, 0])))
-        else:
-            gn_g = _norm(_project(basis, grad))
+    grad = _checked(problem.grassmann_grad(g, c), g.basis.shape, "grassmann_grad result")
+    basis = g.basis
+    if basis.shape[1] == 1:
+        # _project on one column: x @ (x^T @ grad) holds the products
+        # x_i w of the one dot product w = x . grad.
+        gn_g = _norm(grad - basis * float(basis[:, 0].dot(grad[:, 0])))
     else:
-        gn_g = _fd_grad_norm_grassmann(problem, g, c)
-    if problem.convex_grad is not None:
-        gn_c = _norm(_checked(problem.convex_grad(g, c), c.shape, "convex_grad result"))
-    else:
-        gn_c = _fd_grad_norm_convex(problem, g, c)
+        gn_g = _norm(_project(basis, grad))
+    gn_c = _norm(_checked(problem.convex_grad(g, c), c.shape, "convex_grad result"))
     if not (math.isfinite(gn_g) and math.isfinite(gn_c)):
         raise NonFiniteCostError(f"gradient norms are {gn_g} (grassmann) and {gn_c} (convex)")
     return gn_g, gn_c
@@ -564,8 +513,9 @@ def run_block_mm(
 
     Stops as soon as, in one iteration, the Grassmann step distance is below
     dist_tol and the cost change at most cost_tol * |f_0|, f_0 being the
-    initial cost (see the tolerance policy); raises MonotonicityViolation if
-    a half-update raises the cost by more than MONOTONICITY_TOL * |f_0|,
+    initial cost (see the tolerance policy). Raises ValueError naming a
+    missing gradient field before the first cost call, MonotonicityViolation
+    if a half-update raises the cost by more than MONOTONICITY_TOL * |f_0|,
     InfeasibleBlockError (naming the block) if a surrogate returns a value
     outside its feasible set, and NonFiniteCostError if the cost or a
     gradient norm at an iterate is NaN or infinite. The end-of-run
@@ -599,6 +549,9 @@ def run_block_mm(
     checked here, so for a given problem the claim stays empirical, backed by
     the end-of-run stationarity probe and the audits.
     """
+    for name in ("grassmann_grad", "convex_grad"):
+        if getattr(problem, name) is None:
+            raise ValueError(f"run_block_mm needs the problem's {name}; it has none")
     c_len = problem.dims[2]
     c = np.array(_constrained(problem, _check_anchor(problem, init_g, init_c, "init_")))
     c.setflags(write=False)

@@ -10,7 +10,7 @@ bit-identical to one-at-a-time calls; a single matrix is the stack of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -29,6 +29,15 @@ def _check_count(name: str, count, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {count!r}")
     if count < low:
         raise ValueError(f"{name} must be at least {low}, got {count}")
+
+
+def _check_real(name: str, value, low: float, strict: bool = False) -> None:
+    """Raise a ValueError naming a bool, or a value that is not a finite
+    number >= low (> low when strict). A float skips the slow ABC check."""
+    number = type(value) is float or (isinstance(value, Real) and not isinstance(value, bool))
+    if not (number and (value > low if strict else value >= low) and value < np.inf):  # NaN fails too
+        shown = value if number else repr(value)
+        raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} {low:g}, got {shown}")
 
 
 def as_matrix(a) -> np.ndarray:

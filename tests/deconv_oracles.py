@@ -12,15 +12,23 @@ import math
 
 import numpy as np
 
-from grassmm import DeconvProblem, DeconvState, GrassmannPoint, random_point, soft_threshold
-from grassmm.deconv import _FFT_MIN_N, _check_length, _conv, _corr, _geodesic_step, _trusted
+from grassmm import (
+    DeconvProblem,
+    DeconvState,
+    GrassmannPoint,
+    circular_convolution,
+    circular_correlation,
+    random_point,
+    soft_threshold,
+)
+from grassmm.deconv import _FFT_MIN_N, _check_length, _geodesic_step, _trusted
 from grassmm.grassmann import _project
 
 
 def deconv_cost(problem: DeconvProblem, state: DeconvState) -> float:
     """Sign-invariant cost: best-sign squared residual plus lambda * ||x||_1."""
     _check_length(problem, state)
-    u = _conv(state.kernel, state.x)
+    u = circular_convolution(state.kernel, state.x)
     r_plus = problem.y - u
     r_minus = problem.y + u
     data = min(float(r_plus @ r_plus), float(r_minus @ r_minus))
@@ -32,7 +40,7 @@ def _grad(problem: DeconvProblem, v: np.ndarray, state: DeconvState) -> np.ndarr
     _check_length(problem, state)
     n = problem.n
     if n < _FFT_MIN_N:
-        return -2.0 * _corr(v, problem.y - _conv(state.kernel, state.x))
+        return -2.0 * circular_correlation(v, problem.y - circular_convolution(state.kernel, state.x))
     r = np.fft.rfft(problem.y) - np.fft.rfft(state.kernel) * np.fft.rfft(state.x)
     return -2.0 * np.fft.irfft(np.conj(np.fft.rfft(v)) * r, n)
 
@@ -56,7 +64,7 @@ def prox_step_x(problem: DeconvProblem, state: DeconvState, step: float) -> np.n
 
 def active_sign(problem: DeconvProblem, state: DeconvState) -> float:
     """Sign s minimizing ||y - s * (a (*) x)||; +1 on ties."""
-    u = _conv(state.kernel, state.x)
+    u = circular_convolution(state.kernel, state.x)
     return 1.0 if float(problem.y @ u) >= 0.0 else -1.0
 
 

@@ -567,14 +567,16 @@ def test_heuristic_lambda_matches_formula():
     assert lam > 0
 
 
-def test_lasso_warm_start_reduces_cost_with_fixed_kernel():
-    inst = generate_instance(6, 48, 0.08, 8, 0.0)
+@pytest.mark.parametrize("n", [48, 128, 1024])
+def test_lasso_warm_start_reduces_cost_with_fixed_kernel(n):
+    inst = generate_instance(6, n, 0.08, 8, 0.0)
     base = default_init(inst.y, 8)
     p = DeconvProblem(y=inst.y, lam=heuristic_lambda(inst.y, base.kernel))
     warm = lasso_warm_start(p, base)
     assert_array_equal(warm.a.basis, base.a.basis)
     # The loop checks nothing per step, and gives the same bits as a loop
-    # that builds and checks a state at every step.
+    # of the reference proximal step that builds and checks a state at
+    # every step, on both sides of the FFT crossover.
     x = base.x
     step = 1.0 / lipschitz_bound(base.kernel)
     for _ in range(500):
@@ -594,6 +596,32 @@ def test_lasso_warm_start_reduces_cost_with_fixed_kernel():
         with pytest.raises(ValueError, match=r"^max_iter must be an integer >= 0, got"):
             lasso_warm_start(p, base, bad)
     assert_array_equal(lasso_warm_start(p, base, np.int64(3)).x, lasso_warm_start(p, base, 3).x)
+
+
+def test_lasso_warm_start_transforms_only_the_new_code(monkeypatch):
+    # Each step is the solver's code step with the kernel held fixed: one
+    # forward real FFT (the new code) and two inverse ones (the convolution
+    # and the code gradient). The transforms of y and of the kernel are
+    # taken once.
+    counts = {"steps": 0, "rfft": 0, "irfft": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    inst = generate_instance(2, 1024, 0.0625, 8, 0.0)
+    init = default_init(inst.y, 8)
+    p = DeconvProblem(y=inst.y, lam=heuristic_lambda(inst.y, init.kernel))
+    monkeypatch.setattr(deconv, "soft_threshold", counted(deconv.soft_threshold, "steps"))
+    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, "rfft"))
+    monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft, "irfft"))
+    lasso_warm_start(p, init, max_iter=20)
+    assert counts["steps"] == 20
+    assert counts["rfft"] <= counts["steps"] + 2
+    assert counts["irfft"] <= 2 * counts["steps"]
 
 
 # --- problem/state validation -------------------------------------------------------
@@ -624,6 +652,27 @@ def test_boundary_names_a_non_finite_input(make, pattern):
     # only in the solver, as a NonFiniteCostError that names neither.
     with pytest.raises(ValueError, match=pattern):
         make()
+
+
+# Each real argument of the public boundary, called with a value v.
+REAL_ARGUMENTS = {
+    "lambda": lambda v: DeconvProblem(y=np.ones(8), lam=v),
+    "step_scale": lambda v: build_block_problem(DeconvProblem(y=np.ones(8), lam=0.0), v),
+    "tau": lambda v: soft_threshold(np.ones(3), v),
+    "sparsity": lambda v: generate_instance(0, 16, v, 3),
+    "noise_sigma": lambda v: generate_instance(0, 16, 0.2, 3, v),
+    "dist_tol": lambda v: SolverConfig(dist_tol=v),
+    "cost_tol": lambda v: SolverConfig(cost_tol=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.1", None, np.nan, np.inf], ids=["bool", "str", "none", "nan", "inf"])
+@pytest.mark.parametrize("name", list(REAL_ARGUMENTS))
+def test_real_arguments_follow_one_number_rule(name, value):
+    # A bool is not a number here, and a string or None is named, not met
+    # by a TypeError from a comparison.
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number >=? 0, got"):
+        REAL_ARGUMENTS[name](value)
 
 
 # --- end to end -----------------------------------------------------------------

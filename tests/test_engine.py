@@ -41,7 +41,7 @@ from grassmm import engine
 from grassmm.deconv import build_block_problem
 from grassmm.grassmann import _pair_geodesics, _project, _secant_point
 
-from grassmann_oracles import exp_map, make_point, random_unit_tangent, riemannian_gradient
+from grassmann_oracles import exp_map, log_map, make_point, random_unit_tangent
 
 
 def subspace_optimum(a, d):
@@ -58,6 +58,21 @@ def identity_constraint(c):
 
 def line(angle):
     return make_point(np.array([[np.cos(angle)], [np.sin(angle)]]))
+
+
+def distance_grad(target):
+    """The gradient of canonical_distance(g, target) ** 2 in g: -2 log_g(target)."""
+    return lambda g, c: -2.0 * log_map(g, target).delta
+
+
+def zero_g_grad(g, c):
+    """The Grassmann gradient of a cost that does not depend on G."""
+    return np.zeros_like(g.basis)
+
+
+def zero_c_grad(g, c):
+    """The convex gradient of a cost that does not depend on c."""
+    return np.zeros_like(c)
 
 
 # --- solver basics ------------------------------------------------------------
@@ -228,6 +243,8 @@ def ascending_cost_problem():
         convex_surrogate=c_or,
         convex_constraint=identity_constraint,
         dims=(2, 1, 1),
+        grassmann_grad=distance_grad(target),
+        convex_grad=zero_c_grad,
     )
 
 
@@ -239,15 +256,12 @@ def test_monotonicity_violation_raises():
 
 def test_infeasible_grassmann_block_named():
     prob = ascending_cost_problem()
-    broken = BlockProblem(
-        cost=prob.cost,
+    broken = replace(
+        prob,
         grassmann_surrogate=SurrogateOracle(
             evaluate=prob.grassmann_surrogate.evaluate,
             minimize=lambda g, c: g.basis,  # returns a bare array, not a point
         ),
-        convex_surrogate=prob.convex_surrogate,
-        convex_constraint=identity_constraint,
-        dims=(2, 1, 1),
     )
     with pytest.raises(InfeasibleBlockError, match="grassmann block update must be a GrassmannPoint, got ndarray"):
         run_block_mm(broken, line(0.4), np.zeros(1), SolverConfig(seed=0))
@@ -276,6 +290,8 @@ def test_infeasible_convex_block_named():
         ),
         convex_constraint=identity_constraint,
         dims=(2, 1, 1),
+        grassmann_grad=distance_grad(target),
+        convex_grad=lambda g, c: 2.0 * c,
     )
     with pytest.raises(InfeasibleBlockError, match="convex block"):
         run_block_mm(prob, line(0.4), np.zeros(1), SolverConfig(seed=0))
@@ -298,6 +314,8 @@ def test_constraint_projection_gap_is_infeasible():
         ),
         convex_constraint=lambda c: np.clip(c, 0.0, 1.0),
         dims=(2, 1, 1),
+        grassmann_grad=distance_grad(target),
+        convex_grad=zero_c_grad,
     )
     with pytest.raises(InfeasibleBlockError, match="infeasible"):
         run_block_mm(prob, line(0.4), np.zeros(1), SolverConfig(seed=0))
@@ -323,6 +341,8 @@ def test_non_finite_cost_raises_instead_of_iterating():
         convex_surrogate=SurrogateOracle(evaluate=lambda cand, g, c: cost(g, cand), minimize=lambda g, c: c),
         convex_constraint=identity_constraint,
         dims=(2, 1, 1),
+        grassmann_grad=distance_grad(target),
+        convex_grad=zero_c_grad,
     )
     with pytest.raises(NonFiniteCostError, match=r"after the grassmann update \(iteration 3\)"):
         run_block_mm(prob, line(0.8), np.zeros(1), SolverConfig(max_iter=50, seed=0))
@@ -406,9 +426,8 @@ def test_run_rejects_an_init_that_does_not_fit_the_dims():
         run_block_mm(prob, g0, c0[:5])
 
 
-def nan_costs(g, c):
-    """A batch cost that is NaN at every sample."""
-    return [np.nan] * (len(c) if isinstance(g, GrassmannPoint) else len(g))
+def no_cost_call(*args):
+    raise AssertionError("the cost was called")
 
 
 @pytest.mark.parametrize(
@@ -418,16 +437,17 @@ def nan_costs(g, c):
         ("convex_grad", lambda g, c: np.zeros(c.size + 1), ValueError, r"convex_grad result has shape \(7,\)"),
         ("grassmann_grad", lambda g, c: np.full(g.basis.shape, np.nan), NonFiniteCostError, "gradient norms are"),
         ("grassmann_grad", lambda g, c: g.basis[:, :1], ValueError, r"grassmann_grad result has shape \(6, 1\)"),
-        # Without convex_grad the norm is taken by finite differences, on the batch cost.
-        ("convex_grad", None, NonFiniteCostError, "gradient norms are"),
+        # A problem without a gradient is refused before the first cost call.
+        ("grassmann_grad", None, ValueError, "^run_block_mm needs the problem's grassmann_grad; it has none$"),
+        ("convex_grad", None, ValueError, "^run_block_mm needs the problem's convex_grad; it has none$"),
     ],
-    ids=["convex-nan", "convex-shape", "grassmann-nan", "grassmann-shape", "fd-nan"],
+    ids=["convex-nan", "convex-shape", "grassmann-nan", "grassmann-shape", "no-grassmann-grad", "no-convex-grad"],
 )
 def test_a_bad_gradient_raises_instead_of_converging(field, value, error, match):
     a = np.random.default_rng(0).standard_normal((6, 20))
     prob = replace(builtin_subspace_plus_mean(a, 2), **{field: value})
     if value is None:
-        prob = replace(prob, costs=nan_costs)
+        prob = replace(prob, cost=no_cost_call, costs=no_cost_call)
     g0, c0 = subspace_plus_mean_init(a, 2, 0)
     with pytest.raises(error, match=match):
         run_block_mm(prob, g0, c0, SolverConfig(seed=0))
@@ -464,6 +484,8 @@ def test_tie_oscillation_is_flagged():
         convex_surrogate=SurrogateOracle(evaluate=lambda cand, g, c: 1.0, minimize=lambda g, c: c),
         convex_constraint=identity_constraint,
         dims=(2, 1, 1),
+        grassmann_grad=zero_g_grad,
+        convex_grad=zero_c_grad,
     )
     _, report = run_block_mm(prob, points[0], np.zeros(1), SolverConfig(max_iter=21, seed=0))
     assert not report.converged
@@ -826,8 +848,6 @@ def every_audit(problem, anchors, seed):
         out.append(audit_majorization(problem, block, anchors, 12, seed))
         out.append(audit_derivative_match(problem, block, anchor, 12, seed))
     out.append(stationarity_check(problem, *anchor, 12, seed))
-    fd_only = replace(problem, grassmann_grad=None, convex_grad=None)
-    out.append(engine._gradient_norms(fd_only, *anchor))
     return out
 
 
@@ -1242,20 +1262,6 @@ def reference_stationarity(problem, g, c, directions, seed):
     return float(worst)
 
 
-def reference_fd_grad_norm(problem, g, c):
-    comp = engine._complement_basis(g)
-    h = engine._ZERO_GRAD_FALLBACK_FD
-    total = 0.0
-    for i in range(comp.shape[1]):
-        for j in range(g.d):
-            delta = np.zeros_like(g.basis)
-            delta[:, j] = comp[:, i]
-            tv = riemannian_gradient(g, delta)
-            plus, minus = problem.cost(exp_map(g, tv, h), c), problem.cost(exp_map(g, tv, -h), c)
-            total += ((plus - minus) / (2.0 * h)) ** 2
-    return float(np.sqrt(total))
-
-
 @pytest.mark.parametrize("chunk_bytes", [engine._CHUNK_BYTES, 16384, 384, 1536])
 @pytest.mark.parametrize("kind", ["subspace-mean", "deconv"])
 def test_chunked_batches_match_pointwise_references(kind, chunk_bytes, monkeypatch, exact_problem, exact_anchors):
@@ -1282,23 +1288,6 @@ def test_chunked_batches_match_pointwise_references(kind, chunk_bytes, monkeypat
                 problem, block, anchors, 10, seed
             )
         assert audit_homogeneity(problem, anchors, 10, seed) == reference_homogeneity(problem, anchors, 10, seed)
-    g, c = anchors[0]
-    fd_only = replace(problem, grassmann_grad=None)
-    assert engine._fd_grad_norm_grassmann(fd_only, g, c) == reference_fd_grad_norm(fd_only, g, c)
-
-
-def test_fd_gradient_norm_matches_analytic():
-    # without a gradient callable the diagnostic falls back to central
-    # differences along geodesics; on a smooth cost it must match the gradient
-    a = np.random.default_rng(7).standard_normal((8, 30))
-    analytic = builtin_subspace_plus_mean(a, 2)
-    fd_only = replace(analytic, grassmann_grad=None)
-    for seed in range(20):
-        g = random_point(seed, 8, 2)
-        c = np.random.default_rng(seed).standard_normal(8)
-        expected = riemannian_gradient(g, analytic.grassmann_grad(g, c)).norm()
-        fd, _ = engine._gradient_norms(fd_only, g, c)
-        assert fd == pytest.approx(expected, rel=1e-8)
 
 
 def reference_norm(x):
@@ -1477,6 +1466,8 @@ def quadratic_pull(turn, target):
         ),
         convex_constraint=identity_constraint,
         dims=(2, 1, 2),
+        grassmann_grad=zero_g_grad,
+        convex_grad=lambda g, c: 2.0 * (c - target),
     )
 
 
