@@ -1,8 +1,9 @@
 """Command-line front end: validated JSON configs, per-seed trace CSVs,
 summary reports, and surrogate audits.
 
-Exit-code contract: 0 ok, 1 usage or config error, 2 non-convergence,
-3 audit failure.
+Exit-code contract: 0 ok, 1 usage or config error, or a solver error (such
+as a descent violation or a non-finite cost) that stops the command with no
+report written, 2 non-convergence, 3 audit failure.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .linalg import NumericError
 
 VALID_KINDS = ("deconv", "subspace-mean")
 
-TRACE_HEADER = "iter,f,f_after_G,dc_step,grad_norm_G,grad_norm_c"
+TRACE_HEADER = "iter,f,f_after_G,dc_step"
 
 _REQUIRED = object()  # the key must be present
 _UNSET = object()  # an absent key stays absent
@@ -219,9 +220,8 @@ def _build(kind: str, pc: dict, seed: int, step_scale: float = 1.0):
 def write_trace_csv(path: Path, trace) -> None:
     """One header line, then one line per record: the iteration, then each
     float field as %.17g, which round-trips every double."""
-    row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
     rows = [TRACE_HEADER]
-    rows += [row % (r.iteration, r.f, r.f_after_g, r.dc_step, r.grad_norm_g, r.grad_norm_c) for r in trace]
+    rows += ["%d,%.17g,%.17g,%.17g" % (r.iteration, r.f, r.f_after_g, r.dc_step) for r in trace]
     path.write_text("\n".join(rows) + "\n")
 
 
@@ -242,8 +242,12 @@ def cmd_run(cfg: dict, out_dir: Path) -> int:
             "iterations": int(report.iterations),
             "final_f": float(report.final_cost),
             "final_dc": float(report.final_dc),
+            "grad_norm_G": float(report.grad_norm_g),
+            "grad_norm_c": float(report.grad_norm_c),
             "stationarity_score": float(report.stationarity_score),
             "extrapolations": int(report.extrapolations),
+            "tie_suspected": bool(report.tie_suspected),
+            "audit_summary": _audit_json(report.audit_summary) if report.audit_summary else None,
         }
         all_converged &= bool(report.converged)
     _write_json(out_dir / "report.json", {"kind": cfg["kind"], "runs": runs})

@@ -19,10 +19,10 @@ the MM step, along the geodesic through G_i and G_{i+1} and the line through
 c_i and c_{i+1}, and keeps it only when it lowers the cost below the MM
 output's (SQUAREM: Varadhan and Roland, Scand. J. Statist. 2008; on MM: Zhou,
 Alexander and Lange, Stat. Comput. 2011). The stop test and the recorded
-step distance dc_step are those of the MM step; the gradient norms are taken
-at the kept point, whose cost is the next record's f and from which the next
-iteration starts. The rule, and what it does to the limit-point argument,
-are in run_block_mm.
+step distance dc_step are those of the MM step; the kept point's cost is the
+next record's f, and the next iteration starts from it. The rule, and what it
+does to the limit-point argument, are in run_block_mm. The gradient norms,
+the run's stationarity certificate, are taken once, at the final iterate.
 
 The audits and the stationarity probe sample in batches, in slices of at
 most _CHUNK_BYTES (32 KiB) of members, and give the same results, bit for
@@ -50,8 +50,8 @@ is checked once against the problem's dims: a GrassmannPoint of Gr(n, d) and
 a c of shape (c_len,). Each output of the problem's callables is checked once,
 where the engine first consumes it: a Grassmann minimize returns a
 GrassmannPoint of Gr(n, d), each convex_constraint result and gradient has its
-block's shape, and each cost and gradient norm of the run is finite. A
-problem may trust all the engine passes to it.
+block's shape, and each cost and the final gradient norms of the run are
+finite. A problem may trust all the engine passes to it.
 
 Tolerance policy. Every solver decision that compares costs measures the
 difference against |f_0|, the run's initial cost, so no decision depends on
@@ -153,7 +153,7 @@ class InfeasibleBlockError(RuntimeError):
 
 
 class NonFiniteCostError(ValueError):
-    """The cost or a gradient norm at an iterate is NaN or infinite."""
+    """The cost at an iterate, or a gradient norm at the final iterate, is NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,9 @@ class BlockProblem:
     """A two-block problem: cost f(G, c), one surrogate per block, constraints.
 
     dims is (n, d, c_len): G lives on Gr(n, d) and c in R^c_len. The gradient
-    callables feed the per-iteration diagnostic columns, so run_block_mm
-    needs both; the stationarity probe and the audits never read them.
+    callables give the report's gradient norms, called once at the final
+    iterate, so run_block_mm needs both; the stationarity probe and the
+    audits never read them.
 
     Contract with run_block_mm: cost must be a deterministic function of its
     arguments. The engine calls it once per half-step, at each new iterate,
@@ -251,8 +252,6 @@ class IterationRecord:
     f: float
     f_after_g: float
     dc_step: float
-    grad_norm_g: float
-    grad_norm_c: float
     audit_ok: Optional[bool] = None
 
 
@@ -272,6 +271,8 @@ class ConvergenceReport:
     iterations: int
     final_cost: float
     final_dc: float
+    grad_norm_g: float  # of the Riemannian gradient at (final_g, final_c)
+    grad_norm_c: float  # of the convex block's gradient there
     stationarity_directions: int
     stationarity_seed: int
     tie_suspected: bool
@@ -469,13 +470,7 @@ def _norm(x: np.ndarray) -> float:
 
 def _gradient_norms(problem: BlockProblem, g: GrassmannPoint, c: np.ndarray) -> tuple[float, float]:
     grad = _checked(problem.grassmann_grad(g, c), g.basis.shape, "grassmann_grad result")
-    basis = g.basis
-    if basis.shape[1] == 1:
-        # _project on one column: x @ (x^T @ grad) holds the products
-        # x_i w of the one dot product w = x . grad.
-        gn_g = _norm(grad - basis * float(basis[:, 0].dot(grad[:, 0])))
-    else:
-        gn_g = _norm(_project(basis, grad))
+    gn_g = _norm(_project(g.basis, grad))
     gn_c = _norm(_checked(problem.convex_grad(g, c), c.shape, "convex_grad result"))
     if not (math.isfinite(gn_g) and math.isfinite(gn_c)):
         raise NonFiniteCostError(f"gradient norms are {gn_g} (grassmann) and {gn_c} (convex)")
@@ -517,11 +512,11 @@ def run_block_mm(
     missing gradient field before the first cost call, MonotonicityViolation
     if a half-update raises the cost by more than MONOTONICITY_TOL * |f_0|,
     InfeasibleBlockError (naming the block) if a surrogate returns a value
-    outside its feasible set, and NonFiniteCostError if the cost or a
-    gradient norm at an iterate is NaN or infinite. The end-of-run
-    stationarity probe is not taken here but on the first read of the
-    report's stationarity_score, which raises NonFiniteCostError if a probe
-    cost is not finite (see ConvergenceReport).
+    outside its feasible set, and NonFiniteCostError if the cost at an
+    iterate, or a gradient norm at the final iterate, is NaN or infinite.
+    The end-of-run stationarity probe is not taken here but on the first read
+    of the report's stationarity_score, which raises NonFiniteCostError if a
+    probe cost is not finite (see ConvergenceReport).
 
     Extrapolation. On every EXTRAPOLATION_PERIOD-th iteration whose MM step
     (G_i, c_i) -> (G', c') has not met the stop test, the engine tries one
@@ -531,9 +526,9 @@ def run_block_mm(
     EXTRAPOLATION_BETA_MAX), and otherwise halves (down to 1). A pair of
     subspaces with no unique geodesic between them skips the try, which
     counts as a rejection. The stop test, dc_step and f_after_g describe the
-    MM step; the gradient norms are taken at the kept point, whose cost is
-    the next record's f and from which the next iteration starts.
-    ConvergenceReport.extrapolations counts the accepted tries.
+    MM step; the kept point's cost is the next record's f, and the next
+    iteration starts from it. ConvergenceReport.extrapolations counts the
+    accepted tries.
 
     The kept point costs no more than the MM output, so the enforced chain
     f_i >= f_after_g_i >= f_{i+1} still holds, and the limit-point argument
@@ -613,7 +608,6 @@ def run_block_mm(
                 beta = min(2.0 * beta, EXTRAPOLATION_BETA_MAX)
             else:
                 beta = max(0.5 * beta, 1.0)
-        gn_g, gn_c = _gradient_norms(problem, g_next, c_next)
 
         audit_ok: Optional[bool] = None
         if config.audit_every > 0 and i % config.audit_every == 0:
@@ -624,17 +618,7 @@ def run_block_mm(
             audit_ok = all(r.passed for r in checks)
             _fold(audit_summary, checks)
 
-        trace.append(
-            IterationRecord(
-                iteration=i,
-                f=f_curr,
-                f_after_g=f_after_g,
-                dc_step=dc,
-                grad_norm_g=gn_g,
-                grad_norm_c=gn_c,
-                audit_ok=audit_ok,
-            )
-        )
+        trace.append(IterationRecord(iteration=i, f=f_curr, f_after_g=f_after_g, dc_step=dc, audit_ok=audit_ok))
 
         g, c, f_curr = g_next, c_next, f_next
         final_dc = dc
@@ -643,11 +627,14 @@ def run_block_mm(
             converged = True
             break
 
+    grad_norm_g, grad_norm_c = _gradient_norms(problem, g, c)
     report = ConvergenceReport(
         converged=converged,
         iterations=iterations,
         final_cost=f_curr,
         final_dc=final_dc,
+        grad_norm_g=grad_norm_g,
+        grad_norm_c=grad_norm_c,
         stationarity_directions=config.audit_samples,
         stationarity_seed=config.seed,
         tie_suspected=_tie_suspected([r.dc_step for r in trace], converged, config.dist_tol),

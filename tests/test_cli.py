@@ -317,11 +317,11 @@ def test_run_writes_traces_and_report(tmp_path):
 
     for seed in (0, 1):
         lines = (out / f"trace_{seed}.csv").read_text().splitlines()
-        assert lines[0] == "iter,f,f_after_G,dc_step,grad_norm_G,grad_norm_c"
+        assert lines[0] == "iter,f,f_after_G,dc_step"
         assert len(lines) > 1
         for row in lines[1:]:
             fields = row.split(",")
-            assert len(fields) == 6
+            assert len(fields) == 4
             int(fields[0])
             for field in fields[1:]:
                 float(field)
@@ -331,9 +331,12 @@ def test_run_writes_traces_and_report(tmp_path):
     assert set(report["runs"]) == {"0", "1"}
     for entry in report["runs"].values():
         assert set(entry) == {
-            "converged", "iterations", "final_f", "final_dc", "stationarity_score", "extrapolations"
+            "converged", "iterations", "final_f", "final_dc", "grad_norm_G", "grad_norm_c",
+            "stationarity_score", "extrapolations", "tie_suspected", "audit_summary",
         }
         assert entry["converged"] is True
+        assert entry["tie_suspected"] is False and entry["audit_summary"] is None
+        assert math.isfinite(entry["grad_norm_G"]) and math.isfinite(entry["grad_norm_c"])
         # subspace-mean converges before the first extrapolation try
         assert entry["extrapolations"] == 0
         rows = len(lines) - 1  # one trace row per iteration
@@ -418,12 +421,15 @@ def test_run_overflowing_noise_names_noise_sigma(tmp_path, capsys, noise_sigma):
 
 def test_run_with_large_finite_noise_completes(tmp_path):
     # y of size about 1e150: the kernel gradient's entries are finite but the
-    # sum of their squares is not, and the trace must still hold its norm
+    # sum of their squares is not, and the report must still hold its norm,
+    # which lies past sqrt(max double) = 1.34e154
     problem = {"N": 64, "sparsity": 0.0625, "kernel_support": 8, "noise_sigma": 1e150}
     config = write_config(tmp_path, deconv_payload(problem=problem))
     assert main(["--out", str(tmp_path / "out"), "run", str(config)]) == 0
     rows = np.loadtxt(tmp_path / "out" / "trace_0.csv", delimiter=",", skiprows=1, ndmin=2)
-    assert np.all(np.isfinite(rows)) and rows[0, 4] > 1e150
+    assert np.all(np.isfinite(rows))
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["runs"]["0"]
+    assert math.isfinite(report["grad_norm_G"]) and report["grad_norm_G"] > 1.4e154
 
 
 def test_run_long_signal_uses_fft_path(tmp_path):
@@ -435,13 +441,44 @@ def test_run_long_signal_uses_fft_path(tmp_path):
     rows = np.loadtxt(out / "trace_0.csv", delimiter=",", skiprows=1, ndmin=2)
     report = json.loads((out / "report.json").read_text())["runs"]["0"]
     assert report["iterations"] == 20
-    assert rows.shape == (20, 6)
+    assert rows.shape == (20, 4)
     assert np.all(np.isfinite(rows))
     chain = np.append(rows[:, 1:3].ravel(), report["final_f"])  # f_0, f_after_G_0, f_1, ...
     assert np.all(np.diff(chain) <= 0.0)
     # every length seen is >= _FFT_MIN_N, so no O(N^2) index may have been built
     assert deconv._FFT_MIN_N <= 4096
     assert deconv._conv_index.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "n, solver, code, grad_norm_g, grad_norm_c",
+    [
+        (64, {}, 0, 2.8229232051484809e-15, 0.00010601329087164791),
+        (1024, {"max_iter": 100}, 2, 0.30384546767794218, 0.042766571866456556),
+    ],
+    ids=["deconv-64", "deconv-1024-max-iter-100"],
+)
+def test_run_reports_the_gradient_norms_at_the_final_iterate(tmp_path, n, solver, code, grad_norm_g, grad_norm_c):
+    # Pinned to the last row of the trace's former grad_norm_G and grad_norm_c
+    # columns, which held the norms at each kept iterate.
+    problem = {"N": n, "sparsity": 0.0625, "kernel_support": 8, "lambda": 0.1}
+    config = write_config(tmp_path, deconv_payload(problem=problem, solver=solver))
+    assert main(["--out", str(tmp_path / "out"), "run", str(config)]) == code
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["runs"]["0"]
+    assert (report["grad_norm_G"], report["grad_norm_c"]) == (grad_norm_g, grad_norm_c)
+
+
+def test_run_writes_the_in_run_audit_summary(tmp_path):
+    problem = {"N": 10, "D": 2, "M": 40}
+    for solver, out in (({"audit_every": 5}, "audited"), ({}, "plain")):
+        config = write_config(tmp_path, subspace_payload(problem=problem, solver=solver))
+        assert main(["--out", str(tmp_path / out), "run", str(config)]) == 0
+    for entry in json.loads((tmp_path / "audited" / "report.json").read_text())["runs"].values():
+        summary = entry["audit_summary"]
+        assert set(summary) == {"tightness", "majorization"}
+        assert all(r["passed"] is True and r["checked"] > 0 for r in summary.values())
+    for entry in json.loads((tmp_path / "plain" / "report.json").read_text())["runs"].values():
+        assert entry["audit_summary"] is None
 
 
 @pytest.mark.parametrize("n, max_iter, code", [(64, 5000, 0), (1024, 100, 2)])
@@ -655,7 +692,7 @@ def per_field_trace_csv(trace):
 
     rows = [cli.TRACE_HEADER]
     for r in trace:
-        fields = [str(r.iteration), fmt(r.f), fmt(r.f_after_g), fmt(r.dc_step), fmt(r.grad_norm_g), fmt(r.grad_norm_c)]
+        fields = [str(r.iteration), fmt(r.f), fmt(r.f_after_g), fmt(r.dc_step)]
         rows.append(",".join(fields))
     return "\n".join(rows) + "\n"
 
@@ -664,7 +701,7 @@ def test_trace_csv_bytes_equal_per_field_formatting(tmp_path):
     values = [NAN, INF, -INF, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 2.0**-1022, 123456789.0, 1e16]
     n = len(values)
     trace = [
-        IterationRecord(i, *(values[(i + k) % n] for k in (0, 1, 2, 5)), np.float64(values[(i + 7) % n]))
+        IterationRecord(i, *(values[(i + k) % n] for k in (0, 1)), np.float64(values[(i + 7) % n]))
         for i in range(2 * n)
     ]
     for records in (trace, trace[:1], []):

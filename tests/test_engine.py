@@ -430,6 +430,18 @@ def no_cost_call(*args):
     raise AssertionError("the cost was called")
 
 
+BAD_GRADIENT_DATA = np.random.default_rng(0).standard_normal((6, 20))
+
+
+def nan_at_the_final_iterate(g, c):
+    """A convex gradient that is NaN at the point where the run with the
+    built-in gradients stops, and zero everywhere else."""
+    prob = builtin_subspace_plus_mean(BAD_GRADIENT_DATA, 2)
+    final = run_block_mm(prob, *subspace_plus_mean_init(BAD_GRADIENT_DATA, 2, 0), SolverConfig(seed=0))[1]
+    at_final = np.array_equal(g.basis, final.final_g.basis) and np.array_equal(c, final.final_c)
+    return np.full(c.shape, np.nan if at_final else 0.0)
+
+
 @pytest.mark.parametrize(
     "field, value, error, match",
     [
@@ -437,20 +449,58 @@ def no_cost_call(*args):
         ("convex_grad", lambda g, c: np.zeros(c.size + 1), ValueError, r"convex_grad result has shape \(7,\)"),
         ("grassmann_grad", lambda g, c: np.full(g.basis.shape, np.nan), NonFiniteCostError, "gradient norms are"),
         ("grassmann_grad", lambda g, c: g.basis[:, :1], ValueError, r"grassmann_grad result has shape \(6, 1\)"),
+        ("convex_grad", nan_at_the_final_iterate, NonFiniteCostError, r"gradient norms are \S+ \(grassmann\) and nan \(convex\)"),
         # A problem without a gradient is refused before the first cost call.
         ("grassmann_grad", None, ValueError, "^run_block_mm needs the problem's grassmann_grad; it has none$"),
         ("convex_grad", None, ValueError, "^run_block_mm needs the problem's convex_grad; it has none$"),
     ],
-    ids=["convex-nan", "convex-shape", "grassmann-nan", "grassmann-shape", "no-grassmann-grad", "no-convex-grad"],
+    ids=[
+        "convex-nan", "convex-shape", "grassmann-nan", "grassmann-shape", "convex-nan-at-final",
+        "no-grassmann-grad", "no-convex-grad",
+    ],
 )
 def test_a_bad_gradient_raises_instead_of_converging(field, value, error, match):
-    a = np.random.default_rng(0).standard_normal((6, 20))
+    a = BAD_GRADIENT_DATA
     prob = replace(builtin_subspace_plus_mean(a, 2), **{field: value})
     if value is None:
         prob = replace(prob, cost=no_cost_call, costs=no_cost_call)
     g0, c0 = subspace_plus_mean_init(a, 2, 0)
     with pytest.raises(error, match=match):
         run_block_mm(prob, g0, c0, SolverConfig(seed=0))
+
+
+def builtin_runs():
+    """(name, problem, init) of each built-in: deconv on the direct and on the
+    FFT path, and subspace-mean on Gr(10, 2)."""
+    for n in (64, 128):
+        y = generate_instance(0, n, 0.0625, 8, 0.0).y
+        init = default_init(y, 8)
+        yield f"deconv-{n}", build_block_problem(DeconvProblem(y=y, lam=0.1)), (init.a, init.x)
+    a = np.random.default_rng(0).standard_normal((10, 40))
+    yield "subspace-mean", builtin_subspace_plus_mean(a, 2), subspace_plus_mean_init(a, 2, 0)
+
+
+@pytest.mark.parametrize("problem, init", [pytest.param(p, init, id=name) for name, p, init in builtin_runs()])
+def test_each_gradient_is_called_once_per_run(problem, init):
+    # The gradient norms are the final iterate's certificate: no decision of
+    # the run reads them, so each gradient is called once, after the loop.
+    calls = {"grassmann_grad": [], "convex_grad": []}
+
+    def counted(field):
+        grad = getattr(problem, field)
+        return lambda g, c: calls[field].append((g, c)) or grad(g, c)
+
+    counting = replace(problem, **{field: counted(field) for field in calls})
+    for max_iter in (1, 7, 5000):
+        for seen in calls.values():
+            seen.clear()
+        _, report = run_block_mm(counting, *init, SolverConfig(max_iter=max_iter, seed=0))
+        # subspace-mean converges within 7 iterations
+        assert report.converged or (max_iter < 5000 and report.iterations == max_iter)
+        for seen in calls.values():
+            assert len(seen) == 1
+            g, c = seen[0]
+            assert g is report.final_g and c is report.final_c
 
 
 def test_extrapolated_convex_value_is_checked():
@@ -1333,8 +1383,8 @@ def test_gradient_norm_equals_the_numpy_norm_bit_for_bit_without_warnings():
 
 
 def test_grassmann_gradient_norm_on_one_column_is_the_projected_norm_bit_for_bit():
-    # On Gr(N, 1) the gradient is projected as grad - x (x . grad); the
-    # reference is _project, which the D >= 2 case keeps.
+    # Gr(N, 1) takes the same _project as D >= 2, and the norm is
+    # np.linalg.norm's of the projection, bit for bit, at every scale.
     rng = np.random.default_rng(1)
     for n, d in ((2, 1), (3, 1), (64, 1), (127, 1), (128, 1), (1024, 1), (10, 2)):
         base = builtin_subspace_plus_mean(rng.standard_normal((n, 5)), d)
