@@ -7,32 +7,32 @@ The kernel is a point of Gr(N, 1), which makes the estimate sign-ambiguous:
 
 so it is exactly invariant under flipping the kernel representative. The sign
 attaining the minimum is called the active sign; gradients and surrogate steps
-are taken on that branch. Circular convolution and correlation are computed
-as the direct O(N^2) sum below _FFT_MIN_N samples and with a real FFT at and
-above it, where the FFT is faster. Both work on a per-signal transform (see
-_Signal): the circulant of a signal on the direct path, its real FFT on the
-FFT path. Every caller (instance generator, public functions, per-anchor
-context) shares the one routine, so at any length a planted instance has
-exactly zero residual at the truth, and a zero cost with lambda = 0. Both
-routines are odd in their first argument bit for bit, and so is the
-transform.
+are taken on that branch. Circular convolution and correlation have one
+formula at every length, on real-DFT spectra: a (*) x = _irfft(a^ x^) and
+corr(v, w) = _irfft(conj(v^) w^). The transform pair _rfft/_irfft is a
+product with kept real-DFT matrices below _FFT_MIN_N samples, where numpy's
+per-call FFT overhead dominates, and np.fft at and above it. Every caller
+(instance generator, public functions, per-anchor context) shares the pair,
+so at any length a planted instance has exactly zero residual at the truth,
+and a zero cost with lambda = 0. Both routines are odd in their first
+argument bit for bit, and so is the transform.
 
 The BlockProblem built by build_block_problem reads everything at an anchor
 (G, x) from one per-anchor context, and lasso_warm_start repeats its code
-step with the kernel held fixed. The context computes the convolution
-u = a (*) x once; the cost, the active sign and the active-sign residual
-follow from u, and the two block gradients and the two Lipschitz bounds are
-filled in on first use. The cost has one formula, _fit, on both paths: the
-residuals y -/+ u are signals and their squared norms dot products. The
-transforms are kept per signal: both gradients read the residual's, an
-anchor whose G or x is, by identity, the previous anchor's takes that
-signal's transform from it, and the code gradient reads G's transform, its
-sign flipped for the negative sign. At and above _FFT_MIN_N the context
-forms the spectrum a^ x^ of u once, from the real FFTs of G and x, and
-takes u from it; the residual's transform is then the spectrum
-rfft(y) -/+ a^ x^, with rfft(y) taken once per problem, so no residual is
-transformed. The Lipschitz bounds read the stored real FFTs of G and x
-there. The results equal, bit for bit, the same quantities computed from
+step with the kernel held fixed. The context forms the spectrum a^ x^ once,
+from the kept transforms of G and x, and takes u = a (*) x from it; the
+cost, the active sign and the active-sign residual follow from u, and the
+two block gradients and the two Lipschitz bounds are filled in on first use.
+The cost has one formula, _fit: the residuals y -/+ u are signals and their
+squared norms dot products. The transforms are kept per signal (see
+_Signal): an anchor whose G or x is, by identity, the previous anchor's takes
+that signal's from it, both gradients read the residual's, and the code
+gradient reads G's, its sign flipped for the negative sign. Below _FFT_MIN_N
+the residual is a signal, transformed on first use, so an exact fit has an
+exactly zero gradient. At and above it the residual's transform is the
+spectrum rfft(y) -/+ a^ x^, with rfft(y) taken once per problem, so no
+residual is transformed, except an exact fit's: the spectrum would carry
+rounding. The results equal, bit for bit, the same quantities computed from
 scratch.
 Contexts are kept for the two most recently used anchors whose arrays are
 read-only, matched by identity, so an anchor that follows an extrapolation
@@ -43,14 +43,12 @@ stale value. The callables trust their arguments, which the engine has
 checked (see the check policy in grassmm.engine).
 
 The batch cost, BlockProblem.costs, takes K kernels with one code or one
-kernel with K codes, builds no context and only reads the kept ones: at and
-above _FFT_MIN_N, when its one kernel or one code is, by identity, an array
-of a kept context, it takes that signal's real FFT. It convolves all K pairs
-in one call (_convolve_rows: stacked circulant products below _FFT_MIN_N, in
-slices of at most _COST_BATCH_BYTES of circulants, and row-wise real FFTs at
-and above it), and shares _fit with the context: each member of a stack
-takes the dot product the context takes. Member k equals the cost call at
-its pair bit for bit.
+kernel with K codes, builds no context and only reads the kept ones: when its
+one kernel or one code is, by identity, an array of a kept context, it takes
+that signal's transform. It convolves all K pairs by the same formula, its
+transforms taken row by row, and shares _fit with the context: each member of
+a stack takes the dot product the context takes. Member k equals the cost
+call at its pair bit for bit.
 """
 
 from __future__ import annotations
@@ -63,19 +61,59 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .engine import _COST_BATCH_BYTES, BlockProblem, SurrogateOracle
+from .engine import BlockProblem, SurrogateOracle
 from .grassmann import GrassmannPoint, _trusted
 from .linalg import _check_count, _check_real
 
 _KERNEL_NORM_TOL = 1e-10  # absolute: a unit kernel has no scale; stricter than the Gram check
 
-_FFT_MIN_N = 128  # measured crossover: rfft beats the direct sum from here on
+# Crossover of the transform pair: at N=64 a kept-matrix product takes about
+# 1.1 us and np.fft.rfft about 6.9 us (timeit); they are about equal near
+# N=192. The threshold is 128, not 192, so every length from 128 on keeps
+# np.fft's bits.
+_FFT_MIN_N = 128
 
 
-@lru_cache(maxsize=None)  # bounded: only lengths below _FFT_MIN_N are cached
-def _conv_index(n: int) -> np.ndarray:
-    grid = np.arange(n)
-    return (grid[:, None] - grid[None, :]) % n
+@lru_cache(maxsize=None)  # bounded: lengths below _FFT_MIN_N only, about 11 MB for all of them
+def _dft(n: int) -> tuple:
+    """The real-DFT matrices of length n on interleaved (re, im) pairs of its
+    h = n // 2 + 1 bins: forward (n x 2h), v.dot(fwd) is rfft(v), and inverse
+    (2h x n), t.dot(inv) is irfft(t, n), which gives the imaginary parts of
+    the DC and Nyquist bins zero weight."""
+    h = n // 2 + 1
+    angle = (2.0 * math.pi / n) * (np.outer(np.arange(n), np.arange(h)) % n)
+    cos, sin = np.cos(angle), np.sin(angle)  # the DC bin's sin is exactly 0
+    weight = np.full((h, 1), 2.0 / n)
+    weight[0] = 1.0 / n
+    if n % 2 == 0:  # an even length's Nyquist bin is real, and counted once
+        weight[-1] = 1.0 / n
+        sin[:, -1] = 0.0
+    fwd, inv = np.empty((n, 2 * h)), np.empty((2 * h, n))
+    fwd[:, 0::2], fwd[:, 1::2] = cos, -sin
+    inv[0::2], inv[1::2] = weight * cos.T, -weight * sin.T
+    for m in (fwd, inv):
+        m.setflags(write=False)
+    return fwd, inv
+
+
+def _rfft(v: np.ndarray) -> np.ndarray:
+    """rfft(v) of a signal, or of each row of a K x N stack. Below _FFT_MIN_N
+    a stack takes one (1 x N) @ (N x 2h) product per row, so each row equals
+    the single call bit for bit, which one K x N gemm does not."""
+    n = v.shape[-1]
+    if n >= _FFT_MIN_N:
+        return np.fft.rfft(v)
+    fwd = _dft(n)[0]
+    return (v.dot(fwd) if v.ndim == 1 else (v[:, None, :] @ fwd)[:, 0, :]).view(complex)
+
+
+def _irfft(t: np.ndarray, n: int) -> np.ndarray:
+    """irfft(t, n) of a C-contiguous spectrum, or of each row of a stack, as _rfft."""
+    if n >= _FFT_MIN_N:
+        return np.fft.irfft(t, n)
+    inv = _dft(n)[1]
+    t = t.view(float)
+    return t.dot(inv) if t.ndim == 1 else (t[:, None, :] @ inv)[:, 0, :]
 
 
 def _as_signal(v, name: str) -> np.ndarray:
@@ -92,10 +130,10 @@ def _as_signal(v, name: str) -> np.ndarray:
 
 
 class _Signal:
-    """A signal v and its transform t, computed on first use and then kept:
-    the circulant v[_conv_index(N)] below _FFT_MIN_N samples, rfft(v) at and
-    above. Its Lipschitz bound is kept the same way. A signal known only by
-    its real FFT, an active residual at and above _FFT_MIN_N, has v None."""
+    """A signal v and its transform t = _rfft(v), computed on first use and
+    then kept, and so is its Lipschitz bound, read from t. A signal known
+    only by its transform, an active residual at and above _FFT_MIN_N, has v
+    None."""
 
     __slots__ = ("v", "_t", "_lip")
 
@@ -107,58 +145,18 @@ class _Signal:
     @property
     def t(self) -> np.ndarray:
         if self._t is None:
-            n = self.v.size
-            # take makes the C-contiguous copy fancy indexing makes, faster
-            self._t = self.v.take(_conv_index(n)) if n < _FFT_MIN_N else np.fft.rfft(self.v)
+            self._t = _rfft(self.v)
         return self._t
 
     @property
     def lip(self) -> float:
-        """_lipschitz(v), from the transform when that is the real FFT."""
         if self._lip is None:
-            self._lip = _lipschitz(self.v, self.t if self.v.size >= _FFT_MIN_N else None)
+            self._lip = _lipschitz(self.t)
         return self._lip
 
 
-def _convolve(a: _Signal, x: _Signal) -> np.ndarray:
-    n = a.v.size
-    if n < _FFT_MIN_N:
-        return x.t @ a.v
-    return np.fft.irfft(a.t * x.t, n)
-
-
 def _correlate(v: _Signal, w: _Signal) -> np.ndarray:
-    n = v.v.size
-    if n < _FFT_MIN_N:
-        return w.v @ v.t
-    return np.fft.irfft(np.conj(v.t) * w.t, n)
-
-
-def _convolve_rows(
-    kernels: np.ndarray, codes: np.ndarray, kernel: Optional[_Signal] = None, code: Optional[_Signal] = None
-) -> np.ndarray:
-    """The K x N stack of the convolutions a_k (*) x_k of the rows of two
-    stacks: K kernels and one code, or one kernel and K codes. At and above
-    _FFT_MIN_N, `kernel` or `code`, when given, is the _Signal of the one
-    kernel or the one code, whose kept real FFT serves in place of a new one.
-    Row k equals _convolve of its pair bit for bit: the circulants are
-    C-contiguous, as _Signal's, so each takes the same matrix-vector product,
-    and the real FFTs are taken row by row. Below _FFT_MIN_N each of K codes
-    builds its own N x N circulant, at most _COST_BATCH_BYTES of them at a
-    time."""
-    n = kernels.shape[1]
-    if n >= _FFT_MIN_N:
-        a = np.fft.rfft(kernels) if kernel is None else kernel.t
-        return np.fft.irfft(a * (np.fft.rfft(codes) if code is None else code.t), n)
-    index = _conv_index(n)
-    if len(codes) == 1:
-        return (np.take(codes, index, axis=1) @ kernels[:, :, None])[:, :, 0]
-    out = np.empty(codes.shape)
-    step = max(1, _COST_BATCH_BYTES // (8 * n * n))
-    for lo in range(0, len(codes), step):
-        circulants = np.take(codes[lo : lo + step], index, axis=1)
-        out[lo : lo + step] = (circulants @ kernels[:, :, None])[:, :, 0]
-    return out
+    return _irfft(np.conj(v.t) * w.t, v.v.size)
 
 
 def _fit(y: np.ndarray, u: np.ndarray, penalty) -> tuple:
@@ -170,8 +168,8 @@ def _fit(y: np.ndarray, u: np.ndarray, penalty) -> tuple:
     the dot product r . r, for a stack a stacked (1 x N) @ (N x 1) product,
     so member k does not depend on K and equals the cost of its convolution
     alone."""
-    # y + u is y - (-a) (*) x bit for bit: negating a negates every product
-    # of the direct sum and every coefficient of the FFT path.
+    # y + u is y - (-a) (*) x bit for bit: negating a negates its transform,
+    # every coefficient of a^ x^ and every product of the inverse.
     if u.ndim == 1:
         r = (y - u, y + u)
         d = (float(r[0].dot(r[0])), float(r[1].dot(r[1])))
@@ -185,28 +183,28 @@ def _fit(y: np.ndarray, u: np.ndarray, penalty) -> tuple:
     return np.minimum(d[0], d[1]) + penalty, r, d
 
 
-def _lipschitz(v: np.ndarray, spectrum: Optional[np.ndarray] = None) -> float:
-    """2 max |rfft(v)|^2; spectrum, when given, must be rfft(v) bit for bit."""
+def _lipschitz(t: np.ndarray) -> float:
+    """2 max |t|^2, with t the real FFT of a signal v: 2 max |DFT(v)|^2."""
     # The moduli of the full DFT are those of the real FFT, mirrored. Rounding
     # is monotone, so the square of the largest modulus is the largest
     # rounded square bit for bit.
-    m = float(np.abs(np.fft.rfft(v) if spectrum is None else spectrum).max())
+    m = float(np.abs(t).max())
     return 2.0 * (m * m)
 
 
 def circular_convolution(a, x) -> np.ndarray:
-    """Circular convolution out[i] = sum_k a[k] * x[(i - k) mod N]: the direct
-    sum below _FFT_MIN_N samples, a real FFT at and above it."""
+    """Circular convolution out[i] = sum_k a[k] * x[(i - k) mod N], taken
+    through the real DFT (see the module docstring)."""
     a = _as_signal(a, "a")
     x = _as_signal(x, "x")
     if a.size != x.size:
         raise ValueError(f"length mismatch: {a.size} vs {x.size}")
-    return _convolve(_Signal(a), _Signal(x))
+    return _irfft(_rfft(a) * _rfft(x), a.size)
 
 
 def circular_correlation(v, w) -> np.ndarray:
-    """Circular cross-correlation out[k] = sum_i v[(i - k) mod N] * w[i]: the
-    direct sum below _FFT_MIN_N samples, a real FFT at and above it."""
+    """Circular cross-correlation out[k] = sum_i v[(i - k) mod N] * w[i],
+    taken through the real DFT (see the module docstring)."""
     v = _as_signal(v, "v")
     w = _as_signal(w, "w")
     if v.size != w.size:
@@ -223,7 +221,7 @@ def soft_threshold(v, tau: float) -> np.ndarray:
 
 def lipschitz_bound(v) -> float:
     """Curvature bound 2 * max |DFT(v)|^2 for w -> ||y - v (*) w||_2^2."""
-    return _lipschitz(_as_signal(v, "v"))
+    return _lipschitz(_rfft(_as_signal(v, "v")))
 
 
 @dataclass(frozen=True)
@@ -307,6 +305,8 @@ def _geodesic_step(a: GrassmannPoint, egrad: np.ndarray, step: float) -> Grassma
     (N=27, seed 1439, lambda 0.5, iteration 1). The new kernel's constructor
     checks it.
     """
+    if not egrad.any():  # a stationary kernel is kept: renormalizing it would move it by rounding
+        return a
     b = a.basis[:, 0] - step * egrad
     nrm = math.sqrt(float(b.dot(b)))  # np.linalg.norm(b), bit for bit
     if nrm == 0.0:  # a = step g: the model is flat on the sphere, so a is kept
@@ -422,9 +422,10 @@ class _Anchor:
     `resid` the residual r = y - kernel (*) x and `base` = ||r||^2. The
     gradients are computed on first use, and so are the transforms of G and
     x and the Lipschitz bounds of G and x (see _Signal); both gradients read
-    the residual's transform. Below _FFT_MIN_N the residual is a signal; at
-    and above it, it is kept only as that transform, rfft(y) -/+ a^ x^ from
-    the spectrum a^ x^ that u is taken from, so it is never transformed.
+    the residual's transform. Below _FFT_MIN_N, and at an exact fit, the
+    residual is a signal; at and above it, it is kept only as that
+    transform, rfft(y) -/+ a^ x^ from the spectrum a^ x^ that u is taken
+    from, so it is never transformed.
     An anchor whose G or x is the previous anchor's, by identity, takes that
     signal, with its transform and bound, from there, with the l1 penalty of
     x. `y` is the observation, its real FFT kept for the whole problem.
@@ -440,19 +441,17 @@ class _Anchor:
         else:
             self.x_signal, self.penalty = _Signal(x), lam * float(np.abs(x).sum())
         n = x.size
-        if n < _FFT_MIN_N:
-            u = _convolve(self.g_signal, self.x_signal)
-        else:
-            spectrum = self.g_signal.t * self.x_signal.t
-            u = np.fft.irfft(spectrum, n)  # _convolve, bit for bit
+        spectrum = self.g_signal.t * self.x_signal.t
+        u = _irfft(spectrum, n)  # circular_convolution, bit for bit
         self.cost, r, d = _fit(y.v, u, self.penalty)
         sign = 0 if float(y.v.dot(u)) >= 0.0 else 1
-        if n < _FFT_MIN_N:
+        self.base = d[sign]
+        if n < _FFT_MIN_N or self.base == 0.0:
+            # an exact fit keeps its zero residual: y^ -/+ a^ x^ would carry rounding
             self.resid = _Signal(r[sign])
         else:
             # y - (-a) (*) x has the spectrum y^ + a^ x^: negation is exact.
             self.resid = _Signal(None, y.t - spectrum if sign == 0 else y.t + spectrum)
-        self.base = d[sign]
         self.ws_a = g if sign == 0 else _trusted(GrassmannPoint, basis=-g.basis)
         self.kernel = self.ws_a.basis[:, 0]
         self._grad_a = self._grad_x = None
@@ -524,21 +523,19 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
 
     def costs(g, c) -> list[float]:
         # K kernels (a K x N x 1 stack) with one code, or one kernel with K
-        # codes; _fit and _convolve_rows keep each member equal to cost. No
-        # anchor context is built, and the kept ones are only read: at and
-        # above _FFT_MIN_N the one kernel or code, when a kept context holds
-        # it by identity, lends its real FFT.
-        one_g = isinstance(g, GrassmannPoint)
-        kernels = g.basis[None, :, 0] if one_g else g[:, :, 0]
-        codes = c if one_g else c[None]
-        kernel = code = None
-        if n >= _FFT_MIN_N:
-            if one_g:
-                kernel = next((ctx.g_signal for ctx in recent if ctx.g is g), None)
-            else:
-                code = next((ctx.x_signal for ctx in recent if ctx.x is c), None)
+        # codes. A stack is transformed row by row, each row equal to its
+        # single transform bit for bit, and _fit keeps each member equal to
+        # cost. No anchor context is built, and the kept ones are only read:
+        # the one kernel or code, when a kept context holds it by identity,
+        # lends its transform.
+        if isinstance(g, GrassmannPoint):
+            kept = next((ctx.g_signal.t for ctx in recent if ctx.g is g), None)
+            a_hat, x_hat, codes = _rfft(g.basis[:, 0]) if kept is None else kept, _rfft(c), c
+        else:
+            kept = next((ctx.x_signal.t for ctx in recent if ctx.x is c), None)
+            a_hat, x_hat, codes = _rfft(g[:, :, 0]), _rfft(c) if kept is None else kept, c[None]
         penalty = problem.lam * np.abs(codes).sum(axis=1)
-        return _fit(y.v, _convolve_rows(kernels, codes, kernel, code), penalty)[0].tolist()
+        return _fit(y.v, _irfft(a_hat * x_hat, n), penalty)[0].tolist()
 
     # --- kernel block -----------------------------------------------------
     def a_minimize(g: GrassmannPoint, x: np.ndarray) -> GrassmannPoint:

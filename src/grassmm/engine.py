@@ -135,10 +135,10 @@ STATIONARITY_PASS = -1e-4      # scores at or above this count as stationary
 # 256 KiB were no faster than 32 KiB, and 256 KiB added 1.5 to 2 MB to the
 # peak RSS of grassmm run at N=1024.
 _CHUNK_BYTES = 1 << 15
-# Largest temporary a built-in batch cost builds at once: deconv's K N x N
-# circulants, and subspace-mean's one K x N x M array, the projection X X^T B,
-# which its residual and then the residual's square overwrite in place (a
-# batch of K values of c first builds the K centred copies of A as well).
+# Largest temporary the subspace-mean batch cost builds at once: its one
+# K x N x M array, the projection X X^T B, which its residual and then the
+# residual's square overwrite in place (a batch of K values of c first
+# builds the K centred copies of A as well).
 # 256 KiB slices made the audits above about 30% slower and added 0.7 MB to
 # their peak RSS.
 _COST_BATCH_BYTES = 1 << 16

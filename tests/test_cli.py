@@ -433,7 +433,7 @@ def test_run_with_large_finite_noise_completes(tmp_path):
 
 
 def test_run_long_signal_uses_fft_path(tmp_path):
-    deconv._conv_index.cache_clear()
+    deconv._dft.cache_clear()
     problem = {"N": 4096, "sparsity": 0.0625, "kernel_support": 8, "lambda": 0.1}
     config = write_config(tmp_path, deconv_payload(problem=problem, solver={"max_iter": 20}))
     out = tmp_path / "out"
@@ -445,22 +445,48 @@ def test_run_long_signal_uses_fft_path(tmp_path):
     assert np.all(np.isfinite(rows))
     chain = np.append(rows[:, 1:3].ravel(), report["final_f"])  # f_0, f_after_G_0, f_1, ...
     assert np.all(np.diff(chain) <= 0.0)
-    # every length seen is >= _FFT_MIN_N, so no O(N^2) index may have been built
+    # every length seen is >= _FFT_MIN_N, so no O(N^2) DFT matrix may have been built
     assert deconv._FFT_MIN_N <= 4096
-    assert deconv._conv_index.cache_info().currsize == 0
+    assert deconv._dft.cache_info().currsize == 0
+
+
+def test_run_below_the_fft_crossover_calls_no_fft_and_gathers_nothing(tmp_path, monkeypatch):
+    # At N=64 the transform pair is a product with kept real-DFT matrices: a
+    # run, its stationarity probe included, makes no numpy FFT call and no
+    # np.take gather. The same hooks see the FFT path at N=128.
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, recorded(name, getattr(np.fft, name)))
+    monkeypatch.setattr(np, "take", recorded("take", np.take))
+    problem = {"N": 64, "sparsity": 0.0625, "kernel_support": 8, "lambda": 0.1}
+    config = write_config(tmp_path, deconv_payload(seeds=[0, 1], problem=problem))
+    assert main(["--out", str(tmp_path / "out"), "run", str(config)]) == 0
+    assert calls == []
+    deconv.circular_convolution(np.ones(128), np.ones(128))
+    assert calls == ["rfft", "rfft", "irfft"]
 
 
 @pytest.mark.parametrize(
     "n, solver, code, grad_norm_g, grad_norm_c",
     [
-        (64, {}, 0, 2.8229232051484809e-15, 0.00010601329087164791),
+        (64, {}, 0, 1.0529909339440175e-14, 0.00010601329087164791),
         (1024, {"max_iter": 100}, 2, 0.30384546767794218, 0.042766571866456556),
     ],
     ids=["deconv-64", "deconv-1024-max-iter-100"],
 )
 def test_run_reports_the_gradient_norms_at_the_final_iterate(tmp_path, n, solver, code, grad_norm_g, grad_norm_c):
-    # Pinned to the last row of the trace's former grad_norm_G and grad_norm_c
-    # columns, which held the norms at each kept iterate.
+    # The N=1024 pair is pinned to the last row of the trace's former
+    # grad_norm_G and grad_norm_c columns, which held the norms at each kept
+    # iterate. The N=64 pair is pinned to the bits of the kept-matrix real
+    # DFT, which moved grad_norm_G from 2.8e-15 by rounding.
     problem = {"N": n, "sparsity": 0.0625, "kernel_support": 8, "lambda": 0.1}
     config = write_config(tmp_path, deconv_payload(problem=problem, solver=solver))
     assert main(["--out", str(tmp_path / "out"), "run", str(config)]) == code

@@ -128,15 +128,53 @@ def test_convolution_and_correlation_are_odd_exactly():
             assert_array_equal(circular_correlation(-a, x), -circular_correlation(a, x))
 
 
-def test_direct_sum_below_fft_crossover():
-    # below the crossover, N=64 included, the outputs are the direct gather bit for bit
+def test_kept_dft_matrices_below_fft_crossover():
+    # Below the crossover, N=64 included, the transform pair is a product with
+    # kept real-DFT matrices on interleaved (re, im) pairs, and the outputs
+    # are those products bit for bit. The forward matrix is rfft of the
+    # identity; the inverse one is irfft of each unit spectrum, so the
+    # imaginary parts of the DC and Nyquist bins have zero weight.
     rng = np.random.default_rng(4)
     for n in (17, 64, 127):
+        fwd, inv = deconv._dft(n)
+        h = n // 2 + 1
+        assert_allclose(fwd.view(complex), np.fft.rfft(np.eye(n)), rtol=0, atol=1e-14)
+        assert_allclose(inv[0::2], np.fft.irfft(np.eye(h), n), rtol=0, atol=1e-15)
+        assert_allclose(inv[1::2], np.fft.irfft(1j * np.eye(h), n), rtol=0, atol=1e-15)
+        assert not inv[1].any() and (n % 2 == 1 or not inv[-1].any())
         a, x = rng.standard_normal((2, n))
-        grid = np.arange(n)
-        idx = (grid[:, None] - grid[None, :]) % n
-        assert_array_equal(circular_convolution(a, x), x[idx] @ a)
-        assert_array_equal(circular_correlation(a, x), x @ a[idx])
+        a_hat, x_hat = a.dot(fwd).view(complex), x.dot(fwd).view(complex)
+        assert_array_equal(circular_convolution(a, x), (a_hat * x_hat).view(float).dot(inv))
+        assert_array_equal(circular_correlation(a, x), (np.conj(a_hat) * x_hat).view(float).dot(inv))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, deconv._FFT_MIN_N - 1),
+    count=st.integers(1, 6),
+    scale=st.sampled_from([1e-100, 1.0, 1e100]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, count=3, scale=1.0, seed=0)
+@example(n=127, count=5, scale=1.0, seed=1)
+def test_kept_dft_rows_equal_single_transforms(n, count, scale, seed):
+    # A stack is transformed row by row: each row equals the single call bit
+    # for bit, so a batch cost equals the cost. The pair inverts itself up
+    # to rounding, and is odd bit for bit, as both routines are.
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((count, n)) * scale
+    spectra = deconv._rfft(stack)
+    back = deconv._irfft(spectra, n)
+    assert spectra.shape == (count, n // 2 + 1) and back.shape == (count, n)
+    for v, t, w in zip(stack, spectra, back):
+        assert_array_equal(deconv._rfft(v), t)
+        assert_array_equal(deconv._irfft(t, n), w)
+        assert np.linalg.norm(w - v) <= 1e-13 * np.linalg.norm(v)
+        assert_array_equal(deconv._rfft(-v), -t)
+        assert_array_equal(deconv._irfft(-t, n), -w)
+    a, x = stack[0], stack[-1]
+    assert_array_equal(circular_convolution(-a, x), -circular_convolution(a, x))
+    assert_array_equal(circular_correlation(-a, x), -circular_correlation(a, x))
 
 
 # --- cost and gradients --------------------------------------------------------
@@ -689,6 +727,28 @@ def test_solve_from_truth_is_immediately_stationary():
     assert report.final_dc == 0.0
 
 
+@pytest.mark.parametrize("n", [8, 32, 64, 127, 128, 1024])
+def test_solve_from_any_planted_truth_is_immediately_stationary(n):
+    # With lambda = 0 and no noise the truth has cost exactly 0, so the rise
+    # slack is 0 too: both blocks must keep it bit for bit. A zero kernel
+    # gradient keeps the kernel (renormalizing it moved it by rounding), and
+    # at and above the FFT crossover an exact fit has a zero residual
+    # spectrum. Seeds whose y is all zero have no kernel to recover.
+    started = 0
+    for seed in range(20):
+        inst = generate_instance(seed, n, 0.1, 6, 0.0)
+        if not inst.y.any():
+            continue
+        started += 1
+        p = DeconvProblem(y=inst.y, lam=0.0)
+        trace, report = run_block_mm(
+            build_block_problem(p), GrassmannPoint(inst.true_a[:, None]), inst.true_x, SolverConfig(seed=seed)
+        )
+        assert (report.converged, report.iterations) == (True, 1), seed
+        assert report.final_cost == 0.0 and report.final_dc == 0.0, seed
+    assert started >= 12
+
+
 def test_solve_monotone_and_deterministic():
     inst = generate_instance(8, 64, 4 / 64, 8, 0.0)
     p = DeconvProblem(y=inst.y, lam=0.1)
@@ -911,28 +971,32 @@ def test_batch_costs_equal_the_cost_bit_for_bit(n, count, lam, writable, seed):
 
 @pytest.mark.parametrize("n", [8, 64, 127, 128])
 def test_batch_cost_circulants_stay_under_the_cap(n, monkeypatch):
-    # Below the FFT crossover each code of a batch builds an N x N circulant;
-    # a slice holds at most _COST_BATCH_BYTES of them, and at least one.
-    gathered = []
+    # No batch builds a circulant, or any N x N array, at any N: it gathers
+    # nothing, transforms its K codes as one K x N stack, takes the kept
+    # kernel's transform and inverts one K x (N // 2 + 1) stack of spectra.
+    seen = []
 
-    def recorded(*args, **kwargs):
-        out = take(*args, **kwargs)
-        gathered.append(out.shape)
-        return out
+    def recorded(fn):
+        def wrapper(v, *args):
+            out = fn(v, *args)
+            seen.append((v.shape, out.shape))
+            return out
+
+        return wrapper
 
     take = np.take
-    monkeypatch.setattr(np, "take", recorded)
     p = DeconvProblem(y=np.random.default_rng(n).standard_normal(n), lam=0.1)
     g, x = read_only(random_state(n, n))
     codes = np.random.default_rng(n + 1).standard_normal((300, n))
     expected = [deconv_cost(p, DeconvState(a=g, x=code)) for code in codes]
-    assert build_block_problem(p).costs(g, codes) == expected
-    if n < deconv._FFT_MIN_N:
-        per_slice = max(1, engine._COST_BATCH_BYTES // (8 * n * n))
-        slices = [min(per_slice, len(codes) - lo) for lo in range(0, len(codes), per_slice)]
-        assert gathered == [(k, n, n) for k in slices]
-    else:
-        assert gathered == []
+    bp = build_block_problem(p)
+    bp.cost(g, x)
+    monkeypatch.setattr(np, "take", lambda *args, **kwargs: seen.append("take") or take(*args, **kwargs))
+    monkeypatch.setattr(deconv, "_rfft", recorded(deconv._rfft))
+    monkeypatch.setattr(deconv, "_irfft", recorded(deconv._irfft))
+    assert bp.costs(g, codes) == expected
+    h = n // 2 + 1
+    assert seen == [((300, n), (300, h)), ((300, h), (300, n))]
 
 
 @pytest.mark.parametrize("n", [128, 257, 1024])
@@ -987,22 +1051,23 @@ def test_stationarity_probe_makes_one_cost_call(n):
 
 def test_work_per_iteration(monkeypatch):
     # Between two consecutive kernel steps the engine evaluates the cost at the
-    # two new iterates. Each new anchor transforms only its new signal, G or x;
-    # the rest comes from the anchor before it. The Lipschitz bounds of the
-    # new G and x are FFTs too: below the FFT crossover they are taken on
-    # their own, at and above it they read the stored real FFTs. So below the
-    # crossover an iteration without an extrapolation try gathers two
-    # circulants and takes the two Lipschitz FFTs, and a try adds at most
-    # three transforms: its new G and x, and, when the try is kept, the new
-    # G's Lipschitz FFT. At and above the crossover the residual's transform
-    # is the spectrum its convolution is taken from, so an iteration takes
-    # two forward real FFTs (the new G and x) and five inverse ones: the
-    # convolution at each of the two anchors, the kernel gradient at each and
-    # the code gradient at one. A try adds two forward real FFTs, its new G
-    # and x, and one inverse, its convolution. The engine has checked every
-    # kernel it passes, so the solve checks none again. On Gr(N, 1) an
-    # iteration takes no SVD, tries included: the stop-test distance and the
-    # extrapolation point are taken in closed form.
+    # two new iterates. Each new anchor transforms only its new signal, G or x,
+    # and takes one inverse transform, its convolution; the rest comes from
+    # the anchor before it. The Lipschitz bounds read the kept transforms of
+    # G and x, so they take none. Below the FFT crossover the residual is a
+    # signal, transformed when a gradient first needs it, so an iteration
+    # takes four forward transforms (the new G and x and the two residuals)
+    # and four inverse ones (the two convolutions, the kernel gradient at one
+    # anchor and the code gradient at the other). At and above the crossover
+    # the residual's transform is the spectrum its convolution is taken from,
+    # so an iteration takes two forward transforms (the new G and x) and five
+    # inverse ones: the convolution at each of the two anchors, the kernel
+    # gradient at each and the code gradient at one. At every N a try adds
+    # two forward transforms, its new G and x, and one inverse, its
+    # convolution. The engine has checked every kernel it passes, so the
+    # solve checks none again. On Gr(N, 1) an iteration takes no SVD, tries
+    # included: the stop-test distance and the extrapolation point are taken
+    # in closed form.
     counts = {"cost": 0, "transform": 0, "inverse": 0, "kernel_check": 0, "svd": 0}
 
     def counted(fn, key):
@@ -1012,16 +1077,23 @@ def test_work_per_iteration(monkeypatch):
 
         return wrapper
 
-    # A transform is a circulant gather below the crossover, an rfft above it;
-    # every FFT counts, so a Lipschitz bound taken with a full fft would too.
-    monkeypatch.setattr(deconv, "_conv_index", counted(deconv._conv_index, "transform"))
-    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, "transform"))
+    def rows(fn, key):
+        # one transform per signal: a K x N stack counts K
+        def wrapper(v, *args):
+            counts[key] += 1 if v.ndim == 1 else len(v)
+            return fn(v, *args)
+
+        return wrapper
+
+    # Both routes of the pair are counted; a full FFT counts too, so a
+    # Lipschitz bound taken with one would.
+    monkeypatch.setattr(deconv, "_rfft", rows(deconv._rfft, "transform"))
+    monkeypatch.setattr(deconv, "_irfft", rows(deconv._irfft, "inverse"))
     monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft, "transform"))
-    monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft, "inverse"))
     monkeypatch.setattr(deconv, "_check_kernel", counted(deconv._check_kernel, "kernel_check"))
     monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd, "svd"))
-    # n: (forward transforms, inverse FFTs), what a try adds to each, max_iter
-    for n, bound, try_bound, max_iter in ((64, (4, 0), (3, 0), 5000), (1024, (2, 5), (2, 1), 100)):
+    # n: (forward transforms, inverse transforms), what a try adds to each, max_iter
+    for n, bound, try_bound, max_iter in ((64, (4, 4), (2, 1), 5000), (1024, (2, 5), (2, 1), 100)):
         inst = generate_instance(2, n, 0.0625, 8, 0.0)
         p = DeconvProblem(y=inst.y, lam=0.1)
         init = default_init(p.y, 8)
