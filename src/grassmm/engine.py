@@ -41,9 +41,9 @@ per slice. The stacks of majorization candidates and derivative-match
 samples are read-only, and each is queried twice, for the cost and for the
 surrogate; a problem may answer the second query from its first, matched by
 identity (see BlockProblem). Subspace-mean, whose surrogates are the cost,
-does, so each of those samples is evaluated once. run_block_mm leaves the
-end-of-run probe to the first read of ConvergenceReport.stationarity_score,
-so a caller that never reads it, as grassmm audit, does not pay for it.
+does, so each of those samples is evaluated once. The end-of-run probe is
+stationarity_check at the report's final iterate; grassmm run calls it, and
+run_block_mm does not.
 
 Check policy. An anchor given to run_block_mm, stationarity_check or an audit
 is checked once against the problem's dims: a GrassmannPoint of Gr(n, d) and
@@ -77,8 +77,7 @@ subspace-mean's random start (worst 2.54 on Gr(8, 2)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -257,15 +256,9 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """The outcome of run_block_mm.
-
-    stationarity_score is the end-of-run probe: stationarity_check at
-    (final_g, final_c) over stationarity_directions directions drawn from
-    stationarity_seed. It is computed on its first read and then kept, so a
-    caller that never reads it, as grassmm audit, pays nothing for it. A cost
-    that is NaN or infinite at a probe point raises NonFiniteCostError at
-    that read, not in run_block_mm.
-    """
+    """The outcome of run_block_mm, a plain record. The end-of-run probe is
+    stationarity_check at (final_g, final_c) with the run's audit_samples and
+    seed, called by grassmm run."""
 
     converged: bool
     iterations: int
@@ -273,20 +266,11 @@ class ConvergenceReport:
     final_dc: float
     grad_norm_g: float  # of the Riemannian gradient at (final_g, final_c)
     grad_norm_c: float  # of the convex block's gradient there
-    stationarity_directions: int
-    stationarity_seed: int
     tie_suspected: bool
     audit_summary: Optional[dict[str, AuditResult]]  # the in-run audits; None without them
     final_g: GrassmannPoint
     final_c: np.ndarray
     extrapolations: int  # accepted extrapolation steps
-    _problem: BlockProblem = field(repr=False, compare=False)  # the problem the probe reads
-
-    @cached_property
-    def stationarity_score(self) -> float:
-        return stationarity_check(
-            self._problem, self.final_g, self.final_c, self.stationarity_directions, self.stationarity_seed
-        )
 
 
 @dataclass(frozen=True)
@@ -458,11 +442,11 @@ def _norm(x: np.ndarray) -> float:
     np.linalg.norm's, over x raveled in memory order, so the two agree bit for
     bit; np.vdot takes it without an overflow warning, so no np.errstate is
     entered. A gradient scales as the square of the data, so x . x can
-    overflow though every entry is finite; then the norm is taken as
-    max|x| * |x / max|x||."""
+    overflow, or underflow, though x is finite and not zero; where the norm
+    is then infinite or below 2^-500, it is taken as max|x| * |x / max|x||."""
     v = x.ravel(order="K")
     norm = math.sqrt(float(np.vdot(v, v)))
-    if math.isinf(norm) and np.isfinite(x).all():
+    if (math.isinf(norm) or norm < 2.0**-500) and np.isfinite(x).all() and v.any():
         big = float(np.max(np.abs(x)))
         norm = big * float(np.linalg.norm(x / big))
     return norm
@@ -514,9 +498,8 @@ def run_block_mm(
     InfeasibleBlockError (naming the block) if a surrogate returns a value
     outside its feasible set, and NonFiniteCostError if the cost at an
     iterate, or a gradient norm at the final iterate, is NaN or infinite.
-    The end-of-run stationarity probe is not taken here but on the first read
-    of the report's stationarity_score, which raises NonFiniteCostError if a
-    probe cost is not finite (see ConvergenceReport).
+    The end-of-run stationarity probe is not taken here: it is
+    stationarity_check at the report's final iterate, called by grassmm run.
 
     Extrapolation. On every EXTRAPOLATION_PERIOD-th iteration whose MM step
     (G_i, c_i) -> (G', c') has not met the stop test, the engine tries one
@@ -635,14 +618,11 @@ def run_block_mm(
         final_dc=final_dc,
         grad_norm_g=grad_norm_g,
         grad_norm_c=grad_norm_c,
-        stationarity_directions=config.audit_samples,
-        stationarity_seed=config.seed,
         tie_suspected=_tie_suspected([r.dc_step for r in trace], converged, config.dist_tol),
         audit_summary=audit_summary or None,
         final_g=g,
         final_c=c,
         extrapolations=extrapolations,
-        _problem=problem,
     )
     return trace, report
 

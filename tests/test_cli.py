@@ -54,7 +54,8 @@ def deconv_payload(**overrides):
 
 
 def count_probes(monkeypatch) -> list:
-    """A list that gains one entry per stationarity_check call from here on."""
+    """A list that gains one entry per stationarity_check call from here on,
+    through the binding the CLI calls or the engine's own."""
     calls = []
     probe = engine.stationarity_check
 
@@ -62,7 +63,8 @@ def count_probes(monkeypatch) -> list:
         calls.append(args)
         return probe(*args)
 
-    monkeypatch.setattr(engine, "stationarity_check", counted)
+    for module in (cli, engine):
+        monkeypatch.setattr(module, "stationarity_check", counted)
     return calls
 
 
@@ -354,8 +356,8 @@ def test_run_outputs_are_byte_identical(tmp_path):
 def test_run_subspace_line_report_is_pinned(tmp_path, monkeypatch):
     # Gr(10, 1): the G step returns a column slice of the SVD factor, and the
     # subspace cost must not round differently for it; values pinned exactly.
-    # report.json reads each seed's stationarity score, so each seed takes
-    # one probe.
+    # grassmm run takes one probe per seed, at its final iterate, with the
+    # seed's audit_samples and seed.
     expected = {
         "0": (True, 2, 307.72748623092286, 1.3014080040840904e-15, 0.00020868355932179836),
         "1": (True, 2, 252.3389036801181, 8.661396316919335e-16, 0.00023894131118140646),
@@ -366,6 +368,8 @@ def test_run_subspace_line_report_is_pinned(tmp_path, monkeypatch):
     probes = count_probes(monkeypatch)
     assert main(["--out", str(out), "run", str(config)]) == 0
     assert len(probes) == 2
+    assert [args[3:] for args in probes] == [(50, 0), (50, 1)]
+    assert all(isinstance(args[0], engine.BlockProblem) for args in probes)
     report = json.loads((out / "report.json").read_text())
     assert {
         seed: (e["converged"], e["iterations"], e["final_f"], e["final_dc"], e["stationarity_score"])
@@ -530,6 +534,31 @@ def test_deconv_run_takes_no_svd(tmp_path, monkeypatch, n, max_iter, code):
     assert calls == []
 
 
+def test_run_with_a_non_finite_probe_exits_1_after_the_seed_trace(tmp_path, monkeypatch, capsys):
+    # The engine's iterates are read-only arrays and the probe's points are
+    # not, so this cost is finite along each run and NaN at every probe.
+    # grassmm run takes the probe after it writes the seed's trace and before
+    # report.json, so the first seed's trace is written and nothing else.
+    build = cli._build
+
+    def broken_build(*args):
+        block, init, extras = build(*args)
+
+        def cost(g, c):
+            return block.cost(g, c) if not (g.basis.flags.writeable or c.flags.writeable) else math.nan
+
+        return dataclasses.replace(block, cost=cost, costs=None), init, extras
+
+    monkeypatch.setattr(cli, "_build", broken_build)
+    probes = count_probes(monkeypatch)
+    out = tmp_path / "out"
+    config = write_config(tmp_path, subspace_payload())
+    assert main(["--out", str(out), "run", str(config)]) == 1
+    assert "stationarity probe" in capsys.readouterr().err
+    assert len(probes) == 1
+    assert sorted(path.name for path in out.iterdir()) == ["trace_0.csv"]
+
+
 # --- audit command ---------------------------------------------------------------
 
 
@@ -583,7 +612,7 @@ def test_audit_deconv_summary_is_pinned(tmp_path):
 def test_audit_subspace_summary_is_pinned(tmp_path, monkeypatch):
     # (passed, worst, threshold, checked, skipped) of each audit for this
     # config, exactly: the batched audit geometry must not move a bit of it.
-    # grassmm audit never reads a stationarity score, so it takes no probe.
+    # grassmm audit takes no stationarity probe.
     expected = {
         "tightness": (True, 0.0, 1e-9, 12, 0),
         "majorization": (True, 0.0, 1e-9, 600, 0),

@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 import weakref
@@ -154,12 +155,14 @@ def test_trace_is_deterministic():
     a = np.random.default_rng(5).standard_normal((10, 40))
     prob = builtin_subspace_plus_mean(a, 2)
     g0, c0 = subspace_plus_mean_init(a, 2, 5)
-    t1, r1 = run_block_mm(prob, g0, c0, SolverConfig(seed=5))
-    t2, r2 = run_block_mm(prob, g0, c0, SolverConfig(seed=5))
+    config = SolverConfig(seed=5)
+    t1, r1 = run_block_mm(prob, g0, c0, config)
+    t2, r2 = run_block_mm(prob, g0, c0, config)
     assert_array_equal([r.f for r in t1], [r.f for r in t2])
     assert_array_equal([r.dc_step for r in t1], [r.dc_step for r in t2])
     assert r1.final_cost == r2.final_cost
-    assert r1.stationarity_score == r2.stationarity_score
+    s1, s2 = (stationarity_check(prob, r.final_g, r.final_c, config.audit_samples, config.seed) for r in (r1, r2))
+    assert s1 == s2
 
 
 def test_rerunning_block_update_from_converged_state_stays_put():
@@ -378,18 +381,31 @@ def deconv_scaled_run(seed, n, scale, max_iter=5000):
 @example(n=64, seed=0, k=300)
 @example(n=64, seed=0, k=400)
 @example(n=32, seed=1, k=400)
+@example(n=64, seed=0, k=-300)
+@example(n=64, seed=0, k=-500)
+@example(n=1024, seed=0, k=-300)
+@example(n=1024, seed=0, k=-500)
 def test_deconv_run_is_bit_identical_under_power_of_two_scaling(n, seed, k):
     # Scaling y by 2^k scales every cost by 4^k exactly, so a solver whose
     # decisions compare costs with the initial cost makes the same ones. Only
     # subnormal values scale inexactly: kernel entries that decay below the
     # smallest normal float may differ there. At k = 300 and 400 the kernel
     # gradient (of order 4^k) has a sum of squares past the largest float,
-    # while its norm and every cost stay finite.
+    # while its norm and every cost stay finite; at k = -300 and -500 its sum
+    # of squares falls below the smallest float, while its norm does not. At
+    # N=1024 the run stops at max_iter, where the gradient is far from 0.
     base = deconv_scaled_run(seed, n, 1.0, max_iter=500)
     scaled = deconv_scaled_run(seed, n, np.ldexp(1.0, k), max_iter=500)
     assert (scaled.converged, scaled.iterations) == (base.converged, base.iterations)
     assert_allclose(scaled.final_g.basis, base.final_g.basis, rtol=0.0, atol=np.finfo(float).tiny)
     assert np.ldexp(scaled.final_cost, -2 * k) == base.final_cost
+    # The Riemannian gradient scales by 4^k and the code's by 2^k. A norm
+    # scaled into the subnormal range (at k = -500 that of a converged kernel,
+    # about 1e-316) is held to its absolute spacing there.
+    pairs = ((scaled.grad_norm_g, base.grad_norm_g, 2 * k), (scaled.grad_norm_c, base.grad_norm_c, k))
+    for norm, base_norm, power in pairs:
+        spacing = np.ldexp(np.finfo(float).smallest_subnormal, -power)
+        assert_allclose(np.ldexp(norm, -power), base_norm, rtol=1e-15, atol=4 * spacing)
 
 
 @settings(max_examples=20, deadline=None)
@@ -1342,10 +1358,10 @@ def test_chunked_batches_match_pointwise_references(kind, chunk_bytes, monkeypat
 
 def reference_norm(x):
     """engine._norm with np.linalg.norm under np.errstate, and the same
-    max|x| rescale where x . x overflows."""
-    with np.errstate(over="ignore"):
+    max|x| rescale where the norm is infinite or below 2^-500."""
+    with np.errstate(over="ignore", under="ignore"):
         norm = float(np.linalg.norm(x))
-    if math.isinf(norm) and np.isfinite(x).all():
+    if (math.isinf(norm) or norm < 2.0**-500) and np.isfinite(x).all() and np.any(x):
         big = float(np.max(np.abs(x)))
         norm = big * float(np.linalg.norm(x / big))
     return norm
@@ -1370,16 +1386,32 @@ def test_gradient_norm_equals_the_numpy_norm_bit_for_bit_without_warnings():
     m = rng.standard_normal((64, 3))
     for x in (np.asfortranarray(m), m.T, m[::2], m[:, 1]):
         assert_array_equal(quiet_norm(x), reference_norm(x))
-    # Finite entries whose sum of squares overflows take the rescale; non-finite ones do not.
+    # Finite entries whose sum of squares overflows or underflows take the
+    # rescale; non-finite ones do not, and a zero vector has norm 0.
+    tiny = (
+        np.full(4, 1e-170),
+        np.full(4, 1e-160),
+        np.array([5e-324, -5e-324, 0.0]),
+        np.array([1e-200, 3e-170, -2e-160]),
+        1e-152 * rng.standard_normal((64, 1)),
+        1e-300 * rng.standard_normal(1024),
+    )
     for x in (
         np.full(64, 1e200),
         np.array([1e308, -1e308, 3.0]),
         1.5e154 * rng.standard_normal((64, 1)),
         np.array([np.inf, 1.0]),
         np.array([np.nan, 1e200]),
+        np.array([np.nan, 1e-200]),
+        np.zeros(5),
+        *tiny,
     ):
         assert_array_equal(quiet_norm(x), reference_norm(x))
     assert quiet_norm(np.full(64, 1e200)) == 8e200
+    assert quiet_norm(np.full(4, 1e-170)) == 2e-170
+    assert quiet_norm(np.zeros(5)) == 0.0
+    for x in tiny:
+        assert_allclose(quiet_norm(x), math.hypot(*x.ravel()), rtol=4e-16, atol=0.0)
 
 
 def test_grassmann_gradient_norm_on_one_column_is_the_projected_norm_bit_for_bit():
@@ -1430,9 +1462,9 @@ def test_stationarity_at_leading_eigenspace():
     assert stationarity_check(prob, top, np.zeros(1), 64, seed=5) >= -1e-4
 
 
-def test_stationarity_score_is_computed_on_first_read(monkeypatch):
-    # run_block_mm takes no probe; the report takes it once, on the first
-    # read of stationarity_score, at its final iterate, and keeps the value.
+def test_run_takes_no_stationarity_probe(monkeypatch):
+    # The probe is the caller's call, at the report's final iterate: the run
+    # itself makes none, and the report keeps no probe settings.
     calls = []
 
     def counted(*args):
@@ -1444,18 +1476,30 @@ def test_stationarity_score_is_computed_on_first_read(monkeypatch):
     prob = builtin_subspace_plus_mean(a, 2)
     _, report = run_block_mm(prob, *subspace_plus_mean_init(a, 2, 21), SolverConfig(audit_samples=12, seed=4))
     assert calls == []
-    score = report.stationarity_score
-    assert score == report.stationarity_score
-    assert len(calls) == 1
-    assert calls[0] == (prob, report.final_g, report.final_c, 12, 4)
+    for name in ("stationarity_score", "stationarity_directions", "stationarity_seed", "_problem"):
+        assert not hasattr(report, name)
+    score = stationarity_check(prob, report.final_g, report.final_c, 12, seed=4)
     assert score == stationarity_check(prob, report.final_g, report.final_c, 12, seed=4)
+    assert score >= -1e-4
 
 
-def test_non_finite_probe_raises_where_the_score_is_read():
+def test_report_holds_no_reference_to_the_problem():
+    a = np.random.default_rng(21).standard_normal((10, 40))
+    prob = builtin_subspace_plus_mean(a, 2)
+    _, report = run_block_mm(prob, *subspace_plus_mean_init(a, 2, 21), SolverConfig(seed=4))
+    ref = weakref.ref(prob)
+    del prob
+    gc.collect()
+    assert ref() is None
+    assert report.iterations > 0
+
+
+def test_non_finite_probe_raises_at_the_final_iterate():
     a = np.random.default_rng(3).standard_normal((6, 20))
     prob = builtin_subspace_plus_mean(a, 2)
     g0, c0 = subspace_plus_mean_init(a, 2, 3)
-    _, plain = run_block_mm(prob, g0, c0, SolverConfig(max_iter=3, seed=0))
+    config = SolverConfig(max_iter=3, seed=0)
+    _, plain = run_block_mm(prob, g0, c0, config)
 
     def cost(g, c):
         # The engine's iterates are read-only arrays and its probe points are
@@ -1463,10 +1507,10 @@ def test_non_finite_probe_raises_where_the_score_is_read():
         return prob.cost(g, c) if not (g.basis.flags.writeable or c.flags.writeable) else np.nan
 
     broken = replace(prob, cost=cost, costs=None)
-    _, report = run_block_mm(broken, g0, c0, SolverConfig(max_iter=3, seed=0))
+    _, report = run_block_mm(broken, g0, c0, config)
     assert report.final_cost == plain.final_cost
     with pytest.raises(NonFiniteCostError, match="stationarity probe"):
-        report.stationarity_score
+        stationarity_check(broken, report.final_g, report.final_c, config.audit_samples, config.seed)
 
 
 # --- extrapolation ---------------------------------------------------------------
@@ -1577,7 +1621,7 @@ def test_extrapolation_keeps_descent_on_deconv(n, lam, seed):
         beta = min(2.0 * beta, 64.0) if kept(out) else max(0.5 * beta, 1.0)
     assert report.extrapolations == sum(kept(out) for _, out in log.tries)
     # A kept try's first cost call comes right after the one at the MM output,
-    # and is lower. (A read of the stationarity score would call it again.)
+    # and is lower.
     seen = set()
     for k, (g, f) in enumerate(costs):
         if log.holds(g) and kept(g.basis) and id(g.basis) not in seen:
@@ -1595,15 +1639,19 @@ def test_rejected_extrapolation_reproduces_the_plain_trace(monkeypatch):
         # Every extrapolated point costs more than the MM output it competes with.
         return base.cost(g, c) + (1.0 if log.holds(g) else 0.0)
 
+    raised = replace(base, cost=cost)
     with log.patch():
-        trace, report = run_block_mm(replace(base, cost=cost), init.a, init.x, config)
+        trace, report = run_block_mm(raised, init.a, init.x, config)
     assert len(log.tries) > 10
     assert report.extrapolations == 0
     monkeypatch.setattr(engine, "EXTRAPOLATION_PERIOD", config.max_iter + 1)
-    plain_trace, plain = run_block_mm(deconv_instance(0)[0], init.a, init.x, config)
+    plain_problem = deconv_instance(0)[0]
+    plain_trace, plain = run_block_mm(plain_problem, init.a, init.x, config)
     assert trace == plain_trace
     assert report.final_cost == plain.final_cost
-    assert report.stationarity_score == plain.stationarity_score
+    assert stationarity_check(raised, report.final_g, report.final_c, config.audit_samples, config.seed) == (
+        stationarity_check(plain_problem, plain.final_g, plain.final_c, config.audit_samples, config.seed)
+    )
     assert_array_equal(report.final_g.basis, plain.final_g.basis)
     assert_array_equal(report.final_c, plain.final_c)
 
