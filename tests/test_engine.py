@@ -1463,7 +1463,7 @@ def test_stationarity_at_leading_eigenspace():
 
 
 def test_run_takes_no_stationarity_probe(monkeypatch):
-    # The probe is the caller's call, at the report's final iterate: the run
+    # grassmm run takes the probe at the report's final iterate; the run
     # itself makes none, and the report keeps no probe settings.
     calls = []
 
@@ -1491,7 +1491,7 @@ def test_report_holds_no_reference_to_the_problem():
     del prob
     gc.collect()
     assert ref() is None
-    assert report.iterations > 0
+    assert report.iterations > 0  # the report is still alive
 
 
 def test_non_finite_probe_raises_at_the_final_iterate():
