@@ -25,7 +25,7 @@ does to the limit-point argument, are in run_block_mm. The gradient norms,
 the run's stationarity certificate, are taken once, at the final iterate.
 
 The audits and the stationarity probe sample in batches, in slices of at
-most _CHUNK_BYTES (32 KiB) of members, and give the same results, bit for
+most _CHUNK_BYTES (128 KiB) of members, and give the same results, bit for
 bit, as one sample at a time. A batch of Grassmann samples is one checked
 K x N x D array of bases from the moment it is drawn until the problem
 evaluates it: the tangents are drawn, factored and moved along their
@@ -128,18 +128,25 @@ STATIONARITY_PASS = -1e-4      # scores at or above this count as stationary
 # holds at a time, its stacks and their temporaries: unsplit, the 50 probe
 # points of Gr(1024, 1) alone would take 400 KiB. Each slice pays a fixed
 # Python and LAPACK cost, so the budget trades slices against memory.
-# Measured on the audits of grassmm audit over 20 seeds of subspace-mean
-# Gr(10, 2), M=40: 16 KiB splits a seed's 50 quasiconvexity pairs into 6
-# stacks and took about a quarter longer than 32 KiB (3 stacks); 64 and
-# 256 KiB were no faster than 32 KiB, and 256 KiB added 1.5 to 2 MB to the
-# peak RSS of grassmm run at N=1024.
-_CHUNK_BYTES = 1 << 15
+# 128 KiB is the smallest power of two at which one seed's quasiconvexity
+# draw in grassmm audit on subspace-mean Gr(10, 2), M=40, is one stack (it
+# counts 11 grid points x 160 B per pair, 88 KB for the 50 pairs; 32 KiB cut
+# them into 3 stacks). Swept with perfbench at 32, 64, 128 and 256 KiB
+# (median of 3 rotating 10 s runs, 2-core Xeon VM, OpenBLAS on 1 thread):
+# subspace-audit wall_s 0.161, 0.157, 0.149 and 0.150 s; peak_rss_mb 38.1,
+# 38.3, 38.3 and 38.3 there, and 36.9, 37.1, 37.5 and 39.1 on deconv-n1024,
+# whose probe stacks grow with the budget (16 points of Gr(1024, 1) at
+# 128 KiB).
+_CHUNK_BYTES = 1 << 17
 # Largest temporary the subspace-mean batch cost builds at once: its one
 # K x N x M array, the projection X X^T B, which its residual and then the
 # residual's square overwrite in place (a batch of K values of c first
 # builds the K centred copies of A as well).
 # 256 KiB slices made the audits above about 30% slower and added 0.7 MB to
-# their peak RSS.
+# their peak RSS. With 128 KiB stacks, 128 KiB slices were no faster on
+# subspace-audit (wall_s 0.149 against 0.148 s), and the 0.3 MB by which
+# peak_rss_mb read lower (38.0 against 38.3) is below what that metric
+# resolves.
 _COST_BATCH_BYTES = 1 << 16
 
 

@@ -1328,13 +1328,14 @@ def reference_stationarity(problem, g, c, directions, seed):
     return float(worst)
 
 
-@pytest.mark.parametrize("chunk_bytes", [engine._CHUNK_BYTES, 16384, 384, 1536])
+@pytest.mark.parametrize("chunk_bytes", [engine._CHUNK_BYTES, 16384, 32768, 384, 1536])
 @pytest.mark.parametrize("kind", ["subspace-mean", "deconv"])
 def test_chunked_batches_match_pointwise_references(kind, chunk_bytes, monkeypatch, exact_problem, exact_anchors):
     # An 8 x 2 point takes 128 bytes and a 32 x 1 point 256. At 384 and 1536
     # bytes every batch below is split, into one sample per chunk or into
-    # several samples per chunk with a short last one. 16384 is the budget
-    # before the measured 32 KiB default, kept as a second whole-batch case.
+    # several samples per chunk with a short last one. 16384 and 32768 are
+    # the two budgets before the 128 KiB default, kept as whole-batch cases;
+    # the next test splits the audit's own draws at 32768.
     monkeypatch.setattr(engine, "_CHUNK_BYTES", chunk_bytes)
     if kind == "subspace-mean":
         problem, anchors = exact_problem, exact_anchors[:2]
@@ -1354,6 +1355,47 @@ def test_chunked_batches_match_pointwise_references(kind, chunk_bytes, monkeypat
                 problem, block, anchors, 10, seed
             )
         assert audit_homogeneity(problem, anchors, 10, seed) == reference_homogeneity(problem, anchors, 10, seed)
+
+
+def test_one_seed_draw_is_one_stack_at_the_default_budget(monkeypatch):
+    # A quasiconvexity pair of Gr(10, 2) at 11 grid points builds 1760 bytes,
+    # so the 50 pairs of a grassmm audit seed take one stack at the default
+    # budget and 3 (18, 18 and 14 pairs) at 32 KiB. A Gr(1024, 1) point and a
+    # c of length 1024 take 8 KiB each: the probe's 50 directions per block
+    # take 4 stacks (3 of 16 and one of 2), where 32 KiB took 13 of at most 4.
+    a = np.random.default_rng(2).standard_normal((10, 40))
+    subspace = builtin_subspace_plus_mean(a, 2)
+    subspace_anchor = subspace_plus_mean_init(a, 2, 2)
+    inst = generate_instance(0, 1024, 0.0625, 8)
+    start = default_init(inst.y, 8)
+    base = build_block_problem(DeconvProblem(y=inst.y, lam=0.1))
+    calls = {}
+
+    def pair_geodesics(x, y):
+        calls["pairs"] += 1
+        return _pair_geodesics(x, y)
+
+    def costs(g, c):
+        calls["convex" if isinstance(g, GrassmannPoint) else "grassmann"] += 1
+        return base.costs(g, c)
+
+    monkeypatch.setattr(engine, "_pair_geodesics", pair_geodesics)
+    deconv = replace(base, costs=costs)
+
+    def counted():
+        calls.update(pairs=0, grassmann=0, convex=0)
+        quasi = audit_quasiconvexity(subspace, subspace_anchor, 50, 11, seed=0)
+        score = stationarity_check(deconv, start.a, start.x, 50, seed=0)
+        return quasi, score, dict(calls)
+
+    quasi, score, at_default = counted()
+    assert at_default == {"pairs": 1, "grassmann": 4, "convex": 4}
+    assert quasi.checked + quasi.skipped == 50
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1 << 15)
+    old_quasi, old_score, at_32k = counted()
+    assert at_32k == {"pairs": 3, "grassmann": 13, "convex": 13}
+    assert quasi == old_quasi
+    assert score.hex() == old_score.hex()
 
 
 def reference_norm(x):
