@@ -43,12 +43,11 @@ stale value. The callables trust their arguments, which the engine has
 checked (see the check policy in grassmm.engine).
 
 The batch cost, BlockProblem.costs, takes K kernels with one code or one
-kernel with K codes, builds no context and only reads the kept ones: when its
-one kernel or one code is, by identity, an array of a kept context, it takes
-that signal's transform. It convolves all K pairs by the same formula, its
-transforms taken row by row, and shares _fit with the context: each member of
-a stack takes the dot product the context takes. Member k equals the cost
-call at its pair bit for bit.
+kernel with K codes and reads only its arguments: it neither builds nor reads
+a context. It transforms every signal it is given, a stack row by row, and
+convolves all K pairs by the same formula, and it shares _fit with the
+context: each member of a stack takes the dot product the context takes.
+Member k equals the cost call at its pair bit for bit.
 """
 
 from __future__ import annotations
@@ -525,17 +524,13 @@ def build_block_problem(problem: DeconvProblem, step_scale: float = 1.0) -> Bloc
         # K kernels (a K x N x 1 stack) with one code, or one kernel with K
         # codes. A stack is transformed row by row, each row equal to its
         # single transform bit for bit, and _fit keeps each member equal to
-        # cost. No anchor context is built, and the kept ones are only read:
-        # the one kernel or code, when a kept context holds it by identity,
-        # lends its transform.
+        # cost. No anchor context is built or read.
         if isinstance(g, GrassmannPoint):
-            kept = next((ctx.g_signal.t for ctx in recent if ctx.g is g), None)
-            a_hat, x_hat, codes = _rfft(g.basis[:, 0]) if kept is None else kept, _rfft(c), c
+            a_hat, codes = _rfft(g.basis[:, 0]), c
         else:
-            kept = next((ctx.x_signal.t for ctx in recent if ctx.x is c), None)
-            a_hat, x_hat, codes = _rfft(g[:, :, 0]), _rfft(c) if kept is None else kept, c[None]
+            a_hat, codes = _rfft(g[:, :, 0]), c[None]
         penalty = problem.lam * np.abs(codes).sum(axis=1)
-        return _fit(y.v, _irfft(a_hat * x_hat, n), penalty)[0].tolist()
+        return _fit(y.v, _irfft(a_hat * _rfft(c), n), penalty)[0].tolist()
 
     # --- kernel block -----------------------------------------------------
     def a_minimize(g: GrassmannPoint, x: np.ndarray) -> GrassmannPoint:

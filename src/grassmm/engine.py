@@ -125,29 +125,20 @@ EXTRAPOLATION_BETA_MAX = 64.0
 STATIONARITY_FD_STEP = 1e-5
 STATIONARITY_PASS = -1e-4      # scores at or above this count as stationary
 # Largest stack of sampled N x D points built at once. It bounds what a batch
-# holds at a time, its stacks and their temporaries: unsplit, the 50 probe
-# points of Gr(1024, 1) alone would take 400 KiB. Each slice pays a fixed
-# Python and LAPACK cost, so the budget trades slices against memory.
+# holds at a time, its stacks and their temporaries, the subspace-mean batch
+# cost's K x N x M projection among them: unsplit, the 50 probe points of
+# Gr(1024, 1) alone would take 400 KiB. Each slice pays a fixed Python and
+# LAPACK cost, so the budget trades slices against memory.
 # 128 KiB is the smallest power of two at which one seed's quasiconvexity
 # draw in grassmm audit on subspace-mean Gr(10, 2), M=40, is one stack (it
 # counts 11 grid points x 160 B per pair, 88 KB for the 50 pairs; 32 KiB cut
 # them into 3 stacks). Swept with perfbench at 32, 64, 128 and 256 KiB
-# (median of 3 rotating 10 s runs, 2-core Xeon VM, OpenBLAS on 1 thread):
-# subspace-audit wall_s 0.161, 0.157, 0.149 and 0.150 s; peak_rss_mb 38.1,
-# 38.3, 38.3 and 38.3 there, and 36.9, 37.1, 37.5 and 39.1 on deconv-n1024,
-# whose probe stacks grow with the budget (16 points of Gr(1024, 1) at
-# 128 KiB).
+# (median of 3 rotating 10 s runs, 2-core Xeon VM, OpenBLAS on 1 thread; the
+# subspace-mean batch cost then sliced at 64 KiB): subspace-audit wall_s
+# 0.161, 0.157, 0.149 and 0.150 s; peak_rss_mb 38.1, 38.3, 38.3 and 38.3
+# there, and 36.9, 37.1, 37.5 and 39.1 on deconv-n1024, whose probe stacks
+# grow with the budget (16 points of Gr(1024, 1) at 128 KiB).
 _CHUNK_BYTES = 1 << 17
-# Largest temporary the subspace-mean batch cost builds at once: its one
-# K x N x M array, the projection X X^T B, which its residual and then the
-# residual's square overwrite in place (a batch of K values of c first
-# builds the K centred copies of A as well).
-# 256 KiB slices made the audits above about 30% slower and added 0.7 MB to
-# their peak RSS. With 128 KiB stacks, 128 KiB slices were no faster on
-# subspace-audit (wall_s 0.149 against 0.148 s), and the 0.3 MB by which
-# peak_rss_mb read lower (38.0 against 38.3) is below what that metric
-# resolves.
-_COST_BATCH_BYTES = 1 << 16
 
 
 class MonotonicityViolation(RuntimeError):
@@ -328,8 +319,8 @@ def _oracle_for(problem: BlockProblem, block: str) -> SurrogateOracle:
 
 def _chunks(count: int, sample_bytes: int) -> list[tuple[int, int]]:
     """(start, size) of the slices that split `count` samples, each of which
-    builds `sample_bytes` of points or convex values, into stacks of at most
-    _CHUNK_BYTES (and at least one sample)."""
+    builds `sample_bytes` (of points, convex values or temporaries), into
+    stacks of at most _CHUNK_BYTES (and at least one sample)."""
     step = max(1, _CHUNK_BYTES // max(1, sample_bytes))
     return [(lo, min(step, count - lo)) for lo in range(0, count, step)]
 
@@ -651,6 +642,7 @@ def stationarity_check(
     NonFiniteCostError if the cost at g or at a probe is NaN or infinite.
     """
     _check_count("directions", directions)
+    _check_count("seed", seed, 0)
     c = _check_anchor(problem, g, c)
     rng = np.random.default_rng(seed)
     h = STATIONARITY_FD_STEP
@@ -694,6 +686,7 @@ def audit_majorization(
     worst (smallest) margin; margins below -MAJORIZATION_TOL fail.
     """
     _check_count("samples", samples)
+    _check_count("seed", seed, 0)
     oracle = _oracle_for(problem, block)
     n, d, c_len = problem.dims
     rng = np.random.default_rng(seed)
@@ -729,6 +722,7 @@ def audit_derivative_match(
     oracle's smooth_along guard are skipped and counted.
     """
     _check_count("directions", directions)
+    _check_count("seed", seed, 0)
     oracle = _oracle_for(problem, block)
     g, c = anchor
     c = _check_anchor(problem, g, c)
@@ -785,6 +779,8 @@ def audit_quasiconvexity(
     """
     _check_count("pairs", pairs)
     _check_count("t_samples", t_samples)
+    _check_count("seed", seed, 0)
+    _check_real("radius", radius, 0.0)
     oracle = problem.grassmann_surrogate
     g_anchor, c_anchor = anchor
     c_anchor = _check_anchor(problem, g_anchor, c_anchor)
@@ -820,6 +816,7 @@ def audit_homogeneity(
     batches.
     """
     _check_count("rotations", rotations)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     devs = []
     for g, c in [(g, _check_anchor(problem, g, c)) for g, c in anchors]:
@@ -839,6 +836,7 @@ def audit_assumptions(problem: BlockProblem, anchors: list, samples: int, seed: 
     keep its work at each anchor (see BlockProblem)."""
     if not anchors:
         raise ValueError("anchors must hold at least one (g, c) pair")
+    _check_count("seed", seed, 0)
     g, c = anchors[-1]
     c = _check_anchor(problem, g, c)
     scale = 0.1 * (1.0 + np.linalg.norm(c) / np.sqrt(c.size))
@@ -870,36 +868,23 @@ def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:
     _check_count("d", d)
     if not 1 <= d < min(n, m):
         raise ValueError(f"need 1 <= D < min(N, M), got D={d} for a {n}x{m} matrix")
-    newest: list = []  # [c, A - c 1^T] for the newest read-only c
-
-    def centred(c: np.ndarray) -> np.ndarray:
-        # The audits pass one anchor's c thousands of times. A read-only c is
-        # the engine's own iterate (see the BlockProblem contract), so its
-        # centred data is computed once and matched by identity.
-        if newest and newest[0] is c:
-            return newest[1]
-        b = a - c[:, None]
-        if not c.flags.writeable:
-            b.setflags(write=False)
-            newest[:] = [c, b]
-        return b
-
-    last: list = []  # [g, c, values] of the newest batch whose arguments are both read-only
+    last: list = []  # [g, c, values] of the last batch whose arguments are both read-only
 
     def batch(g, c) -> list[float]:
         # The cost on a stack: K bases with one c, or one point with K rows
-        # of c. Each member takes the same matmuls and the same pairwise sum
+        # of c, in slices whose K x N x M projection X X^T B fits in
+        # _CHUNK_BYTES (K rows of c build their K copies of A - c 1^T as
+        # well). Each member takes the same matmuls and the same pairwise sum
         # over its N x M residual, so a member does not depend on K. The
-        # residual b - X X^T b and its square are taken in place, in the one
-        # K x N x M array the projection builds.
+        # residual b - X X^T b and its square are taken in place, in the
+        # projection's array.
         one_g = isinstance(g, GrassmannPoint)
-        step = max(1, _COST_BATCH_BYTES // a.nbytes)
         out: list[float] = []
-        for lo in range(0, len(c) if one_g else len(g), step):
+        for lo, size in _chunks(len(c) if one_g else len(g), a.nbytes):
             if one_g:
-                x, b = np.ascontiguousarray(g.basis), a - c[lo : lo + step, :, None]
+                x, b = np.ascontiguousarray(g.basis), a - c[lo : lo + size, :, None]
             else:
-                x, b = np.ascontiguousarray(g[lo : lo + step]), centred(c)
+                x, b = np.ascontiguousarray(g[lo : lo + size]), a - c[:, None]
             r = x @ (np.swapaxes(x, -1, -2) @ b)
             np.subtract(b, r, out=r)
             np.multiply(r, r, out=r)
@@ -926,19 +911,18 @@ def builtin_subspace_plus_mean(a, d: int) -> BlockProblem:
         return batch(g.basis[None], c)[0]
 
     def minimize_g(g: GrassmannPoint, c: np.ndarray) -> GrassmannPoint:
-        return GrassmannPoint(thin_svd(centred(c)).u[:, :d])
+        return GrassmannPoint(thin_svd(a - c[:, None]).u[:, :d])
 
     def minimize_c(g: GrassmannPoint, c: np.ndarray) -> np.ndarray:
-        b = centred(c)
-        residual = a - g.basis @ (g.basis.T @ b)
+        residual = a - g.basis @ (g.basis.T @ (a - c[:, None]))
         return residual.mean(axis=1)
 
     def grad_g(g: GrassmannPoint, c: np.ndarray) -> np.ndarray:
-        b = centred(c)
+        b = a - c[:, None]
         return -2.0 * (b @ (b.T @ g.basis))
 
     def grad_c(g: GrassmannPoint, c: np.ndarray) -> np.ndarray:
-        b = centred(c)
+        b = a - c[:, None]
         r = b - g.basis @ (g.basis.T @ b)
         return -2.0 * r.sum(axis=1)
 

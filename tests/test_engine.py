@@ -865,6 +865,32 @@ def test_audit_rejects_a_sample_count_below_one(exact_problem, exact_anchors, na
         call(exact_problem, exact_anchors[0], count)
 
 
+SEEDED_ENTRY_POINTS = {
+    "stationarity_check": lambda problem, anchor, seed: stationarity_check(problem, *anchor, 3, seed),
+    "audit_majorization": lambda problem, anchor, seed: audit_majorization(problem, "grassmann", [anchor], 3, seed),
+    "audit_derivative_match": lambda problem, anchor, seed: audit_derivative_match(problem, "convex", anchor, 3, seed),
+    "audit_quasiconvexity": lambda problem, anchor, seed: audit_quasiconvexity(problem, anchor, 3, 5, seed),
+    "audit_homogeneity": lambda problem, anchor, seed: audit_homogeneity(problem, [anchor], 3, seed),
+    "audit_assumptions": lambda problem, anchor, seed: audit_assumptions(problem, [anchor], 3, seed),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, name, value",
+    [(entry, "seed", value) for entry in SEEDED_ENTRY_POINTS for value in (True, 2.5, -1)]
+    + [("audit_quasiconvexity", "radius", value) for value in (math.nan, math.inf, -math.inf, -0.5, True, "0.5")],
+)
+def test_seed_and_radius_follow_the_shared_rules(exact_problem, exact_anchors, entry, name, value):
+    # A seed is a count >= 0 (_check_count), as in SolverConfig and
+    # random_point; the quasiconvexity radius a finite number >= 0
+    # (_check_real). Either raises a ValueError that names the argument.
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        if name == "radius":
+            audit_quasiconvexity(exact_problem, exact_anchors[0], 3, 5, 0, radius=value)
+        else:
+            SEEDED_ENTRY_POINTS[entry](exact_problem, exact_anchors[0], value)
+
+
 def test_audit_assumptions_rejects_no_anchors(exact_problem):
     with pytest.raises(ValueError, match=r"anchors must hold at least one \(g, c\) pair"):
         audit_assumptions(exact_problem, [], 5, 0)
@@ -969,7 +995,7 @@ def test_subspace_batches_equal_single_calls(data, n, seed, read_only):
     rng = np.random.default_rng(seed)
     problem = builtin_subspace_plus_mean(rng.standard_normal((n, m)), d)
     # K reaches past the batch cost's byte budget, so some calls are split.
-    k = data.draw(st.integers(0, engine._COST_BATCH_BYTES // (8 * n * m) + 3), label="k")
+    k = data.draw(st.integers(0, engine._CHUNK_BYTES // (8 * n * m) + 3), label="k")
     g0, c = subspace_plus_mean_init(rng.standard_normal((n, m)), d, seed % 1000)
     # The solver's own G step returns a column slice, which numpy's matmul
     # rounds differently from a contiguous basis at D = 1.
@@ -998,7 +1024,7 @@ def one_expression_costs(a, g, c):
     expression, b - X (X^T b), and squared into a new array: the form the
     in-place batch cost must equal bit for bit."""
     one_g = isinstance(g, GrassmannPoint)
-    step = max(1, engine._COST_BATCH_BYTES // a.nbytes)
+    step = max(1, engine._CHUNK_BYTES // a.nbytes)
     out = []
     for lo in range(0, len(c) if one_g else len(g), step):
         if one_g:
@@ -1011,10 +1037,11 @@ def one_expression_costs(a, g, c):
 
 
 @pytest.mark.parametrize("shape", ["K points", "K values of c"])
-@pytest.mark.parametrize("k", [1, 19, 20, 21, 650])
+@pytest.mark.parametrize("k", [1, 19, 20, 21, 39, 40, 41, 650])
 def test_subspace_batch_cost_equals_the_one_expression_form(shape, k):
-    # At N=10, M=40 a slice holds 20 members, so K = 19, 20, 21 end a slice
-    # short of, at and past its budget, and K = 650 takes 33 slices.
+    # At N=10, M=40 a slice holds 40 members, so K = 39, 40, 41 end a slice
+    # short of, at and past its budget, K = 19, 20, 21 stay within one, and
+    # K = 650 takes 17 slices.
     rng = np.random.default_rng(k)
     a = rng.standard_normal((10, 40))
     problem = builtin_subspace_plus_mean(a, 2)
